@@ -2,13 +2,18 @@
 
 Exit codes: 0 success (PASS / all-MATCH), 1 mathematical mismatch (FAIL,
 MISMATCH, or a nonzero expansion residual), 2 usage errors, 3 resource limits.
-Configuration comes from flags, then KSHIFT_* environment variables, then an
-optional key=value config file.
+
+Settings: the persistent cache directory from --cache-dir, then
+KSHIFT_CACHE_DIR, then `cache_dir=` in the --config file (key=value lines);
+the output format from --format, then `format=`.  --no-cache drops the
+persistent cache but keeps in-memory memoization.  The `verify` flags are
+derived from the check signatures: one int flag per parameter.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -24,22 +29,34 @@ from .errors import (
     ResourceLimitError,
 )
 from .polyring import BetaPoly
-from .shapes import EMPTY, SkewShape, StrictPartition, straight
+from .shapes import EMPTY, SkewShape, StrictPartition
 from .tableaux import FAMILIES, iter_tableaux
 
 FUNCS = ("P", "Q", "GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ", "schur")
+FORMATS = ("text", "json")
+CONFIG_KEYS = ("cache_dir", "format")
 
 
 def _load_config(path: str | None) -> dict:
+    if path is None:
+        return {}
     config: dict = {}
-    if path and os.path.exists(path):
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                k, _, v = line.partition("=")
-                config[k.strip()] = v.strip()
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ParameterError(f"unknown config key {key!r} in {path}; known: {', '.join(CONFIG_KEYS)}")
+        config[key] = value.strip()
+    if config.get("format", "text") not in FORMATS:
+        raise ParameterError(f"config format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
     return config
 
 
@@ -50,23 +67,16 @@ def _resolve_settings(args) -> dict:
         or os.environ.get("KSHIFT_CACHE_DIR")
         or config.get("cache_dir")
     )
-    jobs = (
-        getattr(args, "jobs", None)
-        or _maybe_int(os.environ.get("KSHIFT_JOBS"))
-        or _maybe_int(config.get("jobs"))
-        or 1
-    )
-    if jobs < 1:
-        raise ParameterError("jobs must be >= 1")
     fmt = getattr(args, "format", None) or config.get("format") or "text"
-    return {"cache_dir": cache_dir, "jobs": jobs, "format": fmt, "config": config}
+    return {"cache_dir": cache_dir, "format": fmt}
 
 
-def _maybe_int(text) -> int | None:
-    try:
-        return int(text) if text is not None else None
-    except ValueError:
-        return None
+def _check_params() -> list[str]:
+    """The parameter names of the registered checks, first appearance first."""
+    names: dict[str, None] = {}
+    for check in identities.CHECKS.values():
+        names.update(dict.fromkeys(inspect.signature(check).parameters))
+    return list(names)
 
 
 def _parse_shape(args) -> SkewShape:
@@ -163,40 +173,15 @@ def cmd_expand(args, settings) -> int:
     return 0 if expansion.residual_zero else 1
 
 
-_VERIFY_PARAMS = (
-    "max_size",
-    "nvars",
-    "max_deg",
-    "max_part",
-    "nx",
-    "ny",
-    "trials",
-    "seed",
-    "max_power",
-    "skew_max_size",
-    "length_cap_size",
-)
-
-
 def cmd_verify(args, settings) -> int:
-    reports = []
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             records = json.load(fh)
-        reports = identities.run_manifest(records, jobs=settings["jobs"])
+        reports = identities.run_manifest(records)
     else:
         if not args.id:
             raise ParameterError("verify needs --id or --manifest")
-        params = {}
-        for name in _VERIFY_PARAMS:
-            value = getattr(args, name, None)
-            if value is not None:
-                params[name] = value
-        import inspect
-
-        check = identities.CHECKS.get(args.id)
-        if check is not None and "jobs" in inspect.signature(check).parameters:
-            params.setdefault("jobs", settings["jobs"])
+        params = {name: getattr(args, name) for name in _check_params() if getattr(args, name) is not None}
         reports = [identities.run_check(args.id, **params)]
     worst = 0
     for report in reports:
@@ -231,10 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subparser defaults from clobbering globals given earlier
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", help="directory for the persistent memo cache")
-    common.add_argument("--no-cache", action="store_true", help="disable all caching")
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--jobs", type=int, help="worker count for sweeps")
+    common.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="no persistent cache, whatever --cache-dir or KSHIFT_CACHE_DIR say; results are still memoized in memory",
+    )
+    common.add_argument("--config", help="key=value config file (keys: cache_dir, format)")
+    common.add_argument("--format", choices=FORMATS)
     parser = argparse.ArgumentParser(
         prog="kshift",
         description="Exact calculus for K-theoretic Schur P/Q functions.",
@@ -263,17 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a registered identity check", parents=[common])
     pv.add_argument("--id", choices=sorted(identities.CHECKS))
     pv.add_argument("--manifest", help="JSON file with a list of {id, params} records")
-    pv.add_argument("--max-size", type=int, dest="max_size")
-    pv.add_argument("--nvars", type=int)
-    pv.add_argument("--max-deg", type=int, dest="max_deg")
-    pv.add_argument("--max-part", type=int, dest="max_part")
-    pv.add_argument("--nx", type=int)
-    pv.add_argument("--ny", type=int)
-    pv.add_argument("--trials", type=int)
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--max-power", type=int, dest="max_power")
-    pv.add_argument("--skew-max-size", type=int, dest="skew_max_size")
-    pv.add_argument("--length-cap-size", type=int, dest="length_cap_size")
+    for name in _check_params():
+        pv.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
 
     pn = sub.add_parser("enumerate", help="stream tableaux of one family", parents=[common])
     pn.add_argument("--family", required=True)
@@ -291,10 +270,10 @@ def main(argv=None) -> int:
     try:
         settings = _resolve_settings(args)
         if getattr(args, "no_cache", False):
-            CACHE.configure(enabled=False)
+            CACHE.configure(directory="")
             CACHE.clear_memory()
         elif settings["cache_dir"]:
-            CACHE.configure(directory=settings["cache_dir"], enabled=True)
+            CACHE.configure(directory=settings["cache_dir"])
         handler = {
             "compute": cmd_compute,
             "expand": cmd_expand,
@@ -302,7 +281,7 @@ def main(argv=None) -> int:
             "enumerate": cmd_enumerate,
         }[args.command]
         return handler(args, settings)
-    except (ValueError, InvalidShapeError, ParameterError, NonSymmetricError) as exc:
+    except (OSError, ValueError, InvalidShapeError, ParameterError, NonSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, MemoryError) as exc:

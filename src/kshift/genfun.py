@@ -210,6 +210,15 @@ def _dual_candidates(S: int) -> list[StrictPartition]:
     return out
 
 
+def _encode_table(table: dict[StrictPartition, BetaPoly]) -> dict:
+    """A table of polynomials indexed by strict partitions, as a cache value."""
+    return {str(mu): poly.to_json_obj() for mu, poly in table.items()}
+
+
+def _decode_table(obj: dict) -> dict[StrictPartition, BetaPoly]:
+    return {StrictPartition.parse(k): BetaPoly.from_json_obj(v) for k, v in obj.items()}
+
+
 def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     """All dual functions gp_mu (or gq_mu) with |mu| <= S, in ny variables.
 
@@ -255,15 +264,7 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
             order.append(mu)
         return solved
 
-    def encode(table: dict[StrictPartition, BetaPoly]) -> dict:
-        return {str(mu): poly.to_json_obj() for mu, poly in table.items()}
-
-    def decode(obj: dict) -> dict[StrictPartition, BetaPoly]:
-        return {
-            StrictPartition.parse(k): BetaPoly.from_json_obj(v) for k, v in obj.items()
-        }
-
-    return CACHE.get_or_compute(key, compute, encode, decode)
+    return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
 
 
 def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int, ydeg: int | None = None) -> BetaPoly:
@@ -457,13 +458,7 @@ def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPa
         coeffs = expand_split_in_basis(split_poly, flavor)
         return {StrictPartition(idx): poly for idx, poly in coeffs.items()}
 
-    def encode(table: dict[StrictPartition, BetaPoly]) -> dict:
-        return {str(mu): poly.to_json_obj() for mu, poly in table.items()}
-
-    def decode(obj: dict) -> dict[StrictPartition, BetaPoly]:
-        return {StrictPartition.parse(k): BetaPoly.from_json_obj(v) for k, v in obj.items()}
-
-    return CACHE.get_or_compute(key, compute, encode, decode)
+    return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
 
 
 def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int) -> BetaPoly:

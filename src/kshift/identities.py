@@ -8,19 +8,19 @@ than a test failure.  All polynomial comparisons are exact.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .cache import CACHE
-from .errors import KshiftError, ParameterError, SingularPointError
+from .errors import KshiftError, ParameterError
 from .genfun import (
     _ell_max,
     cap_jp_jq,
-    classical_pq,
     dual_gp_gq,
     dual_skew,
     dual_table,
@@ -37,7 +37,6 @@ from .shapes import (
     SkewShape,
     StrictPartition,
     contains,
-    delta,
     enumerate_strict_partitions,
     flip,
     shape_stats,
@@ -91,26 +90,24 @@ def _run_cases(
     params: dict,
     cases: list[tuple],
     worker: Callable[[tuple], tuple[bool, dict | None]],
-    jobs: int = 1,
+    verdicts: tuple[str, str] = ("PASS", "FAIL"),
+    findings: bool = False,
 ) -> VerificationReport:
-    """Run sorted case keys through the worker; witness the smallest failure."""
+    """Run sorted case keys through the worker; witness the smallest failure.
+
+    `verdicts` names the outcome of a passing and of a failing case; with
+    `findings` the report also lists every case with its own verdict.
+    """
     cases = sorted(cases)
-    results: list[tuple[tuple, bool, dict | None]] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(worker, cases))
-        results = [(c, ok, info) for c, (ok, info) in zip(cases, outs)]
-    else:
-        for c in cases:
-            ok, info = worker(c)
-            results.append((c, ok, info))
-    witness = None
-    status = "PASS"
-    for c, ok, info in results:
-        if not ok and witness is None:
-            status = "FAIL"
-            witness = {"case": str(c), **(info or {})}
-    return VerificationReport(check_id, params, status, len(cases), witness)
+    report = VerificationReport(check_id, params, verdicts[0], len(cases))
+    for c in cases:
+        ok, info = worker(c)
+        if findings:
+            report.findings.append({"case": str(c), "verdict": verdicts[0] if ok else verdicts[1]})
+        if not ok and report.witness is None:
+            report.status = verdicts[1]
+            report.witness = {"case": str(c), **(info or {})}
+    return report
 
 
 # -- Theorem: GQ in terms of GP ------------------------------------------------
@@ -130,11 +127,7 @@ def _gq_to_gp_rhs(mu: StrictPartition, nvars: int, max_deg: int) -> BetaPoly:
     return total
 
 
-def _beta_one_weight_sum(polyterms: dict, exps: tuple[int, ...]) -> None:
-    polyterms[(exps, 0)] = polyterms.get((exps, 0), 0) + 1
-
-
-def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9, jobs: int = 1) -> VerificationReport:
+def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> VerificationReport:
     """The vertical-strip expansion of GQ, its positivity rule, and the
     beta=1 counting identity over prime-restricted tableaux."""
     mus = enumerate_strict_partitions(max_size)
@@ -164,28 +157,22 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9, jobs: in
             )
             ok = (not minus) == gaps_ok
             return ok, None if ok else {"minus": [str(p) for p in minus]}
-        # the beta=1 counting identity between restricted tableau sets
+        # the beta=1 counting identity between restricted tableau sets:
+        # each tableau adds 1 to the coefficient of its x-weight, at beta^0
         plus, minus = vertical_strip_extensions_signed(mu)
-        lterms: dict = {}
-        cap = max_deg - mu.size
-        for t in iter_tableaux("setshyt_q", straight(mu), nvars, cap):
-            exps, _ = weight("setshyt_q", t)
-            _beta_one_weight_sum(lterms, exps + (0,) * (nvars - len(exps)))
-        for lam in minus:
-            for t in iter_restricted_p(lam, mu, nvars, max_deg - lam.size):
+        sides = {"lhs": Counter(), "rhs": Counter()}
+        streams = [("lhs", iter_tableaux("setshyt_q", straight(mu), nvars, max_deg - mu.size))]
+        streams += [("lhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in minus]
+        streams += [("rhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in plus]
+        for side, stream in streams:
+            for t in stream:
                 exps, _ = weight("setshyt_q", t)
-                _beta_one_weight_sum(lterms, exps + (0,) * (nvars - len(exps)))
-        rterms: dict = {}
-        for lam in plus:
-            for t in iter_restricted_p(lam, mu, nvars, max_deg - lam.size):
-                exps, _ = weight("setshyt_q", t)
-                _beta_one_weight_sum(rterms, exps + (0,) * (nvars - len(exps)))
-        lhs = BetaPoly(nvars, lterms, max_deg)
-        rhs = BetaPoly(nvars, rterms, max_deg)
+                sides[side][(exps + (0,) * (nvars - len(exps)), 0)] += 1
+        lhs, rhs = (BetaPoly(nvars, sides[side], max_deg) for side in ("lhs", "rhs"))
         return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
-    return _run_cases("gq-to-gp", params, cases, worker, jobs)
+    return _run_cases("gq-to-gp", params, cases, worker)
 
 
 # -- Theorem: skew double-slash expansions and their duals ----------------------
@@ -196,7 +183,7 @@ def _same_length_subshapes(nu: StrictPartition) -> list[StrictPartition]:
 
 
 def check_skew_expansions(
-    max_size: int = 5, nvars: int = 3, max_deg: int = 8, jobs: int = 1
+    max_size: int = 5, nvars: int = 3, max_deg: int = 8
 ) -> VerificationReport:
     """The double-slash GQ-to-GP expansion and its dual gq-to-gp version."""
     cases = []
@@ -255,7 +242,7 @@ def check_skew_expansions(
         return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
-    return _run_cases("skew-expansions", params, cases, worker, jobs)
+    return _run_cases("skew-expansions", params, cases, worker)
 
 
 # -- Lemma: the overlap/cols matrices are inverse --------------------------------
@@ -312,7 +299,7 @@ def check_overlap_matrix(max_part: int = 7) -> VerificationReport:
 # -- Proposition: flip invariance ------------------------------------------------
 
 
-def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8, jobs: int = 1) -> VerificationReport:
+def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8) -> VerificationReport:
     cases = []
     for lam in enumerate_strict_partitions(max_size):
         for mu in subshapes(lam):
@@ -331,7 +318,7 @@ def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8, jobs: int = 
         return True, None
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
-    return _run_cases("flip", params, cases, worker, jobs)
+    return _run_cases("flip", params, cases, worker)
 
 
 # -- coproduct identities --------------------------------------------------------
@@ -342,7 +329,7 @@ def _split_truncate(p: BetaPoly, nx: int, max_deg: int) -> BetaPoly:
 
 
 def check_coproducts(
-    max_size: int = 4, nx: int = 2, ny: int = 2, max_deg: int = 6, jobs: int = 1
+    max_size: int = 4, nx: int = 2, ny: int = 2, max_deg: int = 6
 ) -> VerificationReport:
     """Two-alphabet evaluation equals the coproduct sums, for all families."""
     lams = enumerate_strict_partitions(max_size)
@@ -386,7 +373,7 @@ def check_coproducts(
         return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
-    return _run_cases("coproducts", params, cases, worker, jobs)
+    return _run_cases("coproducts", params, cases, worker)
 
 
 # -- the Cauchy family -----------------------------------------------------------
@@ -400,7 +387,7 @@ def _cached_kernel(nx: int, ny: int, max_deg: int) -> BetaPoly:
 
 
 def check_cauchy_family(
-    max_size: int = 2, nx: int = 2, ny: int = 2, max_deg: int = 4, jobs: int = 1
+    max_size: int = 2, nx: int = 2, ny: int = 2, max_deg: int = 4
 ) -> VerificationReport:
     """The Cauchy identity, the skew Cauchy identities, and their six
     omega-twisted forms with negated alphabets."""
@@ -499,13 +486,13 @@ def check_cauchy_family(
         return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
-    return _run_cases("cauchy", params, cases, worker, jobs)
+    return _run_cases("cauchy", params, cases, worker)
 
 
 # -- dual expansion of gq in gp ---------------------------------------------------
 
 
-def check_dual_expansions(max_size: int = 6, ny: int | None = None, jobs: int = 1) -> VerificationReport:
+def check_dual_expansions(max_size: int = 6, ny: int | None = None) -> VerificationReport:
     lams = enumerate_strict_partitions(max_size)
     if ny is None:
         ny = max(1, _ell_max(max_size))
@@ -537,7 +524,7 @@ def check_dual_expansions(max_size: int = 6, ny: int | None = None, jobs: int = 
         return ok, None if ok else {"positive": positive, "residue": list(resid)}
 
     params = {"max_size": max_size, "ny": ny}
-    return _run_cases("dual-expansions", params, cases, worker, jobs)
+    return _run_cases("dual-expansions", params, cases, worker)
 
 
 # -- pointwise symmetrization ------------------------------------------------------
@@ -655,7 +642,6 @@ def check_conjectures(
     max_deg: int = 6,
     skew_max_size: int = 4,
     length_cap_size: int = 3,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Conjectural tableau formulas against Cauchy-kernel ground truth.
 
@@ -715,21 +701,6 @@ def check_conjectures(
                 return False, {"formula": name, **_poly_pair(lhs, rhs)}
         return True, None
 
-    cases = sorted(cases)
-    results = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(worker, cases))
-        results = list(zip(cases, outs))
-    else:
-        results = [(c, worker(c)) for c in cases]
-    findings = []
-    witness = None
-    for c, (ok, info) in results:
-        findings.append({"case": str(c), "verdict": "MATCH" if ok else "MISMATCH"})
-        if not ok and witness is None:
-            witness = {"case": str(c), **(info or {})}
-    status = "MATCH" if witness is None else "MISMATCH"
     params = {
         "max_size": max_size,
         "nvars": nvars,
@@ -737,9 +708,7 @@ def check_conjectures(
         "skew_max_size": skew_max_size,
         "length_cap_size": length_cap_size,
     }
-    report = VerificationReport("conjectures", params, status, len(cases), witness)
-    report.findings = findings
-    return report
+    return _run_cases("conjectures", params, cases, worker, ("MATCH", "MISMATCH"), findings=True)
 
 
 # -- registry and batch runner -------------------------------------------------------
@@ -759,34 +728,45 @@ CHECKS: dict[str, Callable[..., VerificationReport]] = {
 }
 
 
-def run_check(check_id: str, **params) -> VerificationReport:
-    if check_id not in CHECKS:
+def run_check(check_id: str, /, **params) -> VerificationReport:
+    """Run one registered check; parameters it cannot take are a ParameterError.
+
+    The parameters are checked against the signature before the call, so a
+    TypeError raised inside a check surfaces as the internal error it is.
+    """
+    check = CHECKS.get(check_id)
+    if check is None:
         raise ParameterError(f"unknown check id {check_id!r}; known: {sorted(CHECKS)}")
+    signature = inspect.signature(check)
     try:
-        return CHECKS[check_id](**params)
+        signature.bind(**params)
     except TypeError as exc:
-        raise ParameterError(str(exc))
+        raise ParameterError(f"{check_id}: {exc}") from None
+    for name, value in params.items():
+        default = signature.parameters[name].default
+        if not (type(value) is int or (value is None and default is None)):
+            raise ParameterError(f"{check_id}: {name} must be an integer, got {value!r}")
+    return check(**params)
 
 
-def run_manifest(records: Iterable[dict], jobs: int = 1) -> list[VerificationReport]:
-    """Execute a batch manifest: a list of {"id": ..., "params": {...}} records."""
-    import inspect
+def run_manifest(records: list) -> list[VerificationReport]:
+    """Execute a batch manifest: a list of {"id": ..., "params": {...}} records.
 
+    A record that is malformed or that its check rejects gets an ERROR report
+    of its own, and the rest of the batch still runs.
+    """
+    if not isinstance(records, list):
+        raise ParameterError("a manifest must be a JSON list of {id, params} records")
     reports = []
     for rec in records:
-        params = dict(rec.get("params", {}))
-        check = CHECKS.get(rec.get("id", ""))
-        if (
-            jobs > 1
-            and check is not None
-            and "jobs" not in params
-            and "jobs" in inspect.signature(check).parameters
-        ):
-            params["jobs"] = jobs
+        check_id, params = (rec.get("id"), rec.get("params", {})) if isinstance(rec, dict) else (None, {})
         try:
-            reports.append(run_check(rec["id"], **params))
-        except KshiftError as exc:
-            reports.append(
-                VerificationReport(rec.get("id", "?"), rec.get("params", {}), "ERROR", 0, {"error": str(exc)})
-            )
+            if not isinstance(check_id, str):
+                raise ParameterError(f'a manifest record needs a string "id", got {rec!r}')
+            if not isinstance(params, dict):
+                raise ParameterError('"params" must be a JSON object')
+            reports.append(run_check(check_id, **params))
+        except (KshiftError, ValueError) as exc:
+            label = "?" if check_id is None else str(check_id)
+            reports.append(VerificationReport(label, params, "ERROR", 0, {"error": str(exc)}))
     return reports

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     NonDivisibleError,
@@ -92,9 +92,6 @@ class BetaInt:
             return []
         top = max(self.coeffs)
         return [self.coeffs.get(k, 0) for k in range(top + 1)]
-
-    def eval(self, beta: Fraction) -> Fraction:
-        return sum((Fraction(v) * beta**k for k, v in self.coeffs.items()), Fraction(0))
 
     def __repr__(self) -> str:
         return f"BetaInt({self.coeffs})"
@@ -309,14 +306,6 @@ class BetaPoly:
                     return False
         return True
 
-    def swap_split_blocks(self) -> "BetaPoly":
-        """Exchange the two alphabets of a split polynomial of equal sizes."""
-        if self.split is None or 2 * self.split != self.nvars:
-            raise NvarsMismatchError("swap needs a split with equal block sizes")
-        k = self.split
-        perm = tuple(list(range(k, 2 * k)) + list(range(k)))
-        return self.permuted(perm)
-
     # -- substitutions and evaluation ----------------------------------------
 
     def negate_vars(self, which: Iterable[int]) -> "BetaPoly":
@@ -453,20 +442,6 @@ def tensor_split(px: BetaPoly, py: BetaPoly, max_deg: int | None) -> BetaPoly:
             key = (exps, b1 + b2)
             out[key] = out.get(key, 0) + c1 * c2
     return BetaPoly(nx + ny, out, max_deg, nx)
-
-
-def embed_in_split(p: BetaPoly, nx: int, ny: int, block: str, max_deg: int | None) -> BetaPoly:
-    """View a one-alphabet polynomial as living in the x- or y-block."""
-    out: dict[TermKey, int] = {}
-    for (e, b), c in p.terms.items():
-        exps = e + (0,) * ny if block == "x" else (0,) * nx + e
-        out[(exps, b)] = c
-    return BetaPoly(nx + ny, out, max_deg, nx)
-
-
-def split_with_split_index(p: BetaPoly, split: int) -> BetaPoly:
-    """Re-tag an unsplit polynomial with a split index (no truncation change)."""
-    return BetaPoly(p.nvars, p.terms, p.max_deg, split)
 
 
 def cauchy_kernel(nx: int, ny: int, max_deg: int) -> BetaPoly:

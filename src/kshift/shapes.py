@@ -128,10 +128,6 @@ class SkewShape:
     def size(self) -> int:
         return len(self.cells())
 
-    def row_interval(self, i: int) -> tuple[int, int]:
-        """Half-open column interval [start, stop) of skew cells in row i."""
-        return (i + self.inner.part(i), i + self.outer.part(i))
-
 
 def straight(lam: StrictPartition) -> SkewShape:
     return SkewShape(lam, EMPTY)

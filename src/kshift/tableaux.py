@@ -42,9 +42,6 @@ def is_primed(code: int) -> bool:
 def code_value(code: int) -> int:
     return (code + 1) // 2
 
-def code_of(value: int, primed: bool) -> int:
-    return 2 * value - 1 if primed else 2 * value
-
 def format_code(code: int) -> str:
     return f"{code_value(code)}'" if is_primed(code) else str(code_value(code))
 
@@ -306,19 +303,6 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     else:
         for filling, blocks in _iter_bar(shape, max_value, p_flavor):
             yield BarTableau(ShiftedTableau(shape, tuple(sorted(filling.items()))), blocks)
-
-
-def iter_tableaux_chunks(family: str, shape: SkewShape, max_value: int, deg_cap: int | None = None):
-    """Group the stream by the first cell's entry, for parallel consumers."""
-    cells = shape.sorted_cells()
-
-    def first_key(t) -> object:
-        if not cells:
-            return ()
-        filling = t.filling if isinstance(t, BarTableau) else t
-        return dict(filling.entries)[cells[0]]
-
-    return itertools.groupby(iter_tableaux(family, shape, max_value, deg_cap), key=first_key)
 
 
 def weight(family: str, t) -> tuple[tuple[int, ...], int]:

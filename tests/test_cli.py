@@ -1,9 +1,11 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from kshift import cache
-from kshift.cli import main
+from kshift import cache, identities
+from kshift.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +98,31 @@ def test_verify_manifest(tmp_path, capsys):
     assert [r["status"] for r in lines] == ["PASS", "PASS"]
 
 
+def test_verify_manifest_bad_records(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    good = {"id": "overlap-matrix", "params": {"max_part": 3}}
+    manifest.write_text(json.dumps([good, {"params": {}}, {"id": "flip", "params": {"max_size": -1}}, good]))
+    code, out = run_cli(capsys, "verify", "--manifest", str(manifest), "--format", "json")
+    assert code == 2
+    assert [json.loads(line)["status"] for line in out.strip().splitlines()] == ["PASS", "ERROR", "ERROR", "PASS"]
+    manifest.write_text(json.dumps(good))  # top level is not a list
+    assert run_cli(capsys, "verify", "--manifest", str(manifest)) == (2, "")
+    assert main(["verify", "--manifest", str(tmp_path / "missing.json")]) == 2
+
+
+def test_verify_flags_are_the_check_parameters():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"help", "cache_dir", "no_cache", "config", "format", "id", "manifest"}
+    flags = {a.dest for a in sub.choices["verify"]._actions} - common
+    params = set()
+    for check in identities.CHECKS.values():
+        params |= set(inspect.signature(check).parameters)
+    assert flags == params
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--id", "flip", "--jobs", "2"])
+    assert info.value.code == 2
+
+
 def test_enumerate_examples(capsys):
     code, out = run_cli(
         capsys, "enumerate", "--family", "setshyt-q", "--outer", "1", "--max-value", "1", "--count-only"
@@ -128,6 +155,20 @@ def test_cache_transparency(tmp_path, capsys):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_no_cache_turns_off_the_disk_layer_only(tmp_path, capsys, monkeypatch):
+    args = ["compute", "--func", "GQ", "--outer", "2,1", "--vars", "2", "--max-deg", "5", "--format", "json"]
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    cache.CACHE.configure(directory=str(env_dir))  # as KSHIFT_CACHE_DIR sets it at import
+    monkeypatch.setenv("KSHIFT_CACHE_DIR", str(env_dir))
+    cache.CACHE.put(["probe"], 1)
+    code, out = run_cli(capsys, "--no-cache", "--cache-dir", str(flag_dir), *args)
+    assert code == 0 and json.loads(out)["vars"] == 2
+    assert not flag_dir.exists()
+    assert len(list(env_dir.glob("*.json"))) == 1  # only the probe written before the run
+    assert cache.CACHE.directory is None
+    assert cache.CACHE.enabled and cache.CACHE._mem  # the run's values stay memoized in memory
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     config = tmp_path / "kshift.conf"
     config.write_text("format=json\n")
@@ -136,6 +177,18 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["vars"] == 1
-    monkeypatch.setenv("KSHIFT_JOBS", "2")
-    code, out = run_cli(capsys, "verify", "--id", "flip", "--max-size", "3", "--nvars", "2", "--max-deg", "5")
-    assert code == 0 and "PASS" in out
+    env_dir = tmp_path / "env-cache"
+    monkeypatch.setenv("KSHIFT_CACHE_DIR", str(env_dir))
+    code, out = run_cli(capsys, "compute", "--func", "GQ", "--outer", "3", "--vars", "2", "--max-deg", "4")
+    assert code == 0 and list(env_dir.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "text", [None, "jobs=2\n", "format=xml\n", "# comment\nformat\n", "cache_dir=/tmp\nnvars=3\n"]
+)
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "kshift.conf"
+    if text is not None:
+        config.write_text(text)
+    code = main(["--config", str(config), "compute", "--func", "GP", "--outer", "1", "--vars", "1"])
+    assert code == 2 and "config" in capsys.readouterr().err

@@ -89,9 +89,6 @@ def test_reports_are_deterministic():
     r1 = check_dual_expansions(max_size=4)
     r2 = check_dual_expansions(max_size=4)
     assert r1.to_json() == r2.to_json()
-    r3 = check_flip(max_size=4, nvars=2, max_deg=6, jobs=2)
-    r4 = check_flip(max_size=4, nvars=2, max_deg=6, jobs=1)
-    assert r3.to_json() == r4.to_json()
 
 
 def test_reports_identical_with_cache_disabled():
@@ -122,6 +119,20 @@ def test_failure_reporting_and_witness():
     assert set(obj) == {"id", "params", "status", "cases", "witness"}
 
 
+def test_run_cases_verdicts_and_findings():
+    def worker(case):
+        return case != ("b",), None
+
+    report = _run_cases("demo", {}, [("b",), ("a",)], worker, ("MATCH", "MISMATCH"), findings=True)
+    assert report.status == "MISMATCH" and report.witness == {"case": "('b',)"}
+    assert report.findings == [
+        {"case": "('a',)", "verdict": "MATCH"},
+        {"case": "('b',)", "verdict": "MISMATCH"},
+    ]
+    clean = _run_cases("demo", {}, [("a",)], worker, ("MATCH", "MISMATCH"), findings=True)
+    assert clean.status == "MATCH" and clean.witness is None
+
+
 def test_run_check_and_registry():
     report = run_check("overlap-matrix", max_part=4)
     assert report.status == "PASS"
@@ -129,6 +140,8 @@ def test_run_check_and_registry():
         run_check("no-such-check")
     with pytest.raises(ParameterError):
         run_check("overlap-matrix", bogus=1)
+    with pytest.raises(ParameterError):
+        run_check("overlap-matrix", max_part="4")
     assert set(CHECKS) >= {
         "gq-to-gp",
         "skew-expansions",
@@ -151,6 +164,39 @@ def test_run_manifest():
     ]
     reports = run_manifest(records)
     assert [r.status for r in reports] == ["PASS", "PASS", "ERROR"]
+
+
+def test_run_check_lets_internal_type_errors_surface(monkeypatch):
+    def broken(max_part: int = 3):
+        return len(max_part)  # a bug inside the check: TypeError
+
+    monkeypatch.setitem(CHECKS, "overlap-matrix", broken)
+    with pytest.raises(TypeError) as info:
+        run_check("overlap-matrix", max_part=2)
+    assert not isinstance(info.value, ParameterError)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"params": {"max_part": 3}},  # no id
+        {"id": "overlap-matrix", "params": [3]},  # params not an object
+        {"id": "flip", "params": {"max_size": -1}},  # the check raises ValueError
+        {"id": "overlap-matrix", "params": {"max_part": "3"}},  # not an integer
+        "overlap-matrix",  # not a record
+    ],
+)
+def test_run_manifest_bad_record_is_its_own_error(bad):
+    good = {"id": "overlap-matrix", "params": {"max_part": 3}}
+    reports = run_manifest([good, bad, good])
+    assert [r.status for r in reports] == ["PASS", "ERROR", "PASS"]
+    assert reports[1].cases == 0 and reports[1].witness["error"]
+    json.loads(reports[1].to_json())
+
+
+def test_run_manifest_needs_a_list():
+    with pytest.raises(ParameterError):
+        run_manifest({"id": "overlap-matrix"})
 
 
 def test_witness_reverification():

@@ -134,7 +134,7 @@ def test_cauchy_kernel_beta_zero_is_classical():
             expected = expected * (one + xy) * inv
     assert k0 == expected
     # the classical kernel is symmetric under swapping the alphabets
-    assert k0.swap_split_blocks() == k0
+    assert k0.permuted((2, 3, 0, 1)) == k0
 
 
 def test_json_round_trip_bit_exact():
