@@ -95,19 +95,35 @@ def _run_cases(
 ) -> VerificationReport:
     """Run sorted case keys through the worker; witness the smallest failure.
 
-    `verdicts` names the outcome of a passing and of a failing case; with
-    `findings` the report also lists every case with its own verdict.
+    Cases run, and are listed, in string order; the witness is the failing
+    case least by `_case_size_key`.  `verdicts` names the outcome of a passing
+    and of a failing case; with `findings` the report also lists every case
+    with its own verdict.
     """
     cases = sorted(cases)
     report = VerificationReport(check_id, params, verdicts[0], len(cases))
+    witness_key = None
     for c in cases:
         ok, info = worker(c)
         if findings:
             report.findings.append({"case": str(c), "verdict": verdicts[0] if ok else verdicts[1]})
-        if not ok and report.witness is None:
+        if not ok and (witness_key is None or _case_size_key(c) < witness_key):
+            witness_key = _case_size_key(c)
             report.status = verdicts[1]
             report.witness = {"case": str(c), **(info or {})}
     return report
+
+
+def _case_size_key(case: tuple) -> tuple:
+    """Order case fields that parse as strict partitions by size
+    (`StrictPartition.sort_key`), and every other string after them."""
+    key = []
+    for field_text in case:
+        try:
+            key.append((0, StrictPartition.parse(field_text).sort_key()))
+        except ValueError:
+            key.append((1, field_text))
+    return tuple(key)
 
 
 # -- Theorem: GQ in terms of GP ------------------------------------------------

@@ -256,11 +256,12 @@ class BetaPoly:
         return (
             isinstance(other, BetaPoly)
             and self.nvars == other.nvars
+            and self.split == other.split
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self.split, tuple(sorted(self.terms.items()))))
 
     def coeff(self, exps: Iterable[int]) -> BetaInt:
         """The Z[beta] coefficient of the monomial x^exps."""

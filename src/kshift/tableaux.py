@@ -16,6 +16,7 @@ plane partitions where P means every diagonal entry is primed):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -117,94 +118,102 @@ class BarTableau:
         return f"{self.filling.text()} bars={groups}"
 
 
-# -- backtracking cores ------------------------------------------------------
+# -- backtracking core ---------------------------------------------------------
+#
+# Every family is walked by `_fillings`, which fills the cells in reading order
+# (rows from the bottom, then columns).  Each cell's choices depend only on the
+# largest code of its left and below neighbours, on whether the cell is a
+# diagonal cell under the P rule, and on the remaining set-valued budget, so
+# they are computed once per such key and reused at every node that shares it.
 
 
-def _cell_frame(shape: SkewShape):
-    """Sorted cells plus, per cell, the indices of left and below neighbors."""
+def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_cap: int | None = None):
+    """Every filling of the shape with values 1..max_value, in entry order.
+
+    `rule` is "single" (semistandard shifted tableaux), "rpp" (reverse plane
+    partitions) or "setvalued" (set-valued tableaux, where deg_cap bounds
+    |T| - (number of cells); None means no bound).  Yields the live
+    (cells, entries, counts, extra_used) for each filling: `entries` holds one
+    tuple of codes per cell, `counts[v - 1]` is how often value v occurs, and
+    `extra_used` is |T| - (number of cells).  The lists are reused, so copy
+    what must outlive the next step.
+
+    A cell's options, (codes, largest code, extras used), are stored per key
+    only when the remaining budget is finite: an uncapped set-valued cell has
+    exponentially many subsets, and holding them all would cost memory that
+    streaming them from `_cell_options` does not.
+    """
     cells = shape.sorted_cells()
+    n = len(cells)
     index = {c: k for k, c in enumerate(cells)}
-    left = [index.get((i, j - 1)) for (i, j) in cells]
-    below = [index.get((i - 1, j)) for (i, j) in cells]
-    diag = [i == j for (i, j) in cells]
-    return cells, left, below, diag
+    left = [index.get((i, j - 1), -1) for (i, j) in cells]
+    below = [index.get((i - 1, j), -1) for (i, j) in cells]
+    p_diag = [p_flavor and i == j for (i, j) in cells]
+    entries: list[tuple[int, ...]] = [()] * n
+    largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
+    counts = [0] * max_value
+    if rule != "setvalued":
+        deg_cap = 0
+    table: dict[tuple, list] = {}
+    last = n - 1
 
-
-def _iter_single(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool) -> Iterator[dict[Cell, int]]:
-    """All single-valued fillings of the given family, in entry order."""
-    cells, left, below, diag = _cell_frame(shape)
-    n = len(cells)
-    top = 2 * max_value
-    vals = [0] * n
-    if n == 0:
-        yield {}
-        return
-
-    def rec(k: int) -> Iterator[dict[Cell, int]]:
-        if k == n:
-            yield dict(zip(cells, vals))
-            return
-        lo = 1
-        lv = vals[left[k]] if left[k] is not None else 0
-        bv = vals[below[k]] if below[k] is not None else 0
-        lo = max(lo, lv, bv)
-        for v in range(lo, top + 1):
-            if not rpp:
-                if v == lv and is_primed(v):
-                    continue  # primed value repeated in a row
-                if v == bv and not is_primed(v):
-                    continue  # unprimed value repeated in a column
-                if p_flavor and diag[k] and is_primed(v):
-                    continue
+    def rec(k: int, used: int):
+        key = (
+            largest[left[k]],
+            largest[below[k]],
+            p_diag[k],
+            None if deg_cap is None else deg_cap - used,
+        )
+        opts = table.get(key)
+        if opts is None:
+            opts = _cell_options(2 * max_value, rule, *key)
+            if key[3] is not None:
+                opts = table[key] = list(opts)
+        for codes, top, extras in opts:
+            entries[k] = codes
+            largest[k] = top
+            for c in codes:
+                counts[(c - 1) >> 1] += 1
+            if k == last:
+                yield cells, entries, counts, used + extras
             else:
-                if p_flavor and diag[k] and not is_primed(v):
-                    continue
-            vals[k] = v
-            yield from rec(k + 1)
-        vals[k] = 0
+                yield from rec(k + 1, used + extras)
+            for c in codes:
+                counts[(c - 1) >> 1] -= 1
+        entries[k] = ()
+        largest[k] = 0
 
-    yield from rec(0)
-
-
-def _iter_setvalued(
-    shape: SkewShape, max_value: int, p_flavor: bool, deg_cap: int | None
-) -> Iterator[dict[Cell, tuple[int, ...]]]:
-    """All set-valued fillings; deg_cap bounds |T| - (number of cells)."""
-    cells, left, below, diag = _cell_frame(shape)
-    n = len(cells)
-    top = 2 * max_value
-    vals: list[tuple[int, ...]] = [()] * n
     if n == 0:
-        yield {}
+        yield cells, entries, counts, 0
         return
+    try:
+        yield from rec(0, 0)
+    finally:
+        # rec's closure refers to rec: break that cycle so the table is freed
+        # now, not at some later full garbage collection
+        del rec
 
-    def rec(k: int, extra_used: int) -> Iterator[dict[Cell, tuple[int, ...]]]:
-        if k == n:
-            yield dict(zip(cells, vals))
-            return
-        lv = vals[left[k]][-1] if left[k] is not None else 0
-        bv = vals[below[k]][-1] if below[k] is not None else 0
-        budget = None if deg_cap is None else deg_cap - extra_used
-        for m in range(max(1, lv, bv), top + 1):
-            if m == lv and is_primed(m):
-                continue  # a shared row value must be unprimed
-            if m == bv and not is_primed(m):
-                continue  # a shared column value must be primed
-            if p_flavor and diag[k] and is_primed(m):
-                continue
-            pool = [
-                c
-                for c in range(m + 1, top + 1)
-                if not (p_flavor and diag[k] and is_primed(c))
-            ]
-            max_extra = len(pool) if budget is None else min(len(pool), budget)
-            for extra_count in range(0, max_extra + 1):
-                for extra in itertools.combinations(pool, extra_count):
-                    vals[k] = (m,) + extra
-                    yield from rec(k + 1, extra_used + extra_count)
-        vals[k] = ()
 
-    yield from rec(0, 0)
+def _cell_options(top: int, rule: str, lv: int, bv: int, p_diag: bool, budget: int | None):
+    """(codes, largest code, extras used) for one cell, in entry order.
+
+    lv and bv are the largest codes of the left and below neighbours (0 if
+    none); p_diag marks a diagonal cell under the P rule.
+    """
+    for m in range(max(1, lv, bv), top + 1):
+        primed = is_primed(m)
+        if rule == "rpp":
+            if p_diag and not primed:
+                continue  # a P-flavour diagonal entry must be primed
+        elif (m == lv and primed) or (m == bv and not primed) or (p_diag and primed):
+            continue  # a shared row value is unprimed, a shared column value primed
+        yield (m,), m, 0
+        if budget == 0:
+            continue
+        pool = [c for c in range(m + 1, top + 1) if not (p_diag and is_primed(c))]
+        for size in range(1, len(pool) + 1 if budget is None else min(len(pool), budget) + 1):
+            for extra in itertools.combinations(pool, size):
+                yield (m,) + extra, extra[-1], size
 
 
 def _setvalued_valid(shape: SkewShape, entries: dict[Cell, tuple[int, ...]], p_flavor: bool) -> bool:
@@ -257,7 +266,8 @@ def _maximal_runs(shape: SkewShape, entries: dict[Cell, int]) -> list[list[Cell]
 
 
 def _iter_bar(shape: SkewShape, max_value: int, p_flavor: bool) -> Iterator[tuple[dict[Cell, int], tuple[tuple[Cell, ...], ...]]]:
-    for filling in _iter_single(shape, max_value, p_flavor, rpp=False):
+    for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "single"):
+        filling = {cell: code for cell, (code,) in zip(cells, entries)}
         runs = _maximal_runs(shape, filling)
         cut_choices = [
             list(itertools.product((False, True), repeat=len(run) - 1)) for run in runs
@@ -291,18 +301,17 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     fam = _check_family(family)
     shape.require_valid()
     p_flavor = fam.endswith("_p")
-    if fam.startswith("shyt"):
-        for ent in _iter_single(shape, max_value, p_flavor, rpp=False):
-            yield ShiftedTableau(shape, tuple(sorted(ent.items())))
-    elif fam.startswith("setshyt"):
-        for ent in _iter_setvalued(shape, max_value, p_flavor, deg_cap):
-            yield SetValuedTableau(shape, tuple(sorted(ent.items())))
-    elif fam.startswith("shrpp"):
-        for ent in _iter_single(shape, max_value, p_flavor, rpp=True):
-            yield ReversePlanePartition(shape, tuple(sorted(ent.items())))
-    else:
+    if fam.startswith("setshyt"):
+        for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "setvalued", deg_cap):
+            yield SetValuedTableau(shape, tuple(zip(cells, entries)))
+    elif fam.startswith("shbt"):
         for filling, blocks in _iter_bar(shape, max_value, p_flavor):
-            yield BarTableau(ShiftedTableau(shape, tuple(sorted(filling.items()))), blocks)
+            yield BarTableau(ShiftedTableau(shape, tuple(filling.items())), blocks)
+    else:
+        rpp = fam.startswith("shrpp")
+        kind = ReversePlanePartition if rpp else ShiftedTableau
+        for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "rpp" if rpp else "single"):
+            yield kind(shape, tuple((cell, code) for cell, (code,) in zip(cells, entries)))
 
 
 def weight(family: str, t) -> tuple[tuple[int, ...], int]:
@@ -351,127 +360,17 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     return tuple(counts.get(v, 0) for v in range(1, top + 1)), t.size
 
 
-def _genfun_single(shape: SkewShape, nvars: int, p_flavor: bool, rpp: bool, terms: dict) -> None:
-    """Accumulate x^T (shyt) or the RPP weight terms without building objects."""
-    cells, left, below, diag = _cell_frame(shape)
-    n = len(cells)
-    top = 2 * nvars
-    vals = [0] * n
-    counts = [0] * nvars
-
-    def leaf_rpp() -> None:
-        cols: dict[int, set[int]] = {}
-        rows: dict[int, set[int]] = {}
-        for (i, j), code in zip(cells, vals):
-            v = code_value(code)
-            if is_primed(code):
-                rows.setdefault(v, set()).add(i)
-            else:
-                cols.setdefault(v, set()).add(j)
-        exps = tuple(
-            len(cols.get(v, ())) + len(rows.get(v, ())) for v in range(1, nvars + 1)
-        )
-        k = n - sum(exps)
-        key = (exps, k)
-        terms[key] = terms.get(key, 0) + (-1) ** k
-
-    def rec(k: int) -> None:
-        if k == n:
-            if rpp:
-                leaf_rpp()
-            else:
-                key = (tuple(counts), 0)
-                terms[key] = terms.get(key, 0) + 1
-            return
-        lv = vals[left[k]] if left[k] is not None else 0
-        bv = vals[below[k]] if below[k] is not None else 0
-        for v in range(max(1, lv, bv), top + 1):
-            if not rpp:
-                if v == lv and is_primed(v):
-                    continue
-                if v == bv and not is_primed(v):
-                    continue
-                if p_flavor and diag[k] and is_primed(v):
-                    continue
-            elif p_flavor and diag[k] and not is_primed(v):
-                continue
-            vals[k] = v
-            counts[code_value(v) - 1] += 1
-            rec(k + 1)
-            counts[code_value(v) - 1] -= 1
-        vals[k] = 0
-
-    if n == 0:
-        terms[((0,) * nvars, 0)] = terms.get(((0,) * nvars, 0), 0) + 1
-    else:
-        rec(0)
-
-
-def _genfun_setvalued(shape: SkewShape, nvars: int, p_flavor: bool, deg_cap: int | None, terms: dict) -> None:
-    cells, left, below, diag = _cell_frame(shape)
-    n = len(cells)
-    top = 2 * nvars
-    maxes = [0] * n
-    counts = [0] * nvars
-
-    def rec(k: int, extra_used: int) -> None:
-        if k == n:
-            key = (tuple(counts), extra_used)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        lv = maxes[left[k]] if left[k] is not None else 0
-        bv = maxes[below[k]] if below[k] is not None else 0
-        budget = None if deg_cap is None else deg_cap - extra_used
-        for m in range(max(1, lv, bv), top + 1):
-            if m == lv and is_primed(m):
-                continue
-            if m == bv and not is_primed(m):
-                continue
-            if p_flavor and diag[k] and is_primed(m):
-                continue
-            pool = [
-                c
-                for c in range(m + 1, top + 1)
-                if not (p_flavor and diag[k] and is_primed(c))
-            ]
-            max_extra = len(pool) if budget is None else min(len(pool), budget)
-            counts[code_value(m) - 1] += 1
-            for extra_count in range(0, max_extra + 1):
-                for extra in itertools.combinations(pool, extra_count):
-                    maxes[k] = extra[-1] if extra else m
-                    for c in extra:
-                        counts[code_value(c) - 1] += 1
-                    rec(k + 1, extra_used + extra_count)
-                    for c in extra:
-                        counts[code_value(c) - 1] -= 1
-            counts[code_value(m) - 1] -= 1
-        maxes[k] = 0
-
-    if n == 0:
-        terms[((0,) * nvars, 0)] = terms.get(((0,) * nvars, 0), 0) + 1
-    else:
-        rec(0, 0)
-
-
 def _genfun_bar(shape: SkewShape, nvars: int, p_flavor: bool, max_deg: int | None, terms: dict) -> None:
     """Per filling, the block refinements collapse to prod x_v (x_v - beta)^(m-1)."""
-    run_poly_cache: dict[tuple[int, int], BetaPoly] = {}
+    minus_beta = BetaPoly.monomial(nvars, (0,) * nvars, 1, -1, max_deg)
 
+    @functools.cache
     def run_poly(value: int, length: int) -> BetaPoly:
-        key = (value, length)
-        if key not in run_poly_cache:
-            xv = BetaPoly.variable(value, nvars, max_deg)
-            xm = BetaPoly(
-                nvars,
-                {
-                    (tuple(0 for _ in range(nvars)), 1): -1,
-                },
-                max_deg,
-            )
-            run_poly_cache[key] = xv * (xv + xm) ** (length - 1)
-        return run_poly_cache[key]
+        xv = BetaPoly.variable(value, nvars, max_deg)
+        return xv * (xv + minus_beta) ** (length - 1)
 
-    for filling in _iter_single(shape, nvars, p_flavor, rpp=False):
+    for cells, entries, _, _ in _fillings(shape, nvars, p_flavor, "single"):
+        filling = {cell: code for cell, (code,) in zip(cells, entries)}
         piece = BetaPoly.const(nvars, 1, max_deg)
         for run in _maximal_runs(shape, filling):
             piece = piece * run_poly(code_value(filling[run[0]]), len(run))
@@ -491,21 +390,27 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
     ncells = shape.size
     p_flavor = fam.endswith("_p")
     terms: dict[tuple[tuple[int, ...], int], int] = {}
-    if fam.startswith("setshyt"):
+    if fam.startswith("shbt"):
+        # bar signs: (-beta)^k was folded into (x - beta) factors already
+        _genfun_bar(shape, nvars, p_flavor, max_deg, terms)
+    elif fam.startswith("shrpp"):
+        for cells, entries, _, _ in _fillings(shape, nvars, p_flavor, "rpp"):
+            # a value weighs its columns of unprimed and its rows of primed entries
+            lines = {(code, i if code & 1 else j) for (i, j), (code,) in zip(cells, entries)}
+            exps = [0] * nvars
+            for code, _ in lines:
+                exps[(code - 1) >> 1] += 1
+            k = ncells - len(lines)
+            key = (tuple(exps), k)
+            terms[key] = terms.get(key, 0) + (-1) ** k
+    else:
+        rule = "setvalued" if fam.startswith("setshyt") else "single"
         deg_cap = None if max_deg is None else max_deg - ncells
         if deg_cap is not None and deg_cap < 0:
             return BetaPoly.zero(nvars, max_deg)
-        _genfun_setvalued(shape, nvars, p_flavor, deg_cap, terms)
-    elif fam.startswith("shyt"):
-        if max_deg is not None and ncells > max_deg:
-            return BetaPoly.zero(nvars, max_deg)
-        _genfun_single(shape, nvars, p_flavor, rpp=False, terms=terms)
-    elif fam.startswith("shrpp"):
-        _genfun_single(shape, nvars, p_flavor, rpp=True, terms=terms)
-    else:
-        _genfun_bar(shape, nvars, p_flavor, max_deg, terms)
-        # bar signs: (-beta)^k was folded into (x - beta) factors already
-        return BetaPoly(nvars, terms, max_deg)
+        for _, _, counts, extra_used in _fillings(shape, nvars, p_flavor, rule, deg_cap):
+            key = (tuple(counts), extra_used)
+            terms[key] = terms.get(key, 0) + 1
     return BetaPoly(nvars, terms, max_deg)
 
 

@@ -119,6 +119,19 @@ def test_failure_reporting_and_witness():
     assert set(obj) == {"id", "params", "status", "cases", "witness"}
 
 
+def test_witness_is_the_smallest_failing_case_by_size():
+    def fail(case):
+        return False, None
+
+    assert _run_cases("x", {}, [("9",), ("10",)], fail).witness == {"case": "('9',)"}
+    # partitions rank before other strings in the same position; cases still
+    # run, and are listed, in string order
+    cases = [("gp", "3,1"), ("2", "1"), ("10", "")]
+    report = _run_cases("x", {}, cases, fail, findings=True)
+    assert report.witness == {"case": "('2', '1')"}
+    assert [f["case"] for f in report.findings] == ["('10', '')", "('2', '1')", "('gp', '3,1')"]
+
+
 def test_run_cases_verdicts_and_findings():
     def worker(case):
         return case != ("b",), None

@@ -25,6 +25,12 @@ def test_mul_examples():
     assert var(1).times_beta(1) == var(1).scale_betaint(BetaInt.beta_power(1))
 
 
+def test_equality_sees_the_split():
+    plain = BetaPoly(2, {((1, 1), 0): 1}, 3)
+    assert plain != BetaPoly(2, {((1, 1), 0): 1}, 3, 1)
+    assert plain == BetaPoly(2, {((1, 1), 0): 1}, 3)
+
+
 def test_nvars_mismatch():
     with pytest.raises(NvarsMismatchError):
         _ = BetaPoly.variable(1, 2) + BetaPoly.variable(1, 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from kshift.errors import InvalidShapeError
@@ -112,14 +114,12 @@ def test_q_is_power_of_two_times_p():
 def test_bar_fixed_filling_weight_identity():
     # with the filling fixed, summing x^T over bar partitions gives
     # prod_i x_i^(r_i+c_i) (x_i+1)^(m_i-r_i-c_i)
-    from kshift.tableaux import _iter_single, code_value, is_primed
+    from kshift.tableaux import code_value, is_primed
 
     nvars = 2
     for lam, mu in ((sp(3, 1), EMPTY), (sp(2, 1), EMPTY), (sp(3, 2), sp(2))):
         shape = SkewShape(lam, mu)
-        cells = shape.cells()
-        fillings = list(_iter_single(shape, nvars, p_flavor=False, rpp=False))
-        for filling in fillings:
+        for filling in (dict(t.entries) for t in iter_tableaux("shyt_q", shape, nvars)):
             by_v: dict[int, list] = {}
             for cell, code in filling.items():
                 by_v.setdefault(code_value(code), []).append((cell, code))
@@ -212,3 +212,79 @@ def test_restricted_gf_doubles_per_marked_row():
         got = BetaPoly(nvars, terms, None)
         want = genfun_from_tableaux("setshyt_p", straight(lam), nvars, None).scale(2**marked)
         assert got == want
+
+
+# -- brute-force oracle: every candidate filling, filtered by the rules ------
+
+
+def _small_shapes():
+    """Every straight or skew shape with at most 4 cells and outer size <= 5."""
+    shapes = {}
+    for lam in enumerate_strict_partitions(5):
+        for mu in enumerate_strict_partitions(lam.size):
+            shape = SkewShape(lam, mu)
+            if shape.valid and shape.size <= 4:
+                shapes[str(shape)] = shape
+    return list(shapes.values())
+
+
+def _semistandard(entries, p_flavor, rpp):
+    """Rows and columns weakly increase.  In a tableau a primed value does not
+    repeat along a row nor an unprimed one up a column; under P a tableau has
+    no primed diagonal entry and a reverse plane partition only primed ones."""
+    for (i, j), v in entries.items():
+        primed = v % 2 == 1
+        if p_flavor and i == j and primed != rpp:
+            return False
+        for neighbour, may_repeat in (((i, j - 1), not primed), ((i - 1, j), primed)):
+            u = entries.get(neighbour)
+            if u is not None and (u > v or (u == v and not rpp and not may_repeat)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("family", ["shyt_p", "shyt_q", "shrpp_p", "shrpp_q", "setshyt_p", "setshyt_q"])
+def test_enumerators_match_brute_force(family):
+    from kshift.tableaux import _setvalued_valid
+
+    p_flavor = family.endswith("_p")
+    for shape in _small_shapes():
+        cells = shape.sorted_cells()
+        for max_value in (1, 2):
+            codes = range(1, 2 * max_value + 1)
+            if family.startswith("setshyt"):
+                choices = [s for r in codes for s in itertools.combinations(codes, r)]
+                ok = lambda ent: _setvalued_valid(shape, ent, p_flavor)
+            else:
+                choices = codes
+                ok = lambda ent: _semistandard(ent, p_flavor, family.startswith("shrpp"))
+            want = set()
+            for filling in itertools.product(choices, repeat=len(cells)):
+                ent = dict(zip(cells, filling))
+                if ok(ent):
+                    want.add(tuple(sorted(ent.items())))
+            got = [t.entries for t in iter_tableaux(family, shape, max_value)]
+            assert len(got) == len(set(got)), (family, shape, max_value)
+            assert set(got) == want, (family, shape, max_value)
+
+
+@pytest.mark.parametrize("family", ["shyt_p", "shyt_q", "setshyt_p", "setshyt_q", "shrpp_p", "shrpp_q", "shbt_p", "shbt_q"])
+def test_genfun_is_the_weight_sum_over_the_enumerator(family):
+    # set-valued and single-valued tableaux weigh beta^(|T|-|shape|) x^T,
+    # reverse plane partitions and bar tableaux (-beta)^(|shape|-|T|) x^T
+    signed = family.startswith(("shrpp", "shbt"))
+    for shape in _small_shapes():
+        ncells = shape.size
+        for nvars in (1, 2):
+            for max_deg in (None, ncells + 1):
+                deg_cap = None
+                if family.startswith("setshyt") and max_deg is not None:
+                    deg_cap = max_deg - ncells
+                terms: dict = {}
+                for t in iter_tableaux(family, shape, nvars, deg_cap):
+                    exps, size = weight(family, t)
+                    k = ncells - size if signed else size - ncells
+                    key = (exps + (0,) * (nvars - len(exps)), k)
+                    terms[key] = terms.get(key, 0) + ((-1) ** k if signed else 1)
+                want = BetaPoly(nvars, terms, max_deg)
+                assert genfun_from_tableaux(family, shape, nvars, max_deg) == want, (shape, nvars, max_deg)
