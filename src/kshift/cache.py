@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 from typing import Any, Callable
 
 
@@ -20,7 +19,6 @@ class MemoCache:
         self.directory = directory
         self.enabled = enabled
         self._mem: dict[str, Any] = {}
-        self._lock = threading.Lock()
 
     def configure(self, directory: str | None = None, enabled: bool | None = None) -> None:
         if directory is not None:
@@ -29,8 +27,7 @@ class MemoCache:
             self.enabled = enabled
 
     def clear_memory(self) -> None:
-        with self._lock:
-            self._mem.clear()
+        self._mem.clear()
 
     @staticmethod
     def key_string(key: Any) -> str:
@@ -46,9 +43,8 @@ class MemoCache:
         if not self.enabled:
             return None
         key_str = self.key_string(key)
-        with self._lock:
-            if key_str in self._mem:
-                return self._mem[key_str]
+        if key_str in self._mem:
+            return self._mem[key_str]
         path = self._path(key_str)
         if path and os.path.exists(path):
             try:
@@ -58,8 +54,7 @@ class MemoCache:
                 return None
             if doc.get("key") != key_str:
                 return None
-            with self._lock:
-                self._mem[key_str] = doc["value"]
+            self._mem[key_str] = doc["value"]
             return doc["value"]
         return None
 
@@ -67,8 +62,7 @@ class MemoCache:
         if not self.enabled:
             return
         key_str = self.key_string(key)
-        with self._lock:
-            self._mem[key_str] = value
+        self._mem[key_str] = value
         path = self._path(key_str)
         if path:
             os.makedirs(self.directory, exist_ok=True)

@@ -346,6 +346,35 @@ class BasisExpansion:
         }
 
 
+def _peel(p: BetaPoly, basis: str, nx: int) -> tuple[dict[tuple[int, ...], BetaPoly], BetaPoly]:
+    """Greedy triangular peel of the first nx variables of p against the basis.
+
+    Each coefficient is a polynomial in the other ny = p.nvars - nx variables
+    (a 0-variable polynomial when nx = p.nvars).  Returns the coefficients in
+    peel order and the residual, split at nx, that the basis cannot explain.
+    """
+    ny = p.nvars - nx
+    top = p.max_deg
+    if top is None:
+        top = max((sum(e[:nx]) for (e, _b) in p.terms), default=0)
+    degrees = range(top, -1, -1) if basis in _MAX_FIRST else range(top + 1)
+    coeffs: dict[tuple[int, ...], BetaPoly] = {}
+    # by triangularity a peel step changes no x-monomial already visited, so
+    # what the basis cannot explain is left in rest: rest is the residual
+    rest = BetaPoly(p.nvars, p.terms, p.max_deg, nx)
+    for d in degrees:
+        for index in _basis_indices(basis, d, nx):
+            monomial = index + (0,) * (nx - len(index))
+            c = {(e[nx:], b): v for (e, b), v in rest.terms.items() if e[:nx] == monomial}
+            c = BetaPoly(ny, c, p.max_deg)
+            if c.is_zero():
+                continue
+            c = c.divide_exact(_basis_lead(basis, index))
+            coeffs[index] = c
+            rest = rest - tensor_split(_basis_element(basis, index, nx, p.max_deg), c, p.max_deg)
+    return coeffs, rest
+
+
 def expand_in_basis(
     p: BetaPoly,
     basis: str,
@@ -360,81 +389,14 @@ def expand_in_basis(
         raise ParameterError("expand_in_basis needs a one-alphabet polynomial")
     if check_symmetry and not p.is_symmetric():
         raise NonSymmetricError("input polynomial is not symmetric")
-    nvars = p.nvars
-    max_deg = p.max_deg
-    if max_deg is None:
-        max_deg = max(p.x_degrees(), default=0)
-    degrees = range(0, max_deg + 1)
-    if basis in _MAX_FIRST:
-        degrees = range(max_deg, -1, -1)
-    result = BasisExpansion(basis, nvars, p.max_deg)
-    residual = BetaPoly.zero(nvars, p.max_deg)
-    rest = p
-    for d in degrees:
-        for index in _basis_indices(basis, d, nvars):
-            monomial = index + (0,) * (nvars - len(index))
-            c = rest.coeff(monomial)
-            if c.is_zero():
-                continue
-            c = c.divide_exact(_basis_lead(basis, index))
-            result.coeffs[index] = c
-            rest = rest - _basis_element(basis, index, nvars, p.max_deg).scale_betaint(c)
-        leftover = rest.degree_slice(d)
-        if not leftover.is_zero():
-            residual = residual + leftover
-            rest = rest - leftover
-    if not rest.is_zero():
-        residual = residual + rest
-    result.residual = residual
-    return result
-
-
-def expand_split_in_basis(p: BetaPoly, basis: str) -> dict[tuple[int, ...], BetaPoly]:
-    """Expand the x-block of a split polynomial; coefficients are y-polynomials.
-
-    Raises if anything in the x-block cannot be explained by the basis: the
-    callers use this only on inputs that are exact identities.
-    """
-    if p.split is None:
-        raise ParameterError("expand_split_in_basis needs a split polynomial")
-    nx = p.split
-    ny = p.nvars - nx
-
-    def x_coeff(poly: BetaPoly, exps_x: tuple[int, ...]) -> BetaPoly:
-        terms = {}
-        for (e, b), c in poly.terms.items():
-            if e[:nx] == exps_x:
-                terms[(e[nx:], b)] = c
-        return BetaPoly(ny, terms, poly.max_deg)
-
-    def x_degree_slice_empty(poly: BetaPoly, d: int) -> bool:
-        return all(sum(e[:nx]) != d for (e, _b) in poly.terms)
-
-    max_deg = p.max_deg
-    if max_deg is None:
-        max_deg = max((sum(e[:nx]) for (e, _b) in p.terms), default=0)
-    degrees = range(0, max_deg + 1)
-    if basis in _MAX_FIRST:
-        degrees = range(max_deg, -1, -1)
-    coeffs: dict[tuple[int, ...], BetaPoly] = {}
-    rest = p
-    for d in degrees:
-        for index in _basis_indices(basis, d, nx):
-            monomial = index + (0,) * (nx - len(index))
-            cy = x_coeff(rest, monomial)
-            if cy.is_zero():
-                continue
-            cy = cy.divide_exact(_basis_lead(basis, index))
-            coeffs[index] = cy
-            elem = _basis_element(basis, index, nx, p.max_deg)
-            rest = rest - tensor_split(elem, cy, p.max_deg)
-        if not x_degree_slice_empty(rest, d):
-            raise KshiftError(
-                f"split expansion residual at x-degree {d} in basis {basis}"
-            )
-    if not rest.is_zero():
-        raise KshiftError(f"split expansion has a nonzero residual in basis {basis}")
-    return coeffs
+    coeffs, rest = _peel(p, basis, p.nvars)
+    return BasisExpansion(
+        basis,
+        p.nvars,
+        p.max_deg,
+        {index: BetaInt({b: v for (_e, b), v in c.terms.items()}) for index, c in coeffs.items()},
+        BetaPoly(p.nvars, rest.terms, p.max_deg),
+    )
 
 
 # -- skew duals, omega, and the j/J families -----------------------------------
@@ -452,10 +414,9 @@ def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPa
     key = ["dual_skew_table", flavor, str(lam), ny]
 
     def compute() -> dict[StrictPartition, BetaPoly]:
-        total_vars = nx + ny
-        full = dual_table(flavor, S, total_vars)[lam]
-        split_poly = BetaPoly(total_vars, full.terms, None, nx)
-        coeffs = expand_split_in_basis(split_poly, flavor)
+        coeffs, rest = _peel(dual_table(flavor, S, nx + ny)[lam], flavor, nx)
+        if not rest.is_zero():
+            raise KshiftError(f"split expansion has a nonzero residual in basis {flavor}")
         return {StrictPartition(idx): poly for idx, poly in coeffs.items()}
 
     return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
@@ -479,12 +440,9 @@ def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
         bound = max(p.x_degrees(), default=0)
     if p.nvars < bound:
         raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
-    exp = expand_in_basis(p, "schur")
-    if not exp.residual_zero:
-        raise KshiftError("omega input has a nonzero Schur residual")
     out = BetaPoly.zero(p.nvars, max_deg if max_deg is not None else p.max_deg)
-    for index, c in exp.coeffs.items():
-        out = out + schur(transpose_partition(index), p.nvars, out.max_deg).scale_betaint(c)
+    for index, c in _omega_schur_coeffs(p).items():
+        out = out + schur(index, p.nvars, out.max_deg).scale_betaint(c)
     return out
 
 

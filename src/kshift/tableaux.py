@@ -417,29 +417,22 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
 # -- the one-row map and the prime-restricted family ---------------------------
 
 
-def unprime_max(t: SetValuedTableau, cells: frozenset[Cell] | set[Cell]) -> SetValuedTableau:
-    """Remove the prime from the largest element in each selected cell."""
-    new_entries = []
-    for cell, s in t.entries:
-        if cell in cells and s and is_primed(s[-1]):
-            s = s[:-1] + (s[-1] + 1,)
-        new_entries.append((cell, s))
-    return SetValuedTableau(t.shape, tuple(new_entries))
-
-
 def in_restricted_p(t: SetValuedTableau, outer: StrictPartition, inner: StrictPartition) -> bool:
-    """Membership in SetShYT_P(outer : inner).
+    """Membership in SetShYT_P(outer : inner) of a valid set-valued Q-tableau t.
 
-    These are Q-flavor tableaux that land in SetShYT_P(outer) after unpriming
-    the largest diagonal element in each row where outer and inner agree.
+    These are the Q-flavor tableaux that land in SetShYT_P(outer) after
+    unpriming the largest diagonal element in each row where outer and inner
+    agree.  On a valid Q-tableau that unpriming cannot break a row or column
+    rule, so the test reduces to the diagonal: no diagonal cell holds a primed
+    element, except that the largest element of such a marked cell may be
+    primed.  The caller must pass a valid tableau.
     """
-    marked = {
-        (i, i)
-        for i in range(1, len(outer) + 1)
-        if outer.part(i) == inner.part(i)
-    }
-    image = unprime_max(t, marked)
-    return _setvalued_valid(t.shape, dict(image.entries), p_flavor=True)
+    for (i, j), s in t.entries:
+        if i == j:
+            free = s[:-1] if outer.part(i) == inner.part(i) else s
+            if any(is_primed(c) for c in free):
+                return False
+    return True
 
 
 def iter_restricted_p(

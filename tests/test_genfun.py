@@ -2,17 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from kshift import genfun
+from kshift.cache import CACHE
 from kshift.errors import (
+    KshiftError,
     NonDivisibleError,
     NonSymmetricError,
     ParameterError,
     SingularPointError,
 )
 from kshift.genfun import (
+    _peel,
     cap_jp_jq,
     classical_pq,
     dual_gp_gq,
     dual_skew,
+    dual_skew_table,
     dual_table,
     expand_in_basis,
     gp_gq,
@@ -25,7 +30,7 @@ from kshift.genfun import (
     symmetrization_eval,
     transpose_partition,
 )
-from kshift.polyring import BetaInt, BetaPoly, RationalPoint
+from kshift.polyring import BetaInt, BetaPoly, RationalPoint, tensor_split
 from kshift.shapes import (
     EMPTY,
     SkewShape,
@@ -205,6 +210,38 @@ def test_dual_skew_beta_zero_is_classical_skew():
         got = dual_skew("gq", lam, mu, 3).beta_zero()
         want = classical_pq("Q", SkewShape(lam, mu), 3)
         assert got == want
+
+
+def test_split_peel_recombines_the_dual():
+    # g_lam(x, y) = sum_mu g_mu(x) g_{lam/mu}(y): the x-block peel in the dual
+    # basis gives back the two-alphabet dual when recombined
+    nx, ny = 2, 2
+    for flavor in ("gp", "gq"):
+        for lam in (sp(2, 1), sp(3, 1), sp(3, 2)):
+            full = dual_table(flavor, lam.size, nx + ny)[lam]
+            coeffs, rest = _peel(full, flavor, nx)
+            assert rest.is_zero()
+            total = BetaPoly.zero(nx + ny, None, nx)
+            for index, c in coeffs.items():
+                total = total + tensor_split(dual_gp_gq(flavor, sp(*index), nx), c, None)
+            assert total == BetaPoly(nx + ny, full.terms, None, nx)
+            assert {sp(*index): c for index, c in coeffs.items()} == dual_skew_table(flavor, lam, ny)
+
+
+def test_split_peel_without_exact_expansion_is_an_error(monkeypatch):
+    # x1 alone in the x-block is not symmetric, so the gp peel leaves a residual
+    nx, ny = 2, 1
+    x1 = BetaPoly.variable(1, nx + ny)
+    assert not _peel(x1, "gp", nx)[1].is_zero()
+    real = genfun.dual_table
+
+    def table(flavor, S, nvars):
+        return {**real(flavor, S, nvars), sp(2, 1): x1} if nvars == nx + ny else real(flavor, S, nvars)
+
+    monkeypatch.setattr(genfun, "dual_table", table)
+    monkeypatch.setattr(CACHE, "enabled", False)
+    with pytest.raises(KshiftError):
+        dual_skew_table("gp", sp(2, 1), ny)
 
 
 # -- omega and the j/J families --------------------------------------------------------

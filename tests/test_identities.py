@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kshift import cache
+from kshift import cache, identities
 from kshift.errors import ParameterError
 from kshift.identities import (
     CHECKS,
@@ -39,6 +39,7 @@ def test_gq_to_gp_parameter_errors():
 def test_overlap_matrix():
     report = check_overlap_matrix(max_part=5)
     assert report.status == "PASS"
+    assert report.cases == 2 * 252  # one case per entry of MN and NM: sum of C(5, l)^2 is C(10, 5)
     with pytest.raises(ParameterError):
         check_overlap_matrix(max_part=9)
 
@@ -216,3 +217,71 @@ def test_witness_reverification():
     # a FAIL witness must reproduce: re-run the single instance it names
     report = check_onerow_series(max_power=2, nvars=2, max_deg=4)
     assert report.status == "PASS" and report.witness is None
+
+
+TINY = {
+    "gq-to-gp": {"max_size": 2, "nvars": 2, "max_deg": 4},
+    "skew-expansions": {"max_size": 2, "nvars": 2, "max_deg": 4},
+    "overlap-matrix": {"max_part": 2},
+    "flip": {"max_size": 2, "nvars": 2, "max_deg": 4},
+    "coproducts": {"max_size": 1, "nx": 1, "ny": 1, "max_deg": 2},
+    "cauchy": {"max_size": 1, "nx": 1, "ny": 1, "max_deg": 2},
+    "dual-expansions": {"max_size": 2},
+    "symmetrization": {"trials": 1},
+    "onerow-series": {"max_power": 1, "nvars": 1, "max_deg": 2},
+    "conjectures": {"max_size": 1, "nvars": 1, "max_deg": 1, "skew_max_size": 1, "length_cap_size": 1},
+}
+
+
+def test_every_check_runs_through_the_case_runner(monkeypatch):
+    seen = []
+    real = identities._run_cases
+
+    def spy(check_id, *args, **kwargs):
+        seen.append(check_id)
+        return real(check_id, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "_run_cases", spy)
+    assert set(TINY) == set(CHECKS)
+    for check_id, params in TINY.items():
+        report = run_check(check_id, **params)
+        assert report.ok and seen[-1] == check_id == report.id
+    assert seen == list(TINY)
+
+
+def test_overlap_matrix_failure_names_the_smallest_entry(monkeypatch):
+    real = identities._overlap_entry
+    monkeypatch.setattr(identities, "_overlap_entry", lambda lam, mu: 2 * real(lam, mu))
+    report = check_overlap_matrix(max_part=3)
+    # M is doubled, so every diagonal entry of MN and NM is 2 instead of 1
+    assert report.status == "FAIL" and report.cases == 2 * 20
+    assert report.witness == {"case": "('MN', '', '')", "value": 2}
+
+
+def test_symmetrization_failure_names_the_smallest_case(monkeypatch):
+    real = identities.symmetrization_eval
+
+    def wrong_gq(flavor, lam, nvars, pt):
+        return real(flavor, lam, nvars, pt) + (flavor == "GQ")
+
+    clean = check_symmetrization(trials=2, seed=3)
+    monkeypatch.setattr(identities, "symmetrization_eval", wrong_gq)
+    report = check_symmetrization(trials=2, seed=3)
+    assert report.status == "FAIL"
+    assert report.cases == clean.cases == 2 * 29 and report.notes == clean.notes
+    assert report.witness["case"] == "('1', 'GQ', '1', '2')"
+    assert set(report.witness) == {"case", "point", "formula", "tableaux"}
+
+
+def test_onerow_series_failure_names_the_smallest_power(monkeypatch):
+    real = identities.gq_onerow_series
+
+    def wrong(nvars, max_power, max_deg):
+        series = real(nvars, max_power, max_deg)
+        return series[:2] + [s.scale(3) for s in series[2:]]
+
+    monkeypatch.setattr(identities, "gq_onerow_series", wrong)
+    report = check_onerow_series(max_power=4, nvars=2, max_deg=6)
+    assert report.status == "FAIL" and report.cases == 5
+    assert report.witness["case"] == "('u^-2',)"
+    assert set(report.witness) == {"case", "lhs", "rhs"}

@@ -214,6 +214,39 @@ def test_restricted_gf_doubles_per_marked_row():
         assert got == want
 
 
+def _in_restricted_p_by_validity(t, outer, inner):
+    """The defining test of SetShYT_P(outer : inner): unprime the largest
+    element of each marked diagonal cell (outer_i == inner_i), then check the
+    whole filling against the P rules."""
+    from kshift.tableaux import _setvalued_valid, is_primed
+
+    marked = {(i, i) for i in range(1, len(outer) + 1) if outer.part(i) == inner.part(i)}
+    image = {
+        cell: s[:-1] + (s[-1] + 1,) if cell in marked and is_primed(s[-1]) else s
+        for cell, s in t.entries
+    }
+    return _setvalued_valid(t.shape, image, p_flavor=True)
+
+
+def _same_length_inners(lam):
+    ranges = (range(1, p + 1) for p in lam.parts)
+    return [StrictPartition(m) for m in itertools.product(*ranges) if list(m) == sorted(set(m), reverse=True)]
+
+
+def test_restricted_family_matches_its_definition():
+    # the diagonal rule of iter_restricted_p against the unprime-then-validate
+    # definition, over every inner of the same length
+    for lam in enumerate_strict_partitions(6):
+        if not lam.parts:
+            continue
+        for max_value in (1, 2, 3):
+            for deg_cap in (0, 1, 2) + ((None,) if lam.size <= 4 else ()):
+                tableaux = list(iter_tableaux("setshyt_q", straight(lam), max_value, deg_cap))
+                for mu in _same_length_inners(lam):
+                    want = [t for t in tableaux if _in_restricted_p_by_validity(t, lam, mu)]
+                    assert list(iter_restricted_p(lam, mu, max_value, deg_cap)) == want, (lam, mu, max_value, deg_cap)
+
+
 # -- brute-force oracle: every candidate filling, filtered by the rules ------
 
 
