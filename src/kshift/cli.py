@@ -2,6 +2,9 @@
 
 Exit codes: 0 success (PASS / all-MATCH), 1 mathematical mismatch (FAIL,
 MISMATCH, or a nonzero expansion residual), 2 usage errors, 3 resource limits.
+A flag with no meaning for the function is a usage error: --inner for schur,
+and --doubleslash for anything but GP/GQ/JP/JQ.  `compute` and `expand` get
+every function from `genfun.evaluate`.
 
 Settings: the persistent cache directory from --cache-dir, then
 KSHIFT_CACHE_DIR, then `cache_dir=` in the --config file (key=value lines);
@@ -29,10 +32,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .polyring import BetaPoly
-from .shapes import EMPTY, SkewShape, StrictPartition
-from .tableaux import FAMILIES, iter_tableaux
+from .shapes import SkewShape, StrictPartition
+from .tableaux import iter_tableaux
 
-FUNCS = ("P", "Q", "GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ", "schur")
 FORMATS = ("text", "json")
 CONFIG_KEYS = ("cache_dir", "format")
 
@@ -79,39 +81,11 @@ def _check_params() -> list[str]:
     return list(names)
 
 
-def _parse_shape(args) -> SkewShape:
-    outer = StrictPartition.parse(args.outer)
-    inner = StrictPartition.parse(args.inner) if args.inner else EMPTY
-    return SkewShape(outer, inner)
+def _evaluate(func: str, args) -> BetaPoly:
+    def parts(text: str) -> tuple[int, ...]:
+        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
 
-
-def _compute_poly(args) -> BetaPoly:
-    func = args.func
-    nvars = args.vars
-    max_deg = args.max_deg
-    if func == "schur":
-        lam = tuple(int(t) for t in args.outer.split(",")) if args.outer else ()
-        return genfun.schur(lam, nvars, max_deg)
-    shape = _parse_shape(args)
-    if func in ("P", "Q"):
-        return genfun.classical_pq(func, shape, nvars, max_deg)
-    if func in ("GP", "GQ"):
-        if args.doubleslash:
-            return genfun.gp_gq_doubleslash(func, shape.outer, shape.inner, nvars, max_deg)
-        return genfun.gp_gq(func, shape, nvars, max_deg)
-    if func in ("gp", "gq"):
-        if shape.inner.parts:
-            poly = genfun.dual_skew(func, shape.outer, shape.inner, nvars)
-        else:
-            poly = genfun.dual_gp_gq(func, shape.outer, nvars)
-        return poly.truncated(max_deg)
-    if func in ("jp", "jq"):
-        return genfun.jp_jq(func, shape.outer, shape.inner, nvars, max_deg)
-    if func in ("JP", "JQ"):
-        return genfun.cap_jp_jq(
-            func, shape.outer, shape.inner, nvars, max_deg, doubleslash=args.doubleslash
-        )
-    raise ParameterError(f"unknown function {func!r}")
+    return genfun.evaluate(func, parts(args.outer), parts(args.inner), args.vars, args.max_deg, args.doubleslash)
 
 
 def _print_poly(poly: BetaPoly, fmt: str, beta: str | None) -> None:
@@ -147,21 +121,13 @@ def _print_poly(poly: BetaPoly, fmt: str, beta: str | None) -> None:
 
 
 def cmd_compute(args, settings) -> int:
-    poly = _compute_poly(args)
+    poly = _evaluate(args.func, args)
     _print_poly(poly, settings["format"], args.beta)
     return 0
 
 
 def cmd_expand(args, settings) -> int:
-    ns = argparse.Namespace(
-        func=args.target,
-        outer=args.outer,
-        inner=args.inner,
-        doubleslash=args.doubleslash,
-        vars=args.vars,
-        max_deg=args.max_deg,
-    )
-    poly = _compute_poly(ns)
+    poly = _evaluate(args.target, args)
     expansion = genfun.expand_in_basis(poly, args.basis)
     obj = expansion.to_json_obj()
     if settings["format"] == "json":
@@ -199,11 +165,8 @@ def cmd_verify(args, settings) -> int:
 
 
 def cmd_enumerate(args, settings) -> int:
-    family = args.family.lower().replace("-", "_")
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {args.family!r}")
-    shape = _parse_shape(args)
-    stream = iter_tableaux(family, shape, args.max_value, args.deg_cap)
+    shape = SkewShape(StrictPartition.parse(args.outer), StrictPartition.parse(args.inner))
+    stream = iter_tableaux(args.family, shape, args.max_value, args.deg_cap)
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
@@ -231,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="evaluate one generating function", parents=[common])
-    pc.add_argument("--func", required=True, choices=FUNCS)
+    pc.add_argument("--func", required=True, choices=genfun.FUNCS)
     pc.add_argument("--outer", required=True, help='outer shape, e.g. "4,2,1" ("" for empty)')
     pc.add_argument("--inner", default="", help="inner shape for skew functions")
     pc.add_argument("--doubleslash", action="store_true", help="use the double-slash variant")
@@ -240,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--beta", help="specialize beta to this rational after computing")
 
     pe = sub.add_parser("expand", help="expand one function in a basis", parents=[common])
-    pe.add_argument("--target", required=True, choices=FUNCS)
+    pe.add_argument("--target", required=True, choices=genfun.FUNCS)
     pe.add_argument("--basis", required=True, choices=("schur", "P", "Q", "GP", "GQ", "gp", "gq", "jp", "jq"))
     pe.add_argument("--outer", required=True)
     pe.add_argument("--inner", default="")

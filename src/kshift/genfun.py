@@ -5,6 +5,8 @@ double-slash variants), the dual functions gp/gq defined through the Cauchy
 kernel, their transposes jp/jq under the Schur-basis involution, and the
 geometric substitutions JP/JQ.  Dual functions are always computed by
 inverting the Cauchy kernel, never from conjectural tableau formulas.
+`evaluate` is the one entry point from a family name to the code that
+computes it: the CLI, the basis peel and the identity checks all use it.
 
 Triangularity conventions used throughout: GP/GQ have minimal x-degree equal
 to the index size with lowest slice P/Q, so they are peeled from low degree
@@ -289,23 +291,6 @@ def _basis_indices(basis: str, degree: int, nvars: int) -> list[tuple[int, ...]]
     return [p.parts for p in strict_partitions_of(degree) if len(p) <= nvars]
 
 
-def _basis_element(basis: str, index: tuple[int, ...], nvars: int, max_deg: int | None) -> BetaPoly:
-    sp = StrictPartition(index) if basis != "schur" else None
-    if basis == "schur":
-        return schur(index, nvars, max_deg)
-    if basis in ("P", "Q"):
-        return classical_pq(basis, straight(sp), nvars, max_deg)
-    if basis in ("GP", "GQ"):
-        if max_deg is None:
-            raise ParameterError("GP/GQ basis elements need a finite max_deg")
-        return gp_gq(basis, straight(sp), nvars, max_deg)
-    if basis in ("gp", "gq"):
-        return dual_gp_gq(basis, sp, nvars).truncated(max_deg)
-    if basis in ("jp", "jq"):
-        return jp_jq(basis, sp, EMPTY, nvars, max_deg)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 @dataclass
 class BasisExpansion:
     """Coefficients of an input against one family, plus the unexplained rest."""
@@ -320,13 +305,10 @@ class BasisExpansion:
     def residual_zero(self) -> bool:
         return self.residual is None or self.residual.is_zero()
 
-    def coefficient(self, index: tuple[int, ...]) -> BetaInt:
-        return self.coeffs.get(tuple(index), BetaInt(0))
-
     def recombine(self) -> BetaPoly:
         total = BetaPoly.zero(self.nvars, self.max_deg)
         for index, c in self.coeffs.items():
-            total = total + _basis_element(self.basis, index, self.nvars, self.max_deg).scale_betaint(c)
+            total = total + evaluate(self.basis, index, (), self.nvars, self.max_deg).scale_betaint(c)
         if self.residual is not None:
             total = total + self.residual
         return total
@@ -371,15 +353,11 @@ def _peel(p: BetaPoly, basis: str, nx: int) -> tuple[dict[tuple[int, ...], BetaP
                 continue
             c = c.divide_exact(_basis_lead(basis, index))
             coeffs[index] = c
-            rest = rest - tensor_split(_basis_element(basis, index, nx, p.max_deg), c, p.max_deg)
+            rest = rest - tensor_split(evaluate(basis, index, (), nx, p.max_deg), c, p.max_deg)
     return coeffs, rest
 
 
-def expand_in_basis(
-    p: BetaPoly,
-    basis: str,
-    check_symmetry: bool = True,
-) -> BasisExpansion:
+def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
     """Greedy triangular peel of p against the chosen family.
 
     The caller must supply p in enough variables: nvars at least the length
@@ -387,7 +365,7 @@ def expand_in_basis(
     """
     if p.split is not None:
         raise ParameterError("expand_in_basis needs a one-alphabet polynomial")
-    if check_symmetry and not p.is_symmetric():
+    if not p.is_symmetric():
         raise NonSymmetricError("input polynomial is not symmetric")
     coeffs, rest = _peel(p, basis, p.nvars)
     return BasisExpansion(
@@ -440,10 +418,8 @@ def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
         bound = max(p.x_degrees(), default=0)
     if p.nvars < bound:
         raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
-    out = BetaPoly.zero(p.nvars, max_deg if max_deg is not None else p.max_deg)
-    for index, c in _omega_schur_coeffs(p).items():
-        out = out + schur(index, p.nvars, out.max_deg).scale_betaint(c)
-    return out
+    out_deg = max_deg if max_deg is not None else p.max_deg
+    return BasisExpansion("schur", p.nvars, out_deg, _omega_schur_coeffs(p)).recombine()
 
 
 def _omega_schur_coeffs(p: BetaPoly) -> dict[tuple[int, ...], BetaInt]:
@@ -468,59 +444,57 @@ def jp_jq(
     key = ["jpjq", flavor, str(lam), str(mu), nvars, max_deg]
 
     def compute() -> BetaPoly:
-        degree = lam.size - mu.size
-        work = max(1, degree)
-        if mu == EMPTY:
-            g = dual_gp_gq(dual_flavor, lam, work)
-        else:
-            g = dual_skew(dual_flavor, lam, mu, work)
-        out = BetaPoly.zero(nvars, max_deg)
-        for index, c in _omega_schur_coeffs(g).items():
-            out = out + schur(index, nvars, max_deg).scale_betaint(c)
-        return out
+        g = evaluate(dual_flavor, lam, mu, max(1, lam.size - mu.size))
+        return BasisExpansion("schur", nvars, max_deg, _omega_schur_coeffs(g)).recombine()
 
     return CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 
 
-def cap_jp_jq(
-    flavor: str,
-    lam: StrictPartition,
-    mu: StrictPartition = EMPTY,
+# -- the one entry point from a family name ------------------------------------
+
+FUNCS = ("P", "Q", "GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ", "schur")
+
+
+def evaluate(
+    func: str,
+    outer: tuple[int, ...] | StrictPartition,
+    inner: tuple[int, ...] | StrictPartition = (),
     nvars: int = 3,
-    max_deg: int = 6,
+    max_deg: int | None = None,
     doubleslash: bool = False,
 ) -> BetaPoly:
-    """JP or JQ: the geometric substitution x -> x/(1-beta*x) applied to GP/GQ."""
-    base_flavor = {"JP": "GP", "JQ": "GQ"}[flavor]
+    """The family `func` at outer/inner (outer//inner with doubleslash).
+
+    `schur` takes a plain partition and no inner shape; the strict families
+    take strict partitions.  A straight gp/gq is read from the dual table and
+    a skew one from the skew-dual table; JP/JQ is GP/GQ, or its double slash,
+    under the geometric substitution.  Double slash has a meaning only for
+    GP/GQ/JP/JQ.
+    """
+    if func not in FUNCS:
+        raise ValueError(f"unknown function {func!r}; expected one of {FUNCS}")
+    if doubleslash and func not in ("GP", "GQ", "JP", "JQ"):
+        raise ParameterError(f"the double-slash variant is defined only for GP/GQ/JP/JQ, not {func}")
+    if func == "schur":
+        if tuple(inner):
+            raise ParameterError("schur takes a plain partition, not a skew shape")
+        return schur(tuple(outer), nvars, max_deg)
+    lam, mu = StrictPartition(tuple(outer)), StrictPartition(tuple(inner))
+    if func in ("P", "Q"):
+        return classical_pq(func, SkewShape(lam, mu), nvars, max_deg)
+    if func in ("gp", "gq"):
+        dual = dual_skew(func, lam, mu, nvars) if mu.parts else dual_gp_gq(func, lam, nvars)
+        return dual.truncated(max_deg)
+    if func in ("jp", "jq"):
+        return jp_jq(func, lam, mu, nvars, max_deg)
+    if max_deg is None:
+        raise ParameterError(f"{func} needs a finite max_deg")
+    base = {"JP": "GP", "JQ": "GQ"}.get(func, func)
     if doubleslash:
-        base = gp_gq_doubleslash(base_flavor, lam, mu, nvars, max_deg)
+        poly = gp_gq_doubleslash(base, lam, mu, nvars, max_deg)
     else:
-        base = gp_gq(base_flavor, SkewShape(lam, mu), nvars, max_deg)
-    return base.substitute_geometric()
-
-
-# -- structure constants -------------------------------------------------------
-
-
-@dataclass
-class StructureTable:
-    """Integer coefficients of a product or skew expansion, up to a cap."""
-
-    kind: str
-    fixed: tuple[StrictPartition, StrictPartition]
-    degree_cap: int
-    entries: dict[StrictPartition, int] = field(default_factory=dict)
-    truncated: bool = True
-
-    def to_json_obj(self) -> dict:
-        items = sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
-        return {
-            "kind": self.kind,
-            "fixed": [str(self.fixed[0]), str(self.fixed[1])],
-            "degree_cap": self.degree_cap,
-            "entries": [{"index": str(k), "coeff": v} for k, v in items],
-            "truncated": self.truncated,
-        }
+        poly = gp_gq(base, SkewShape(lam, mu), nvars, max_deg)
+    return poly if base == func else poly.substitute_geometric()
 
 
 def structure_constants(
@@ -528,12 +502,13 @@ def structure_constants(
     first: StrictPartition,
     second: StrictPartition,
     degree_cap: int,
-) -> StructureTable:
+) -> dict[StrictPartition, int]:
     """The integer tables a,b (products) and ahat,bhat (double-slash expansions).
 
     a: GP_mu*GP_nu over GP; b: GQ_mu*GQ_nu over GQ, with beta^(|lam|-|mu|-|nu|).
     ahat: GQ_{lam//mu} over GQ; bhat: GP_{lam//mu} over GP, with
-    beta^(|mu|+|nu|-|lam|).  Entries are reported up to the degree cap only.
+    beta^(|mu|+|nu|-|lam|).  Entries are reported up to the degree cap only,
+    as a dict from the running index to its integer.
     """
     nvars = max(1, _ell_max(degree_cap))
     if kind in ("a", "b"):
@@ -553,7 +528,7 @@ def structure_constants(
     exp = expand_in_basis(p, basis)
     if not exp.residual_zero:
         raise KshiftError(f"structure expansion has residual below the cap: {kind}")
-    table = StructureTable(kind, (first, second), degree_cap)
+    table: dict[StrictPartition, int] = {}
     for index, c in exp.coeffs.items():
         if c.is_zero():
             continue
@@ -563,7 +538,7 @@ def structure_constants(
             raise KshiftError(
                 f"{kind}-coefficient at {sp} has beta power {k}, expected {shift(sp)}"
             )
-        table.entries[sp] = m
+        table[sp] = m
     return table
 
 

@@ -21,14 +21,12 @@ from .cache import CACHE
 from .errors import KshiftError, ParameterError
 from .genfun import (
     _ell_max,
-    cap_jp_jq,
     dual_gp_gq,
     dual_skew,
-    dual_table,
+    evaluate,
     gp_gq,
     gp_gq_doubleslash,
     gq_onerow_series,
-    jp_jq,
     structure_constants,
     symmetrization_eval,
 )
@@ -82,8 +80,18 @@ class VerificationReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def _poly_pair(lhs: BetaPoly, rhs: BetaPoly) -> dict:
-    return {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
+def _compare(lhs: BetaPoly, rhs: BetaPoly) -> tuple[bool, dict | None]:
+    """Exact equality of two polynomials cut at the same truncation, and the
+    pair as the witness info when they differ.  Polynomials cut at different
+    degrees or alphabet splits cannot be compared: that is a KshiftError."""
+    if (lhs.max_deg, lhs.split) != (rhs.max_deg, rhs.split):
+        raise KshiftError(
+            f"comparing max_deg={lhs.max_deg}, split={lhs.split} "
+            f"with max_deg={rhs.max_deg}, split={rhs.split}"
+        )
+    if lhs == rhs:
+        return True, None
+    return False, {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
 
 
 def _run_cases(
@@ -166,7 +174,7 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
         if kind == "expansion":
             lhs = gp_gq("GQ", straight(mu), nvars, max_deg)
             rhs = _gq_to_gp_rhs(mu, nvars, max_deg)
-            return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+            return _compare(lhs, rhs)
         if kind == "positivity":
             _, minus = vertical_strip_extensions_signed(mu)
             gaps_ok = all(
@@ -186,7 +194,7 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
                 exps, _ = weight("setshyt_q", t)
                 sides[side][(exps + (0,) * (nvars - len(exps)), 0)] += 1
         lhs, rhs = (BetaPoly(nvars, sides[side], max_deg) for side in ("lhs", "rhs"))
-        return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+        return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
     return _run_cases("gq-to-gp", params, cases, worker)
@@ -234,7 +242,7 @@ def check_skew_expansions(
                 term = gp_gq_doubleslash("GP", lam, kappa, nvars, max_deg)
                 rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(bpow)
             lhs = lhs.scale(2**scale)
-            return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+            return _compare(lhs, rhs)
         lam, kappa = outer, inner
         ny = max(nvars, 1)
         lhs = dual_skew("gq", lam, kappa, ny).truncated(max_deg)
@@ -256,7 +264,7 @@ def check_skew_expansions(
             term = dual_skew("gp", mu, nu, ny).truncated(max_deg)
             rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(bpow)
         lhs = lhs.scale(2**scale)
-        return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+        return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
     return _run_cases("skew-expansions", params, cases, worker)
@@ -327,10 +335,9 @@ def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8) -> Verificat
         shape = SkewShape(lam, mu)
         other = flip(shape)
         for flavor in ("GP", "GQ"):
-            lhs = gp_gq(flavor, shape, nvars, max_deg)
-            rhs = gp_gq(flavor, other, nvars, max_deg)
-            if lhs != rhs:
-                return False, {"flavor": flavor, "flipped": str(other), **_poly_pair(lhs, rhs)}
+            ok, info = _compare(gp_gq(flavor, shape, nvars, max_deg), gp_gq(flavor, other, nvars, max_deg))
+            if not ok:
+                return False, {"flavor": flavor, "flipped": str(other), **info}
         return True, None
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
@@ -355,38 +362,19 @@ def check_coproducts(
     def worker(case: tuple) -> tuple[bool, dict | None]:
         fam, lam_s = case
         lam = StrictPartition.parse(lam_s)
-        inners = subshapes(lam)
-        if fam in ("GP", "GQ"):
-            lhs = _split_truncate(gp_gq(fam, straight(lam), n, 2 * max_deg), nx, max_deg)
-            rhs = BetaPoly.zero(n, max_deg, nx)
-            for nu in inners:
-                px = gp_gq(fam, straight(nu), nx, max_deg)
-                py = gp_gq_doubleslash(fam, lam, nu, ny, max_deg)
-                rhs = rhs + tensor_split(px, py, max_deg)
-        elif fam in ("gp", "gq"):
-            lhs = _split_truncate(dual_table(fam, lam.size, n)[lam], nx, max_deg)
-            rhs = BetaPoly.zero(n, max_deg, nx)
-            for nu in inners:
-                px = dual_gp_gq(fam, nu, nx).truncated(max_deg)
-                py = dual_skew(fam, lam, nu, ny).truncated(max_deg)
-                rhs = rhs + tensor_split(px, py, max_deg)
-        elif fam in ("jp", "jq"):
-            lhs = _split_truncate(jp_jq(fam, lam, EMPTY, n, 2 * max_deg), nx, max_deg)
-            rhs = BetaPoly.zero(n, max_deg, nx)
-            for nu in inners:
-                px = jp_jq(fam, nu, EMPTY, nx, max_deg)
-                py = jp_jq(fam, lam, nu, ny, max_deg)
-                rhs = rhs + tensor_split(px, py, max_deg)
-        else:
-            base = {"JP": "GP", "JQ": "GQ"}[fam]
-            two = _split_truncate(gp_gq(base, straight(lam), n, 2 * max_deg), nx, max_deg)
-            lhs = two.substitute_geometric()
-            rhs = BetaPoly.zero(n, max_deg, nx)
-            for nu in inners:
-                px = cap_jp_jq(fam, nu, EMPTY, nx, max_deg)
-                py = cap_jp_jq(fam, lam, nu, ny, max_deg, doubleslash=True)
-                rhs = rhs + tensor_split(px, py, max_deg)
-        return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+        # the left side is evaluated in all n variables with room for both
+        # degrees, then cut; JP/JQ substitute only after the cut
+        base = {"JP": "GP", "JQ": "GQ"}.get(fam, fam)
+        lhs = _split_truncate(evaluate(base, lam, (), n, 2 * max_deg), nx, max_deg)
+        if base != fam:
+            lhs = lhs.substitute_geometric()
+        doubleslash = fam in ("GP", "GQ", "JP", "JQ")
+        rhs = BetaPoly.zero(n, max_deg, nx)
+        for nu in subshapes(lam):
+            px = evaluate(fam, nu, (), nx, max_deg)
+            py = evaluate(fam, lam, nu, ny, max_deg, doubleslash)
+            rhs = rhs + tensor_split(px, py, max_deg)
+        return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
     return _run_cases("coproducts", params, cases, worker)
@@ -436,57 +424,41 @@ def check_cauchy_family(
             for lam in enumerate_strict_partitions(max_deg):
                 if len(lam) > nx:
                     continue
-                px = gp_gq(basis, straight(lam), nx, max_deg)
-                py = dual_gp_gq(flavor, lam, ny).truncated(max_deg)
+                px = evaluate(basis, lam, (), nx, max_deg)
+                py = evaluate(flavor, lam, (), ny, max_deg)
                 total = total + tensor_split(px, py, max_deg)
-            return total == kern, None if total == kern else _poly_pair(total, kern)
+            return _compare(total, kern)
         mu = StrictPartition.parse(mu_s)
         nu = StrictPartition.parse(nu_s)
         kappas = [k for k in subshapes(mu) if contains(k, nu)]
-
-        def GPd(fl, a, b, nv):
-            return gp_gq_doubleslash(fl, a, b, nv, max_deg)
-
-        def JPd(fl, a, b, nv):
-            return GPd({"JP": "GP", "JQ": "GQ"}[fl], a, b, nv).substitute_geometric()
-
-        def jskew(fl, a, b, nv):
-            return jp_jq(fl, a, b, nv, max_deg)
-
-        def gskew(fl, a, b, nv):
-            return dual_skew(fl, a, b, nv).truncated(max_deg)
-
         # the skew Cauchy identities (GP//*gq and its GQ//*gp mirror) under the
-        # plain kernel, then the six omega-twisted ones with negated alphabets
-        recipe = {
-            "skew-gq": ("GP", GPd, "gq", gskew, "right", []),
-            "skew-gp": ("GQ", GPd, "gp", gskew, "right", []),
-            "a": ("GP", GPd, "jq", jskew, "left", yvars),
-            "b": ("GQ", GPd, "jp", jskew, "left", yvars),
-            "c": ("JP", JPd, "gq", gskew, "left", xvars),
-            "d": ("JQ", JPd, "gp", gskew, "left", xvars),
-            "e": ("JP", JPd, "jq", jskew, "right", xvars + yvars),
-            "f": ("JQ", JPd, "jp", jskew, "right", xvars + yvars),
+        # plain kernel, then the six omega-twisted ones with negated alphabets;
+        # the big family is always taken with its double slash
+        big, small, side, negated = {
+            "skew-gq": ("GP", "gq", "right", []),
+            "skew-gp": ("GQ", "gp", "right", []),
+            "a": ("GP", "jq", "left", yvars),
+            "b": ("GQ", "jp", "left", yvars),
+            "c": ("JP", "gq", "left", xvars),
+            "d": ("JQ", "gp", "left", xvars),
+            "e": ("JP", "jq", "right", xvars + yvars),
+            "f": ("JQ", "jp", "right", xvars + yvars),
         }[tag]
-        big, bigfun, small, smallfun, side, negated = recipe
         twisted = kern.negate_vars(negated)
         lhs = BetaPoly.zero(nx + ny, max_deg, nx)
         for lam in lam_range(mu):
-            if not contains(nu, lam):
-                continue
-            px = bigfun(big, lam, mu, nx)
-            py = smallfun(small, lam, nu, ny)
-            lhs = lhs + tensor_split(px, py, max_deg)
+            if contains(nu, lam):
+                px = evaluate(big, lam, mu, nx, max_deg, doubleslash=True)
+                lhs = lhs + tensor_split(px, evaluate(small, lam, nu, ny, max_deg), max_deg)
         rhs = BetaPoly.zero(nx + ny, max_deg, nx)
         for kappa in kappas:
-            px = bigfun(big, nu, kappa, nx)
-            py = smallfun(small, mu, kappa, ny)
-            rhs = rhs + tensor_split(px, py, max_deg)
+            px = evaluate(big, nu, kappa, nx, max_deg, doubleslash=True)
+            rhs = rhs + tensor_split(px, evaluate(small, mu, kappa, ny, max_deg), max_deg)
         if side == "left":
             lhs = twisted * lhs
         else:
             rhs = twisted * rhs
-        return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+        return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
     return _run_cases("cauchy", params, cases, worker)
@@ -513,7 +485,7 @@ def check_dual_expansions(max_size: int = 6, ny: int | None = None) -> Verificat
                 k = strip.size
                 coeff = (-1) ** (st.cols + k) * 2 ** (len(lam) - k)
                 rhs = rhs + dual_gp_gq("gp", mu, ny).scale(coeff).times_beta(k)
-            return lhs == rhs, None if lhs == rhs else _poly_pair(lhs, rhs)
+            return _compare(lhs, rhs)
         positive = all(
             (shape_stats(SkewShape(lam, mu)).cols + lam.size - mu.size) % 2 == 0
             for mu in mus
@@ -613,7 +585,7 @@ def check_onerow_series(max_power: int = 4, nvars: int = 2, max_deg: int = 6) ->
     def worker(case: tuple) -> tuple[bool, dict | None]:
         n = powers[case[0]]
         ref = gp_gq("GQ", straight(StrictPartition((n,)) if n else EMPTY), nvars, max_deg)
-        return series[n] == ref, None if series[n] == ref else _poly_pair(series[n], ref)
+        return _compare(series[n], ref)
 
     params = {"max_power": max_power, "nvars": nvars, "max_deg": max_deg}
     return _run_cases("onerow-series", params, [(label,) for label in powers], worker)
@@ -655,36 +627,24 @@ def check_conjectures(
             nu = StrictPartition.parse(b_s)
             cap = mu.size + nu.size + 2
             for k in ("a", "b"):
-                table = structure_constants(k, mu, nu, cap)
-                for lam, val in table.entries.items():
+                for lam, val in structure_constants(k, mu, nu, cap).items():
                     if len(lam) > len(mu) + len(nu) and val != 0:
                         return False, {"kind": k, "index": str(lam), "value": val}
             return True, None
         lam = StrictPartition.parse(a_s)
         mu = StrictPartition.parse(b_s) if kind == "skew" else EMPTY
         shape = SkewShape(lam, mu)
-        deg = max_deg
-        rpp_p = genfun_from_tableaux("shrpp_p", shape, nvars, deg)
-        rpp_q = genfun_from_tableaux("shrpp_q", shape, nvars, deg)
-        bar_p = genfun_from_tableaux("shbt_p", shape, nvars, deg)
-        bar_q = genfun_from_tableaux("shbt_q", shape, nvars, deg)
-        if kind == "straight":
-            gp_ref = dual_gp_gq("gp", lam, nvars).truncated(deg)
-            gq_ref = dual_gp_gq("gq", lam, nvars).truncated(deg)
-        else:
-            gp_ref = dual_skew("gp", lam, mu, nvars).truncated(deg)
-            gq_ref = dual_skew("gq", lam, mu, nvars).truncated(deg)
-        jp_ref = jp_jq("jp", lam, mu, nvars, deg)
-        jq_ref = jp_jq("jq", lam, mu, nvars, deg)
-        checks = [
-            ("rpp-gp", rpp_p, gp_ref),
-            ("rpp-gq", rpp_q, gq_ref),
-            ("bar-jp", bar_p, jp_ref),
-            ("bar-jq", bar_q, jq_ref),
-        ]
-        for name, lhs, rhs in checks:
-            if lhs != rhs:
-                return False, {"formula": name, **_poly_pair(lhs, rhs)}
+        # each tableau sum against the family it is conjectured to equal
+        for name, tableau_family, func in (
+            ("rpp-gp", "shrpp_p", "gp"),
+            ("rpp-gq", "shrpp_q", "gq"),
+            ("bar-jp", "shbt_p", "jp"),
+            ("bar-jq", "shbt_q", "jq"),
+        ):
+            lhs = genfun_from_tableaux(tableau_family, shape, nvars, max_deg)
+            ok, info = _compare(lhs, evaluate(func, lam, mu, nvars, max_deg))
+            if not ok:
+                return False, {"formula": name, **info}
         return True, None
 
     params = {

@@ -52,10 +52,6 @@ class StrictPartition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def part(self, i: int) -> int:
         """The i-th part (1-indexed); 0 beyond the length."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
@@ -280,22 +276,14 @@ def flip(shape: SkewShape) -> SkewShape:
     return out
 
 
-def enumerate_strict_partitions(
-    max_size: int,
-    max_length: int | None = None,
-    max_part: int | None = None,
-) -> list[StrictPartition]:
+def enumerate_strict_partitions(max_size: int) -> list[StrictPartition]:
     """All strict partitions of size <= max_size, graded-lex, no duplicates."""
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     out = [EMPTY]
 
     def extend(prefix: list[int], remaining: int) -> None:
-        if max_length is not None and len(prefix) >= max_length:
-            return
         top = min(remaining, (prefix[-1] - 1) if prefix else remaining)
-        if max_part is not None:
-            top = min(top, max_part)
         for nxt in range(top, 0, -1):
             prefix.append(nxt)
             out.append(StrictPartition(tuple(prefix)))
@@ -306,10 +294,10 @@ def enumerate_strict_partitions(
     return _graded_lex_sorted(set(out))
 
 
-def strict_partitions_of(size: int, max_length: int | None = None) -> list[StrictPartition]:
+def strict_partitions_of(size: int) -> list[StrictPartition]:
     """Strict partitions of exactly `size`, in decreasing lex order."""
     return sorted(
-        (p for p in enumerate_strict_partitions(size, max_length=max_length) if p.size == size),
+        (p for p in enumerate_strict_partitions(size) if p.size == size),
         key=lambda p: tuple(-x for x in p.parts),
     )
 

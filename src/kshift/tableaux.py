@@ -62,9 +62,6 @@ class ShiftedTableau:
     shape: SkewShape
     entries: tuple[tuple[Cell, int], ...]
 
-    def entry(self, cell: Cell) -> int:
-        return dict(self.entries)[cell]
-
     def text(self) -> str:
         ent = dict(self.entries)
         return _format_rows(self.shape, lambda c: format_code(ent[c]))
@@ -74,9 +71,6 @@ class ShiftedTableau:
 class SetValuedTableau:
     shape: SkewShape
     entries: tuple[tuple[Cell, tuple[int, ...]], ...]
-
-    def entry(self, cell: Cell) -> tuple[int, ...]:
-        return dict(self.entries)[cell]
 
     @property
     def size(self) -> int:
@@ -92,9 +86,6 @@ class SetValuedTableau:
 class ReversePlanePartition:
     shape: SkewShape
     entries: tuple[tuple[Cell, int], ...]
-
-    def entry(self, cell: Cell) -> int:
-        return dict(self.entries)[cell]
 
     def text(self) -> str:
         ent = dict(self.entries)

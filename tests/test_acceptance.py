@@ -11,7 +11,6 @@ import time
 import pytest
 
 from kshift.genfun import (
-    cap_jp_jq,
     classical_pq,
     dual_gp_gq,
     expand_in_basis,
@@ -170,14 +169,14 @@ def test_criterion_10_property_suites():
     for mu in shapes4:
         for nu in shapes4:
             table = structure_constants("a", mu, nu, mu.size + nu.size + 2)
-            ok &= all(v >= 0 for v in table.entries.values())
+            ok &= all(v >= 0 for v in table.values())
     # vanishing conditions within the caps
     shapes3 = enumerate_strict_partitions(3)
     for mu in shapes3:
         for nu in shapes3:
             for kind in ("a", "b"):
                 table = structure_constants(kind, mu, nu, 7)
-                for lam, v in table.entries.items():
+                for lam, v in table.items():
                     if v:
                         ok &= contains(mu, lam) and contains(nu, lam)
                         ok &= lam.size >= mu.size + nu.size

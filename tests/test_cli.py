@@ -144,6 +144,19 @@ def test_usage_errors_exit_2(capsys):
     assert main(["verify"]) == 2  # neither --id nor --manifest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--func", "schur", "--outer", "2,1", "--inner", "1"),
+        ("compute", "--func", "gp", "--outer", "2,1", "--doubleslash"),
+        ("expand", "--target", "jq", "--basis", "jp", "--outer", "2,1", "--doubleslash"),
+    ],
+)
+def test_meaningless_flags_are_usage_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_cache_transparency(tmp_path, capsys):
     cache.CACHE.clear_memory()
     args = ["compute", "--func", "GQ", "--outer", "2,1", "--vars", "2", "--max-deg", "5", "--format", "json"]

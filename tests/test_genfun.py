@@ -13,12 +13,12 @@ from kshift.errors import (
 )
 from kshift.genfun import (
     _peel,
-    cap_jp_jq,
     classical_pq,
     dual_gp_gq,
     dual_skew,
     dual_skew_table,
     dual_table,
+    evaluate,
     expand_in_basis,
     gp_gq,
     gp_gq_doubleslash,
@@ -37,6 +37,7 @@ from kshift.shapes import (
     StrictPartition,
     contains,
     delta,
+    doubleslash_inners,
     enumerate_strict_partitions,
     straight,
     subshapes,
@@ -279,12 +280,52 @@ def test_jp_beta_zero():
 
 
 def test_cap_jp_jq_examples():
-    jp1 = cap_jp_jq("JP", sp(1), EMPTY, 1, 3)
+    jp1 = evaluate("JP", sp(1), (), 1, 3)
     assert jp1 == BetaPoly(1, {((1,), 0): 1, ((2,), 1): 1, ((3,), 2): 1}, 3)
-    assert cap_jp_jq("JQ", EMPTY, EMPTY, 2, 4) == BetaPoly.const(2, 1, 4)
+    assert evaluate("JQ", EMPTY, (), 2, 4) == BetaPoly.const(2, 1, 4)
     for lam in enumerate_strict_partitions(4):
-        got = cap_jp_jq("JP", lam, EMPTY, 2, 5).beta_zero()
+        got = evaluate("JP", lam, (), 2, 5).beta_zero()
         assert got == classical_pq("P", straight(lam), 2, 5)
+
+
+# -- the one family entry point ------------------------------------------------------------
+
+
+def test_evaluate_reads_straight_duals_like_the_skew_table():
+    # a straight gp/gq comes from dual_table, a skew one from dual_skew_table
+    for lam in enumerate_strict_partitions(4):
+        for n in (1, 2, 3):
+            for f in ("gp", "gq"):
+                for max_deg in (None, lam.size):
+                    got = evaluate(f, lam, (), n, max_deg)
+                    want = dual_skew(f, lam, EMPTY, n).truncated(max_deg)
+                    assert (got, got.max_deg) == (want, want.max_deg), (f, lam, n, max_deg)
+
+
+def test_evaluate_doubleslash_JP_JQ_substitutes_each_term():
+    for lam in enumerate_strict_partitions(4):
+        for mu in subshapes(lam):
+            for n in (1, 2):
+                max_deg = lam.size + 2
+                for f, base in (("JP", "GP"), ("JQ", "GQ")):
+                    want = BetaPoly.zero(n, max_deg)
+                    for nu in doubleslash_inners(mu):
+                        term = gp_gq(base, SkewShape(lam, nu), n, max_deg).substitute_geometric()
+                        want = want + term.times_beta(mu.size - nu.size)
+                    assert evaluate(f, lam, mu, n, max_deg, doubleslash=True) == want, (f, lam, mu, n)
+
+
+def test_evaluate_rejects_meaningless_arguments():
+    with pytest.raises(ParameterError):
+        evaluate("schur", (2, 1), (1,), 2, 4)
+    for f in ("P", "Q", "gp", "gq", "jp", "jq", "schur"):
+        with pytest.raises(ParameterError):
+            evaluate(f, (2, 1), (), 2, 4, doubleslash=True)
+    for f in ("GP", "GQ", "JP", "JQ"):
+        with pytest.raises(ParameterError):
+            evaluate(f, (2, 1), (), 2, None)
+    with pytest.raises(ValueError):
+        evaluate("HP", (2, 1), (), 2, 4)
 
 
 # -- structure constants -----------------------------------------------------------------
@@ -297,8 +338,8 @@ def test_structure_constants_a_symmetry_and_nonnegativity():
             cap = mu.size + nu.size + 2
             t1 = structure_constants("a", mu, nu, cap)
             t2 = structure_constants("a", nu, mu, cap)
-            assert t1.entries == t2.entries
-            assert all(v >= 0 for v in t1.entries.values())
+            assert t1 == t2
+            assert all(v >= 0 for v in t1.values())
 
 
 def test_structure_constants_vanishing():
@@ -308,7 +349,7 @@ def test_structure_constants_vanishing():
             cap = 7
             for kind in ("a", "b"):
                 table = structure_constants(kind, mu, nu, cap)
-                for lam, v in table.entries.items():
+                for lam, v in table.items():
                     if v == 0:
                         continue
                     assert contains(mu, lam) and contains(nu, lam)
@@ -321,7 +362,7 @@ def test_structure_constants_products_recombine():
     table = structure_constants("b", mu, nu, cap)
     lhs = gp_gq("GQ", straight(mu), 2, cap) * gp_gq("GQ", straight(nu), 2, cap)
     rhs = BetaPoly.zero(2, cap)
-    for lam, v in table.entries.items():
+    for lam, v in table.items():
         rhs = rhs + gp_gq("GQ", straight(lam), 2, cap).scale(v).times_beta(
             lam.size - mu.size - nu.size
         )
@@ -332,10 +373,10 @@ def test_structure_constants_hat_kinds():
     # ahat: GQ_(lam//mu) expanded over GQ; entries vanish below |lam| - |mu|
     lam, mu = sp(2, 1), sp(2, 1)
     table = structure_constants("ahat", lam, mu, 5)
-    assert all(mu.size + nu.size >= lam.size for nu in table.entries)
+    assert all(mu.size + nu.size >= lam.size for nu in table)
     direct = gp_gq_doubleslash("GQ", lam, mu, 2, 5)
     rhs = BetaPoly.zero(2, 5)
-    for nu, v in table.entries.items():
+    for nu, v in table.items():
         rhs = rhs + gp_gq("GQ", straight(nu), 2, 5).scale(v).times_beta(
             mu.size + nu.size - lam.size
         )
@@ -346,7 +387,7 @@ def test_structure_constants_hat_kinds():
     got = dual_gp_gq("gq", a, 2) * dual_gp_gq("gq", b, 2)
     want = BetaPoly.zero(2, None)
     for nu in enumerate_strict_partitions(a.size + b.size):
-        v = structure_constants("bhat", nu, a, a.size + b.size).entries.get(b, 0)
+        v = structure_constants("bhat", nu, a, a.size + b.size).get(b, 0)
         if v:
             want = want + dual_gp_gq("gq", nu, 2).scale(v).times_beta(
                 a.size + b.size - nu.size

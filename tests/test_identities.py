@@ -3,10 +3,11 @@ import json
 import pytest
 
 from kshift import cache, identities
-from kshift.errors import ParameterError
+from kshift.errors import KshiftError, ParameterError
 from kshift.identities import (
     CHECKS,
     VerificationReport,
+    _compare,
     _run_cases,
     check_cauchy_family,
     check_conjectures,
@@ -21,6 +22,7 @@ from kshift.identities import (
     run_check,
     run_manifest,
 )
+from kshift.polyring import BetaPoly
 
 
 def test_gq_to_gp_small_sweep():
@@ -118,6 +120,18 @@ def test_failure_reporting_and_witness():
     assert report.witness["case"] == "('b',)"
     obj = json.loads(report.to_json())
     assert set(obj) == {"id", "params", "status", "cases", "witness"}
+
+
+def test_compare_needs_one_truncation():
+    x = BetaPoly.variable(1, 2, 3)
+    assert _compare(x, x) == (True, None)
+    ok, info = _compare(x, x.scale(2))
+    assert not ok and info == {"lhs": x.to_json_obj(), "rhs": x.scale(2).to_json_obj()}
+    # equal terms cut at another degree or alphabet split are not comparable
+    with pytest.raises(KshiftError):
+        _compare(x, x.truncated(4))
+    with pytest.raises(KshiftError):
+        _compare(x, BetaPoly(2, x.terms, 3, 1))
 
 
 def test_witness_is_the_smallest_failing_case_by_size():

@@ -164,15 +164,6 @@ def test_enumerate_strict_partitions():
         (2, 1),
     ]
     assert [p.parts for p in enumerate_strict_partitions(0)] == [()]
-    assert [p.parts for p in enumerate_strict_partitions(4, max_length=1)] == [
-        (),
-        (1,),
-        (2,),
-        (3,),
-        (4,),
-    ]
-    caps = enumerate_strict_partitions(6, max_part=3)
-    assert all(p.parts[0] <= 3 for p in caps if p.parts)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=4))
