@@ -3,8 +3,9 @@
 Exit codes: 0 success (PASS / all-MATCH), 1 mathematical mismatch (FAIL,
 MISMATCH, or a nonzero expansion residual), 2 usage errors, 3 resource limits.
 A flag with no meaning for the function is a usage error: --inner for schur,
-and --doubleslash for anything but GP/GQ/JP/JQ.  `compute` and `expand` get
-every function from `genfun.evaluate`.
+and --doubleslash for anything but GP/GQ/JP/JQ.  So is a nonsense size:
+--vars below 1 or --max-deg below 0.  `compute` and `expand` get every
+function from `genfun.evaluate`.
 
 Settings: the persistent cache directory from --cache-dir, then
 KSHIFT_CACHE_DIR, then `cache_dir=` in the --config file (key=value lines);

@@ -32,13 +32,14 @@ from .errors import (
     ResourceLimitError,
     SingularPointError,
 )
-from .polyring import BetaInt, BetaPoly, RationalPoint, tensor_split
+from .polyring import BetaPoly, RationalPoint, tensor_split
 from .shapes import (
     EMPTY,
     SkewShape,
     StrictPartition,
     contains,
     doubleslash_inners,
+    enumerate_strict_partitions,
     straight,
     strict_partitions_of,
 )
@@ -204,14 +205,6 @@ def _kernel_x_slices(S: int, ny: int, ydeg: int) -> list[BetaPoly]:
     return slices
 
 
-def _dual_candidates(S: int) -> list[StrictPartition]:
-    """Strict partitions of size <= S, by size then decreasing lex."""
-    out: list[StrictPartition] = []
-    for d in range(S + 1):
-        out.extend(strict_partitions_of(d))
-    return out
-
-
 def _encode_table(table: dict[StrictPartition, BetaPoly]) -> dict:
     """A table of polynomials indexed by strict partitions, as a cache value."""
     return {str(mu): poly.to_json_obj() for mu, poly in table.items()}
@@ -239,7 +232,7 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
         slices = _kernel_x_slices(S, ny, ydeg)
         basis_flavor = "GQ" if flavor == "gp" else "GP"
         lead_base = 2 if flavor == "gp" else 1
-        candidates = _dual_candidates(S)
+        candidates = enumerate_strict_partitions(S)
         basis_polys = {
             mu: gp_gq(basis_flavor, straight(mu), nx, S) for mu in candidates
         }
@@ -255,12 +248,12 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
             for prev in order:
                 t = basis_polys[prev].coeff(monomial)
                 if not t.is_zero():
-                    target = target - solved[prev].scale_betaint(t)
+                    target = target - solved[prev].scale_by(t)
             lead = basis_polys[mu].coeff(monomial)
             expected = lead_base ** len(mu)
-            if lead != BetaInt(expected):
+            if lead != BetaPoly.const(0, expected):
                 raise KshiftError(
-                    f"triangularity failure at {mu}: leading coefficient {lead.coeffs}"
+                    f"triangularity failure at {mu}: leading coefficient {lead.coeff_list()}"
                 )
             solved[mu] = target.divide_exact(expected).truncated(None)
             order.append(mu)
@@ -269,10 +262,9 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
 
 
-def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int, ydeg: int | None = None) -> BetaPoly:
+def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int) -> BetaPoly:
     """The dual function gp_lam or gq_lam as an exact polynomial in y."""
-    poly = dual_table(flavor, lam.size, nvars_y)[lam]
-    return poly if ydeg is None else poly.truncated(ydeg)
+    return dual_table(flavor, lam.size, nvars_y)[lam]
 
 
 # -- the expansion engine ------------------------------------------------------
@@ -298,7 +290,7 @@ class BasisExpansion:
     basis: str
     nvars: int
     max_deg: int | None
-    coeffs: dict[tuple[int, ...], BetaInt] = field(default_factory=dict)
+    coeffs: dict[tuple[int, ...], BetaPoly] = field(default_factory=dict)
     residual: BetaPoly | None = None
 
     @property
@@ -308,7 +300,7 @@ class BasisExpansion:
     def recombine(self) -> BetaPoly:
         total = BetaPoly.zero(self.nvars, self.max_deg)
         for index, c in self.coeffs.items():
-            total = total + evaluate(self.basis, index, (), self.nvars, self.max_deg).scale_betaint(c)
+            total = total + evaluate(self.basis, index, (), self.nvars, self.max_deg).scale_by(c)
         if self.residual is not None:
             total = total + self.residual
         return total
@@ -332,8 +324,9 @@ def _peel(p: BetaPoly, basis: str, nx: int) -> tuple[dict[tuple[int, ...], BetaP
     """Greedy triangular peel of the first nx variables of p against the basis.
 
     Each coefficient is a polynomial in the other ny = p.nvars - nx variables
-    (a 0-variable polynomial when nx = p.nvars).  Returns the coefficients in
-    peel order and the residual, split at nx, that the basis cannot explain.
+    (when nx = p.nvars, an element of Z[beta]: a 0-variable polynomial with no
+    truncation).  Returns the coefficients in peel order and the residual,
+    split at nx, that the basis cannot explain.
     """
     ny = p.nvars - nx
     top = p.max_deg
@@ -348,7 +341,7 @@ def _peel(p: BetaPoly, basis: str, nx: int) -> tuple[dict[tuple[int, ...], BetaP
         for index in _basis_indices(basis, d, nx):
             monomial = index + (0,) * (nx - len(index))
             c = {(e[nx:], b): v for (e, b), v in rest.terms.items() if e[:nx] == monomial}
-            c = BetaPoly(ny, c, p.max_deg)
+            c = BetaPoly(ny, c, p.max_deg if ny else None)
             if c.is_zero():
                 continue
             c = c.divide_exact(_basis_lead(basis, index))
@@ -368,13 +361,7 @@ def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
     if not p.is_symmetric():
         raise NonSymmetricError("input polynomial is not symmetric")
     coeffs, rest = _peel(p, basis, p.nvars)
-    return BasisExpansion(
-        basis,
-        p.nvars,
-        p.max_deg,
-        {index: BetaInt({b: v for (_e, b), v in c.terms.items()}) for index, c in coeffs.items()},
-        BetaPoly(p.nvars, rest.terms, p.max_deg),
-    )
+    return BasisExpansion(basis, p.nvars, p.max_deg, coeffs, BetaPoly(p.nvars, rest.terms, p.max_deg))
 
 
 # -- skew duals, omega, and the j/J families -----------------------------------
@@ -422,7 +409,7 @@ def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
     return BasisExpansion("schur", p.nvars, out_deg, _omega_schur_coeffs(p)).recombine()
 
 
-def _omega_schur_coeffs(p: BetaPoly) -> dict[tuple[int, ...], BetaInt]:
+def _omega_schur_coeffs(p: BetaPoly) -> dict[tuple[int, ...], BetaPoly]:
     """Schur coefficients of omega(p), index-transposed; p must be faithful."""
     exp = expand_in_basis(p, "schur")
     if not exp.residual_zero:
@@ -473,6 +460,10 @@ def evaluate(
     """
     if func not in FUNCS:
         raise ValueError(f"unknown function {func!r}; expected one of {FUNCS}")
+    if nvars < 1:
+        raise ParameterError(f"the number of variables must be at least 1, got {nvars}")
+    if max_deg is not None and max_deg < 0:
+        raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
     if doubleslash and func not in ("GP", "GQ", "JP", "JQ"):
         raise ParameterError(f"the double-slash variant is defined only for GP/GQ/JP/JQ, not {func}")
     if func == "schur":
@@ -530,10 +521,10 @@ def structure_constants(
         raise KshiftError(f"structure expansion has residual below the cap: {kind}")
     table: dict[StrictPartition, int] = {}
     for index, c in exp.coeffs.items():
-        if c.is_zero():
-            continue
         sp = StrictPartition(index)
-        k, m = c.single_power()
+        if len(c.terms) != 1:
+            raise KshiftError(f"{kind}-coefficient at {sp} is not a single beta power: {c.coeff_list()}")
+        [((_e, k), m)] = c.terms.items()
         if k != shift(sp):
             raise KshiftError(
                 f"{kind}-coefficient at {sp} has beta power {k}, expected {shift(sp)}"

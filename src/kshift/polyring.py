@@ -5,6 +5,11 @@ integer coefficients.  Truncation discards terms whose total x-degree exceeds
 max_deg; the beta degree is never truncated.  A polynomial may carry a split
 index, in which case the first `split` variables and the remaining ones form
 two alphabets and the degree bound applies to each block separately.
+
+An element of Z[beta] is a polynomial in 0 variables with max_deg None: the
+coefficient `coeff` returns, the factor `scale_by` takes, and every
+coefficient of a basis expansion.  Equality compares the number of
+variables, the split, the truncation and the terms.
 """
 
 from __future__ import annotations
@@ -21,80 +26,6 @@ from .errors import (
 )
 
 TermKey = tuple[tuple[int, ...], int]
-
-
-class BetaInt:
-    """An element of Z[beta]: a map from beta exponent to integer."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | int = 0):
-        if isinstance(coeffs, int):
-            coeffs = {0: coeffs} if coeffs else {}
-        self.coeffs = {int(k): int(v) for k, v in coeffs.items() if v}
-
-    @classmethod
-    def beta_power(cls, k: int, coeff: int = 1) -> "BetaInt":
-        return cls({k: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = BetaInt(other)
-        return isinstance(other, BetaInt) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: "BetaInt") -> "BetaInt":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return BetaInt(out)
-
-    def __sub__(self, other: "BetaInt") -> "BetaInt":
-        return self + (-other)
-
-    def __neg__(self) -> "BetaInt":
-        return BetaInt({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "BetaInt | int") -> "BetaInt":
-        if isinstance(other, int):
-            return BetaInt({k: v * other for k, v in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
-        return BetaInt(out)
-
-    __rmul__ = __mul__
-
-    def divide_exact(self, d: int) -> "BetaInt":
-        out = {}
-        for k, v in self.coeffs.items():
-            if v % d:
-                raise NonDivisibleError(f"{v} is not divisible by {d}")
-            out[k] = v // d
-        return BetaInt(out)
-
-    def single_power(self) -> tuple[int, int]:
-        """The (exponent, coefficient) pair of a beta-monomial; error otherwise."""
-        if len(self.coeffs) != 1:
-            raise ValueError(f"not a single beta power: {self.coeffs}")
-        return next(iter(self.coeffs.items()))
-
-    def coeff_list(self) -> list[int]:
-        """Coefficients [c0, c1, ...] up to the top beta exponent."""
-        if not self.coeffs:
-            return []
-        top = max(self.coeffs)
-        return [self.coeffs.get(k, 0) for k in range(top + 1)]
-
-    def __repr__(self) -> str:
-        return f"BetaInt({self.coeffs})"
 
 
 @dataclass(frozen=True)
@@ -165,9 +96,8 @@ class BetaPoly:
     ) -> "BetaPoly":
         return cls(nvars, {(tuple(exps), beta_exp): coeff}, max_deg, split)
 
-    def _like(self, terms: Mapping[TermKey, int], max_deg: int | None = "keep") -> "BetaPoly":  # type: ignore[assignment]
-        md = self.max_deg if max_deg == "keep" else max_deg
-        return BetaPoly(self.nvars, terms, md, self.split)
+    def _like(self, terms: Mapping[TermKey, int]) -> "BetaPoly":
+        return BetaPoly(self.nvars, terms, self.max_deg, self.split)
 
     def _check_compatible(self, other: "BetaPoly") -> int | None:
         if self.nvars != other.nvars or self.split != other.split:
@@ -202,14 +132,11 @@ class BetaPoly:
     def __mul__(self, other: "BetaPoly") -> "BetaPoly":
         md = self._check_compatible(other)
         out: dict[TermKey, int] = {}
-        probe = BetaPoly.zero(self.nvars, md, self.split)
         for (e1, b1), c1 in self.terms.items():
             for (e2, b2), c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not probe._ok(exps):
-                    continue
-                key = (exps, b1 + b2)
+                key = (tuple(a + b for a, b in zip(e1, e2)), b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
+        # the constructor drops every term beyond the truncation
         return BetaPoly(self.nvars, out, md, self.split)
 
     def __pow__(self, n: int) -> "BetaPoly":
@@ -231,10 +158,13 @@ class BetaPoly:
     def times_beta(self, k: int = 1, coeff: int = 1) -> "BetaPoly":
         return self._like({(e, b + k): c * coeff for (e, b), c in self.terms.items()})
 
-    def scale_betaint(self, s: BetaInt) -> "BetaPoly":
+    def scale_by(self, s: "BetaPoly") -> "BetaPoly":
+        """The product with s, an element of Z[beta] (a 0-variable polynomial)."""
+        if s.nvars:
+            raise NvarsMismatchError(f"scale_by needs a 0-variable factor, got {s.nvars} vars")
         out: dict[TermKey, int] = {}
         for (e, b), c in self.terms.items():
-            for k, v in s.coeffs.items():
+            for (_e, k), v in s.terms.items():
                 key = (e, b + k)
                 out[key] = out.get(key, 0) + c * v
         return self._like(out)
@@ -257,16 +187,24 @@ class BetaPoly:
             isinstance(other, BetaPoly)
             and self.nvars == other.nvars
             and self.split == other.split
+            and self.max_deg == other.max_deg
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.split, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self.split, self.max_deg, tuple(sorted(self.terms.items()))))
 
-    def coeff(self, exps: Iterable[int]) -> BetaInt:
-        """The Z[beta] coefficient of the monomial x^exps."""
+    def coeff(self, exps: Iterable[int]) -> "BetaPoly":
+        """The Z[beta] coefficient of the monomial x^exps, in 0 variables."""
         exps = tuple(exps)
-        return BetaInt({b: c for (e, b), c in self.terms.items() if e == exps})
+        return BetaPoly(0, {((), b): c for (e, b), c in self.terms.items() if e == exps})
+
+    def coeff_list(self) -> list[int]:
+        """Coefficients [c0, c1, ...] of a 0-variable polynomial up to its top beta power."""
+        if self.nvars:
+            raise NvarsMismatchError(f"coeff_list needs a 0-variable polynomial, got {self.nvars} vars")
+        top = max((b for (_e, b) in self.terms), default=-1)
+        return [self.terms.get(((), k), 0) for k in range(top + 1)]
 
     def x_degrees(self) -> set[int]:
         return {sum(e) for (e, _b) in self.terms}

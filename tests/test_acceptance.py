@@ -27,7 +27,7 @@ from kshift.identities import (
     check_overlap_matrix,
     check_symmetrization,
 )
-from kshift.polyring import BetaInt, BetaPoly
+from kshift.polyring import BetaPoly
 from kshift.shapes import (
     EMPTY,
     SkewShape,
@@ -51,7 +51,9 @@ def report(n: int, label: str, ok: bool) -> None:
 
 
 def beta_coeffs(expansion):
-    return {idx: c.coeffs for idx, c in expansion.coeffs.items() if not c.is_zero()}
+    return {
+        idx: {b: v for (_e, b), v in c.terms.items()} for idx, c in expansion.coeffs.items() if not c.is_zero()
+    }
 
 
 def test_criterion_1_paper_expansions():

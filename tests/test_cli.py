@@ -157,6 +157,21 @@ def test_meaningless_flags_are_usage_errors(capsys, argv):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--func", "GQ", "--outer", "2", "--vars", "-1"),
+        ("compute", "--func", "GP", "--outer", "2", "--max-deg", "-1"),
+        ("compute", "--func", "gq", "--outer", "2", "--vars", "0"),
+        ("expand", "--target", "GQ", "--basis", "GP", "--outer", "2", "--vars", "-1"),
+    ],
+)
+def test_nonsense_sizes_are_usage_errors(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "must be at least" in captured.err
+
+
 def test_cache_transparency(tmp_path, capsys):
     cache.CACHE.clear_memory()
     args = ["compute", "--func", "GQ", "--outer", "2,1", "--vars", "2", "--max-deg", "5", "--format", "json"]

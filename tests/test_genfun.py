@@ -30,7 +30,7 @@ from kshift.genfun import (
     symmetrization_eval,
     transpose_partition,
 )
-from kshift.polyring import BetaInt, BetaPoly, RationalPoint, tensor_split
+from kshift.polyring import BetaPoly, RationalPoint, tensor_split
 from kshift.shapes import (
     EMPTY,
     SkewShape,
@@ -49,7 +49,9 @@ def sp(*parts):
 
 
 def beta_coeffs(expansion):
-    return {idx: c.coeffs for idx, c in expansion.coeffs.items() if not c.is_zero()}
+    return {
+        idx: {b: v for (_e, b), v in c.terms.items()} for idx, c in expansion.coeffs.items() if not c.is_zero()
+    }
 
 
 # -- schur and classical families ------------------------------------------------
@@ -243,6 +245,17 @@ def test_split_peel_without_exact_expansion_is_an_error(monkeypatch):
     monkeypatch.setattr(CACHE, "enabled", False)
     with pytest.raises(KshiftError):
         dual_skew_table("gp", sp(2, 1), ny)
+
+
+def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):
+    two_terms = BetaPoly(0, {((), 0): 1, ((), 1): 1})
+
+    def expansion(p, basis):
+        return genfun.BasisExpansion(basis, p.nvars, p.max_deg, {(1,): two_terms})
+
+    monkeypatch.setattr(genfun, "expand_in_basis", expansion)
+    with pytest.raises(KshiftError, match="not a single beta power"):
+        structure_constants("a", sp(1), EMPTY, 3)
 
 
 # -- omega and the j/J families --------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from kshift.errors import NonDivisibleError, NvarsMismatchError, UnboundedTruncationError
 from kshift.polyring import (
-    BetaInt,
     BetaPoly,
     RationalPoint,
     cauchy_kernel,
@@ -22,13 +21,18 @@ def test_mul_examples():
     assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     t = BetaPoly.variable(1, 1, 1)
     assert (t * t).is_zero()  # truncation at degree 1
-    assert var(1).times_beta(1) == var(1).scale_betaint(BetaInt.beta_power(1))
+    assert var(1).times_beta(1) == var(1).scale_by(BetaPoly.monomial(0, (), 1))
 
 
 def test_equality_sees_the_split():
     plain = BetaPoly(2, {((1, 1), 0): 1}, 3)
     assert plain != BetaPoly(2, {((1, 1), 0): 1}, 3, 1)
     assert plain == BetaPoly(2, {((1, 1), 0): 1}, 3)
+
+
+def test_equality_sees_the_truncation():
+    assert BetaPoly(1, {((1,), 0): 1}, 3) != BetaPoly(1, {((1,), 0): 1}, 4)
+    assert len({BetaPoly(1, {((1,), 0): 1}, 3), BetaPoly(1, {((1,), 0): 1}, None)}) == 2
 
 
 def test_nvars_mismatch():
@@ -56,6 +60,20 @@ def test_ring_axioms_with_truncation(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
     assert p + q == q + p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys)
+def test_coefficients_are_zero_variable_polynomials(p, q):
+    for e in {e for (e, _b) in p.terms}:
+        c = p.coeff(e)
+        assert c.nvars == 0 and c.max_deg is None
+        ref = {b: v for (f, b), v in p.terms.items() if f == e}
+        assert c.coeff_list() == [ref.get(b, 0) for b in range(max(ref) + 1)]
+        total = BetaPoly.zero(2, 6)
+        for (_f, b), v in c.terms.items():
+            total = total + q.times_beta(b, v)
+        assert q.scale_by(c) == total
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,10 +132,10 @@ def test_negate_alphabet():
 
 def test_cauchy_kernel_low_degrees():
     k = cauchy_kernel(1, 1, 3)
-    assert k.coeff((0, 0)) == BetaInt(1)
-    assert k.coeff((1, 1)) == BetaInt(2)
-    assert k.coeff((2, 1)) == BetaInt({1: -1})
-    assert k.coeff((3, 1)) == BetaInt({2: 1})
+    assert k.coeff((0, 0)) == BetaPoly.const(0, 1)
+    assert k.coeff((1, 1)) == BetaPoly.const(0, 2)
+    assert k.coeff((2, 1)) == BetaPoly.monomial(0, (), 1, -1)
+    assert k.coeff((3, 1)) == BetaPoly.monomial(0, (), 2)
     # x-degree 0 slice is the constant 1
     assert k.degree_slice(0) == BetaPoly.const(2, 1, 3, split=1)
 
