@@ -1,8 +1,14 @@
 """Content-addressed memo cache: in-memory map plus optional JSON files.
 
-Keys are JSON-serializable tuples; values are JSON objects.  Disk writes go
-through a temporary file and an atomic replace, so concurrent readers always
-see a complete document.  Results must be identical with the cache disabled.
+Keys are JSON-serializable lists whose first element names the kind of value.
+Every key string carries SCHEMA_VERSION, so files written under an older key
+layout or algorithm are never read: bump it when a value changes meaning.
+The memory map holds live values, immutable by convention (`dual_table`
+extends its table in place and stores it again).  JSON appears only at the
+disk boundary, `get` and `put`: a value is encoded when written to disk and
+decoded after a disk read.  Disk writes replace the file atomically, so
+readers always see a complete document.  Results must be identical with the
+cache disabled.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import json
 import os
 import tempfile
 from typing import Any, Callable
+
+SCHEMA_VERSION = 2
 
 
 class MemoCache:
@@ -31,7 +39,7 @@ class MemoCache:
 
     @staticmethod
     def key_string(key: Any) -> str:
-        return json.dumps(key, sort_keys=True, separators=(",", ":"))
+        return json.dumps([SCHEMA_VERSION, key], sort_keys=True, separators=(",", ":"))
 
     def _path(self, key_str: str) -> str | None:
         if not self.directory:
@@ -40,11 +48,8 @@ class MemoCache:
         return os.path.join(self.directory, f"{digest}.json")
 
     def get(self, key: Any) -> Any | None:
-        if not self.enabled:
-            return None
+        """The JSON value stored on disk under key, or None."""
         key_str = self.key_string(key)
-        if key_str in self._mem:
-            return self._mem[key_str]
         path = self._path(key_str)
         if path and os.path.exists(path):
             try:
@@ -52,17 +57,13 @@ class MemoCache:
                     doc = json.load(fh)
             except (OSError, json.JSONDecodeError):
                 return None
-            if doc.get("key") != key_str:
-                return None
-            self._mem[key_str] = doc["value"]
-            return doc["value"]
+            if doc.get("key") == key_str:
+                return doc["value"]
         return None
 
     def put(self, key: Any, value: Any) -> None:
-        if not self.enabled:
-            return
+        """Write the JSON value to disk under key; a no-op without a directory."""
         key_str = self.key_string(key)
-        self._mem[key_str] = value
         path = self._path(key_str)
         if path:
             os.makedirs(self.directory, exist_ok=True)
@@ -76,6 +77,13 @@ class MemoCache:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
 
+    def store(self, key: Any, value: Any, encode: Callable[[Any], Any]) -> None:
+        """Keep the live value in memory; with a directory, write encode(value) to disk."""
+        if self.enabled:
+            self._mem[self.key_string(key)] = value
+            if self.directory:
+                self.put(key, encode(value))
+
     def get_or_compute(
         self,
         key: Any,
@@ -83,12 +91,17 @@ class MemoCache:
         encode: Callable[[Any], Any] = lambda v: v,
         decode: Callable[[Any], Any] = lambda v: v,
     ) -> Any:
+        if not self.enabled:
+            return compute()
+        key_str = self.key_string(key)
+        if key_str in self._mem:
+            return self._mem[key_str]
         hit = self.get(key)
-        if hit is not None:
-            return decode(hit)
-        value = compute()
-        self.put(key, encode(value))
-        return value
+        if hit is None:
+            self.store(key, compute(), encode)
+        else:
+            self._mem[key_str] = decode(hit)
+        return self._mem[key_str]
 
 
 CACHE = MemoCache(directory=os.environ.get("KSHIFT_CACHE_DIR") or None, enabled=True)

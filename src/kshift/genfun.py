@@ -19,6 +19,7 @@ dominance; leading monomial coefficients are 1 for P/GP/gp/jp/schur and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +44,7 @@ from .shapes import (
     straight,
     strict_partitions_of,
 )
-from .tableaux import genfun_from_tableaux
+from .tableaux import content_count, genfun_from_tableaux
 
 # -- plain (not necessarily strict) partitions for the Schur world -----------
 
@@ -171,38 +172,35 @@ def _ell_max(size: int) -> int:
     return m
 
 
-def _kernel_x_slices(S: int, ny: int, ydeg: int) -> list[BetaPoly]:
-    """Coefficients k_d(y) of x^d in prod_j (1 - xbar*y_j)/(1 - x*y_j), d <= S.
+_SLICES: dict[int, list[BetaPoly]] = {}
 
-    The factor for one x equals
-    [sum_m e_m(beta+y) x^m] * [sum_a C(ny+a-1,a)(-beta)^a x^a] * [sum_b h_b(y) x^b].
+
+def _kernel_x_slices(S: int, ny: int) -> list[BetaPoly]:
+    """Coefficients k_d(y), d <= S, of x^d in prod_j (1 - xbar*y_j)/(1 - x*y_j).
+
+    Per y_j the factor is (1 + (beta+y_j)x) / ((1 + beta*x)(1 - y_j*x)), so for
+    |e| + b = d the coefficient of beta^b y^e in k_d is [t^b] ((2+t)/(1+t))^s,
+    s the number of variables in y^e.  Slices are exact: kept per ny, extended in d.
     """
-    one = BetaPoly.const(ny, 1, ydeg)
-    zero = BetaPoly.zero(ny, ydeg)
-    # elementary symmetric in the shifted alphabet (beta+y_1, ..., beta+y_ny)
-    E = [one] + [zero] * S
-    for j in range(1, ny + 1):
-        fj = BetaPoly.variable(j, ny, ydeg) + BetaPoly.const(ny, 1, ydeg).times_beta(1)
-        for m in range(min(j, S), 0, -1):
-            E[m] = E[m] + E[m - 1] * fj
-    # complete homogeneous h_b(y)
-    H = [one] + [zero] * S
-    for j in range(1, ny + 1):
-        yj = BetaPoly.variable(j, ny, ydeg)
-        for b in range(1, S + 1):
-            H[b] = H[b] + H[b - 1] * yj
-    EH = [zero] * (S + 1)
-    for m in range(S + 1):
-        for b in range(S + 1 - m):
-            EH[m + b] = EH[m + b] + E[m] * H[b]
-    slices = []
-    for d in range(S + 1):
-        k_d = zero
-        for a in range(d + 1):
-            coeff = comb(ny + a - 1, a) * (-1) ** a
-            k_d = k_d + EH[d - a].times_beta(a, coeff)
-        slices.append(k_d)
-    return slices
+    slices = _SLICES.setdefault(ny, [])
+    for d in range(len(slices), S + 1):
+        terms = {}
+        for c in range(d + 1):
+            for picks in itertools.combinations_with_replacement(range(ny), c):
+                s, b = len(set(picks)), d - c
+                # ((2+t)/(1+t))^s = sum_k C(s,k) (1+t)^-k
+                weight = (b == 0) + sum(comb(s, k) * (-1) ** b * comb(k + b - 1, b) for k in range(1, s + 1))
+                terms[(tuple(picks.count(j) for j in range(ny)), b)] = weight
+        slices.append(BetaPoly(ny, terms))  # the constructor drops zero weights
+    return slices[: S + 1]
+
+
+@functools.cache
+def _kernel_coefficient(parts: tuple[int, ...], ny: int) -> BetaPoly:
+    """prod_i k_{parts_i}(y): the coefficient of x^parts in the Cauchy kernel."""
+    if not parts:
+        return BetaPoly.const(ny, 1)
+    return _kernel_coefficient(parts[:-1], ny) * _kernel_x_slices(parts[-1], ny)[-1]
 
 
 def _encode_table(table: dict[StrictPartition, BetaPoly]) -> dict:
@@ -217,49 +215,42 @@ def _decode_table(obj: dict) -> dict[StrictPartition, BetaPoly]:
 def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     """All dual functions gp_mu (or gq_mu) with |mu| <= S, in ny variables.
 
-    Obtained by equating coefficients of the monomials x^mu in the Cauchy
-    identity kernel = sum_mu GQ_mu(x) gp_mu(y) (respectively GP/gq) over
-    nx = max length variables, and solving the triangular system.  The values
-    are exact polynomials of degree <= |mu|, so they carry no truncation tag.
+    The coefficients of x^mu in the Cauchy identity kernel = sum_nu GQ_nu(x)
+    gp_nu(y) (respectively GP/gq) give a triangular system, solved in candidate
+    order from prod_i k_{mu_i}(y) and [x^mu] GQ_nu = beta^(|mu|-|nu|) times
+    `tableaux.content_count`.  The values are exact and do not depend on S:
+    one table per (flavor, ny) is kept, extended in place for a larger S, and
+    a smaller S is served as the prefix enumerate_strict_partitions(S).
     """
     if flavor not in ("gp", "gq"):
         raise ValueError(f"flavor must be gp or gq, got {flavor!r}")
-    key = ["dual_table", flavor, S, ny]
+    candidates = enumerate_strict_partitions(S)
+    key = ["dual_table", flavor, ny]
+    table = CACHE.get_or_compute(key, lambda: _solve_duals(flavor, {}, candidates, ny), _encode_table, _decode_table)
+    if len(table) < len(candidates):
+        CACHE.store(key, _solve_duals(flavor, table, candidates, ny), _encode_table)
+    return {mu: table[mu] for mu in candidates}
 
-    def compute() -> dict[StrictPartition, BetaPoly]:
-        nx = max(1, _ell_max(S))
-        ydeg = S  # every dual of size <= S has y-degree <= S: no loss
-        slices = _kernel_x_slices(S, ny, ydeg)
-        basis_flavor = "GQ" if flavor == "gp" else "GP"
-        lead_base = 2 if flavor == "gp" else 1
-        candidates = enumerate_strict_partitions(S)
-        basis_polys = {
-            mu: gp_gq(basis_flavor, straight(mu), nx, S) for mu in candidates
-        }
-        solved: dict[StrictPartition, BetaPoly] = {}
-        order: list[StrictPartition] = []
-        for mu in candidates:
-            if len(mu) > nx:
-                raise ParameterError(f"internal: candidate {mu} longer than {nx}")
-            target = BetaPoly.const(ny, 1, ydeg)
-            for part in mu.parts:
-                target = target * slices[part]
-            monomial = tuple(mu.parts) + (0,) * (nx - len(mu))
-            for prev in order:
-                t = basis_polys[prev].coeff(monomial)
-                if not t.is_zero():
-                    target = target - solved[prev].scale_by(t)
-            lead = basis_polys[mu].coeff(monomial)
-            expected = lead_base ** len(mu)
-            if lead != BetaPoly.const(0, expected):
-                raise KshiftError(
-                    f"triangularity failure at {mu}: leading coefficient {lead.coeff_list()}"
-                )
-            solved[mu] = target.divide_exact(expected).truncated(None)
-            order.append(mu)
-        return solved
 
-    return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
+def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny: int) -> dict:
+    """Add to table each candidate it lacks, given all the earlier ones."""
+    p_basis = flavor == "gq"  # gq is dual to GP, gp to GQ
+    for i, mu in enumerate(candidates):
+        if mu in table:
+            continue
+        content = mu.parts[::-1]  # GP/GQ are symmetric; this order prunes sooner
+        acc = dict(_kernel_coefficient(mu.parts, ny).terms)
+        for prev in candidates[:i]:
+            n = content_count(p_basis, prev, content)
+            if n:
+                for (e, b), v in table[prev].terms.items():
+                    k = (e, b + mu.size - prev.size)
+                    acc[k] = acc.get(k, 0) - n * v
+        lead, expected = content_count(p_basis, mu, content), (1 if p_basis else 2) ** len(mu)
+        if lead != expected:
+            raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
+        table[mu] = BetaPoly(ny, acc).divide_exact(expected)
+    return table
 
 
 def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int) -> BetaPoly:
@@ -269,7 +260,6 @@ def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int) -> BetaPoly:
 
 # -- the expansion engine ------------------------------------------------------
 
-_MIN_FIRST = {"schur", "P", "Q", "GP", "GQ"}
 _MAX_FIRST = {"gp", "gq", "jp", "jq"}
 
 

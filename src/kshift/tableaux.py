@@ -118,16 +118,21 @@ class BarTableau:
 # they are computed once per such key and reused at every node that shares it.
 
 
-def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_cap: int | None = None):
+def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_cap: int | None = None,
+              tally: bool = False, content: tuple[int, ...] | None = None):
     """Every filling of the shape with values 1..max_value, in entry order.
 
     `rule` is "single" (semistandard shifted tableaux), "rpp" (reverse plane
     partitions) or "setvalued" (set-valued tableaux, where deg_cap bounds
     |T| - (number of cells); None means no bound).  Yields the live
     (cells, entries, counts, extra_used) for each filling: `entries` holds one
-    tuple of codes per cell, `counts[v - 1]` is how often value v occurs, and
-    `extra_used` is |T| - (number of cells).  The lists are reused, so copy
-    what must outlive the next step.
+    tuple of codes per cell, `counts[v - 1]` is how often value v occurs (kept
+    only with `tally`, else all zero), and `extra_used` is |T| - (number of
+    cells).  The lists are reused, so copy what must outlive the next step.
+    With `content` (straight shapes only), counts start at -content and only
+    fillings where value v occurs content[v - 1] times are walked: an option
+    that overdraws a value, or leaves room for one no later cell can hold, is
+    pruned.
 
     A cell's options, (codes, largest code, extras used), are stored per key
     only when the remaining budget is finite: an uncapped set-valued cell has
@@ -142,9 +147,12 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
     p_diag = [p_flavor and i == j for (i, j) in cells]
     entries: list[tuple[int, ...]] = [()] * n
     largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
-    counts = [0] * max_value
+    counts = [0] * max_value if content is None else [-c for c in content]
+    tally = tally or content is not None
     if rule != "setvalued":
         deg_cap = 0
+    if content:  # on a straight shape the cells after (i, j) lie right of or above (i, min(j, i + 1))
+        floor = [index[(i, min(j, i + 1))] for (i, j) in cells]
     table: dict[tuple, list] = {}
     last = n - 1
 
@@ -161,21 +169,30 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
             if key[3] is not None:
                 opts = table[key] = list(opts)
         for codes, top, extras in opts:
-            entries[k] = codes
             largest[k] = top
-            for c in codes:
-                counts[(c - 1) >> 1] += 1
+            if tally:
+                for c in codes:
+                    counts[(c - 1) >> 1] += 1
+                if content:  # prune overdrawn values and short ones below every later cell
+                    cut = max_value if k == last else (largest[floor[k]] - 1) >> 1
+                    if max(counts) > 0 or any(counts[:cut]):
+                        for c in codes:
+                            counts[(c - 1) >> 1] -= 1
+                        continue
+            entries[k] = codes
             if k == last:
                 yield cells, entries, counts, used + extras
             else:
                 yield from rec(k + 1, used + extras)
-            for c in codes:
-                counts[(c - 1) >> 1] -= 1
+            if tally:
+                for c in codes:
+                    counts[(c - 1) >> 1] -= 1
         entries[k] = ()
         largest[k] = 0
 
     if n == 0:
-        yield cells, entries, counts, 0
+        if not any(counts):
+            yield cells, entries, counts, 0
         return
     try:
         yield from rec(0, 0)
@@ -399,10 +416,20 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
         deg_cap = None if max_deg is None else max_deg - ncells
         if deg_cap is not None and deg_cap < 0:
             return BetaPoly.zero(nvars, max_deg)
-        for _, _, counts, extra_used in _fillings(shape, nvars, p_flavor, rule, deg_cap):
+        for _, _, counts, extra_used in _fillings(shape, nvars, p_flavor, rule, deg_cap, tally=True):
             key = (tuple(counts), extra_used)
             terms[key] = terms.get(key, 0) + 1
     return BetaPoly(nvars, terms, max_deg)
+
+
+@functools.cache
+def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ...]) -> int:
+    """How many set-valued shifted tableaux of shape outer hold value v content[v-1] times.
+
+    Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
+    """
+    extra = max(0, sum(content) - outer.size)  # with fewer elements than cells every walk overdraws
+    return sum(1 for _ in _fillings(straight(outer), len(content), p_flavor, "setvalued", extra, content=content))
 
 
 # -- the one-row map and the prime-restricted family ---------------------------

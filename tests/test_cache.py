@@ -1,0 +1,52 @@
+import hashlib
+import json
+
+from kshift import genfun
+from kshift.cache import CACHE, MemoCache
+from kshift.polyring import BetaPoly
+from kshift.shapes import StrictPartition
+
+
+def test_a_memory_hit_returns_the_same_object():
+    cache = MemoCache()
+    codec = (BetaPoly.to_json_obj, BetaPoly.from_json_obj)
+    value = cache.get_or_compute(["kind", 1], lambda: BetaPoly.variable(1, 2), *codec)
+    assert cache.get_or_compute(["kind", 1], lambda: BetaPoly.zero(2), *codec) is value
+
+
+def test_a_disk_value_is_decoded_once(tmp_path):
+    decoded = []
+
+    def decode(obj):
+        decoded.append(obj)
+        return tuple(obj)
+
+    MemoCache(str(tmp_path)).get_or_compute(["kind"], lambda: (1, 2), list, decode)
+    cache = MemoCache(str(tmp_path))
+    first = cache.get_or_compute(["kind"], lambda: (3,), list, decode)
+    assert first == (1, 2) and decoded == [[1, 2]]
+    assert cache.get_or_compute(["kind"], lambda: (3,), list, decode) is first
+    assert decoded == [[1, 2]]
+
+
+def test_without_a_directory_nothing_is_encoded(monkeypatch):
+    def encode(self):
+        raise AssertionError("a value was encoded with no cache directory")
+
+    monkeypatch.setattr(BetaPoly, "to_json_obj", encode)
+    monkeypatch.setattr(CACHE, "directory", None)
+    monkeypatch.setattr(CACHE, "_mem", {})
+    lam = StrictPartition((2, 1))
+    for _ in range(2):  # a miss, then a memory hit
+        for func in ("GQ", "gq", "jq", "schur", "P"):
+            genfun.evaluate(func, lam.parts, (), 2, 5)
+        genfun.evaluate("gp", lam.parts, (1,), 2, 5)
+
+
+def test_a_value_under_the_unversioned_key_is_not_served(tmp_path):
+    key = ["kind", 1]
+    old = json.dumps(key, sort_keys=True, separators=(",", ":"))
+    stale = tmp_path / f"{hashlib.sha256(old.encode()).hexdigest()}.json"
+    stale.write_text(json.dumps({"key": old, "value": "stale"}), encoding="utf-8")
+    assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh") == "fresh"
+    assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "again") == "fresh"

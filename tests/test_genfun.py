@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from kshift.genfun import (
     symmetrization_eval,
     transpose_partition,
 )
-from kshift.polyring import BetaPoly, RationalPoint, tensor_split
+from kshift.polyring import BetaPoly, RationalPoint, cauchy_kernel, tensor_split
 from kshift.shapes import (
     EMPTY,
     SkewShape,
@@ -195,6 +196,81 @@ def test_dual_beta_zero():
     for lam in enumerate_strict_partitions(5):
         assert dual_gp_gq("gp", lam, 3).beta_zero() == classical_pq("P", straight(lam), 3)
         assert dual_gp_gq("gq", lam, 3).beta_zero() == classical_pq("Q", straight(lam), 3)
+
+
+def whole_polynomial_duals(flavor, S, ny):
+    """The reference solve: build every basis GQ_nu (or GP_nu) whole over
+    enough variables and read its coefficients of x^mu."""
+    nx = max(1, genfun._ell_max(S))
+    basis = "GQ" if flavor == "gp" else "GP"
+    candidates = enumerate_strict_partitions(S)
+    polys = {mu: gp_gq(basis, straight(mu), nx, S) for mu in candidates}
+    slices = genfun._kernel_x_slices(S, ny)
+    solved = {}
+    for mu in candidates:
+        target = BetaPoly.const(ny, 1)
+        for part in mu.parts:
+            target = target * slices[part]
+        monomial = mu.parts + (0,) * (nx - len(mu))
+        for prev, dual in solved.items():
+            target = target - dual.scale_by(polys[prev].coeff(monomial))
+        lead = 2 ** len(mu) if flavor == "gp" else 1
+        assert polys[mu].coeff(monomial) == BetaPoly.const(0, lead)
+        solved[mu] = target.divide_exact(lead)
+    return solved
+
+
+@pytest.mark.parametrize("flavor", ["gp", "gq"])
+def test_dual_table_matches_the_whole_polynomial_solve(flavor):
+    for ny in range(1, 5):
+        want = whole_polynomial_duals(flavor, 7, ny)
+        for S in range(8):
+            table = dual_table(flavor, S, ny)
+            assert list(table) == enumerate_strict_partitions(S)
+            assert table == {mu: want[mu] for mu in table}, (S, ny)
+
+
+def test_kernel_slices_are_the_kernel_coefficients():
+    # k_d(y) is the coefficient of x1^d in the one-x Cauchy kernel
+    for ny in range(1, 5):
+        for d in range(7):
+            kern = cauchy_kernel(1, ny, d)
+            want = BetaPoly(ny, {(e[1:], b): c for (e, b), c in kern.terms.items() if e[0] == d})
+            assert genfun._kernel_x_slices(d, ny)[d] == want, (d, ny)
+
+
+def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
+    sizes, nys = range(8), (1, 3)
+    monkeypatch.setattr(CACHE, "enabled", False)  # every call builds from scratch
+    fresh = {(f, S, ny): dual_table(f, S, ny) for f in ("gp", "gq") for S in sizes for ny in nys}
+    monkeypatch.setattr(CACHE, "enabled", True)
+    monkeypatch.setattr(CACHE, "_mem", {})
+
+    def served(directory, order):
+        CACHE.clear_memory()  # what is not on disk is built again
+        monkeypatch.setattr(CACHE, "directory", str(directory))
+        for f, ny in itertools.product(("gp", "gq"), nys):
+            for S in order:
+                table = dual_table(f, S, ny)
+                assert list(table) == enumerate_strict_partitions(S)
+                assert table == fresh[f, S, ny], (f, S, ny, order)
+
+    served(tmp_path / "up", sizes)
+    served(tmp_path / "down", sizes[::-1])
+    served(tmp_path / "disk", [4])
+    served(tmp_path / "disk", [7])  # a table read from disk, then extended
+    served(tmp_path / "disk", sizes)  # every size a prefix of the table on disk
+    for name in ("up", "down", "disk"):
+        assert len(list((tmp_path / name).glob("*.json"))) == 2 * len(nys)
+
+
+def test_dual_table_reads_no_whole_polynomial(monkeypatch):
+    def whole(*args):
+        raise AssertionError("dual_table built a whole GP/GQ polynomial")
+
+    monkeypatch.setattr(genfun, "gp_gq", whole)
+    monkeypatch.setattr(CACHE, "enabled", False)
+    assert dual_table("gp", 6, 2)[sp(3, 2, 1)] == dual_gp_gq("gp", sp(3, 2, 1), 2)
 
 
 def test_dual_skew_examples():

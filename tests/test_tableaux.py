@@ -9,6 +9,7 @@ from kshift.tableaux import (
     BarTableau,
     SetValuedTableau,
     ShiftedTableau,
+    content_count,
     genfun_from_tableaux,
     iter_restricted_p,
     iter_tableaux,
@@ -321,3 +322,19 @@ def test_genfun_is_the_weight_sum_over_the_enumerator(family):
                     terms[key] = terms.get(key, 0) + ((-1) ** k if signed else 1)
                 want = BetaPoly(nvars, terms, max_deg)
                 assert genfun_from_tableaux(family, shape, nvars, max_deg) == want, (shape, nvars, max_deg)
+
+
+@pytest.mark.parametrize("p_flavor", [True, False])
+def test_content_count_is_the_generating_function_coefficient(p_flavor):
+    # [x^content] GP_nu / GQ_nu is beta^(|content|-|nu|) times the count, for
+    # every strict content, its reverse, and every 3-part composition with zeros
+    family = "setshyt_p" if p_flavor else "setshyt_q"
+    contents = {p.parts for p in enumerate_strict_partitions(7)}
+    contents |= {p[::-1] for p in contents}
+    contents |= {c for c in itertools.product(range(4), repeat=3) if sum(c) <= 5}
+    for nu in enumerate_strict_partitions(7):
+        poly = genfun_from_tableaux(family, straight(nu), 3, 7)
+        for content in contents:
+            exps = content + (0,) * (3 - len(content))
+            want = poly.terms.get((exps, sum(content) - nu.size), 0)
+            assert content_count(p_flavor, nu, content) == want, (nu, content)
