@@ -3,7 +3,10 @@
 Every check returns a VerificationReport.  Theorem checks use PASS/FAIL with a
 reproducible witness on failure; conjecture checks use MATCH/MISMATCH and keep
 per-shape findings, because a mismatch there is a finding to surface rather
-than a test failure.  All polynomial comparisons are exact.
+than a test failure.  All polynomial comparisons are exact, and every
+polynomial is read through `genfun.evaluate`.  One worker, `_expansion_case`,
+checks the GQ-to-GP theorem in its straight, skew and dual forms; the Cauchy
+identity is checked as the skew Cauchy identity at mu = nu = empty.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import KshiftError, ParameterError
-from .genfun import (
-    _ell_max,
-    dual_gp_gq,
-    dual_skew,
-    evaluate,
-    gp_gq,
-    gp_gq_doubleslash,
-    gq_onerow_series,
-    structure_constants,
-    symmetrization_eval,
-)
+from .genfun import _ell_max, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel, tensor_split
 from .shapes import (
     EMPTY,
@@ -40,9 +33,9 @@ from .shapes import (
     flip,
     shape_stats,
     straight,
+    strip_sign,
     subshapes,
     vertical_strip_extensions,
-    vertical_strip_extensions_signed,
     vertical_strip_subsets,
 )
 from .tableaux import genfun_from_tableaux, iter_restricted_p, iter_tableaux, weight
@@ -135,21 +128,56 @@ def _case_size_key(case: tuple) -> tuple:
     return tuple(key)
 
 
-# -- Theorem: GQ in terms of GP ------------------------------------------------
+# -- Theorem: GQ in terms of GP, with its skew and dual forms -------------------
 
 
-def _gq_to_gp_rhs(mu: StrictPartition, nvars: int, max_deg: int) -> BetaPoly:
-    """2^l(mu) sum over vertical-strip extensions with integer 2-powers."""
-    total = BetaPoly.zero(nvars, max_deg)
-    for lam in vertical_strip_extensions(mu):
-        strip = SkewShape(lam, mu)
-        st = shape_stats(strip)
-        k = strip.size
-        sign = (-1) ** (st.cols + k)
-        coeff = sign * 2 ** (len(mu) - k)
-        term = gp_gq("GP", straight(lam), nvars, max_deg)
-        total = total + term.scale(coeff).times_beta(k)
-    return total
+def _expansion_term(
+    lam: StrictPartition, mu: StrictPartition, nu: StrictPartition, kappa: StrictPartition
+) -> tuple[int, int, int]:
+    """(e, sign, d) of the term 2^e (-1)^s beta^d at a vertical strip lam/mu
+    and a same-length kappa <= nu: d = |lam/mu| + |nu/kappa|,
+    e = l(mu) - l(nu) + overlap(nu/kappa) - d."""
+    d = lam.size - mu.size + nu.size - kappa.size
+    e = len(mu) - len(nu) + shape_stats(SkewShape(nu, kappa)).overlap - d
+    return e, strip_sign(lam, mu) * (-1) ** (nu.size - kappa.size), d
+
+
+def _expansion_case(
+    dual: bool, outer: StrictPartition, inner: StrictPartition, nvars: int, max_deg: int | None
+) -> tuple[bool, dict | None]:
+    """The GQ-to-GP theorem at one case: GQ_{mu//nu} (outer/inner = mu/nu)
+    against the sum of the `_expansion_term` terms times GP_{lam//kappa}, or
+    dually gq_{lam/kappa} (outer/inner = lam/kappa) against the sum of the same
+    terms times gp_{mu/nu}.  Both sides are scaled by 2^max(0, -min e), so
+    every coefficient is an integer."""
+    if dual:
+        lam, kappa = outer, inner
+        quads = [
+            (lam, mu, nu, kappa)
+            for mu in vertical_strip_subsets(lam)
+            for nu in subshapes(mu)
+            if len(nu) == len(kappa) and contains(kappa, nu)
+        ]
+        lhs = evaluate("gq", lam, kappa, nvars, max_deg)
+    else:
+        mu, nu = outer, inner
+        quads = [
+            (lam, mu, nu, kappa)
+            for kappa in subshapes(nu)
+            if len(kappa) == len(nu)
+            for lam in vertical_strip_extensions(mu)
+        ]
+        lhs = evaluate("GQ", mu, nu, nvars, max_deg, doubleslash=True)
+    terms = [(_expansion_term(*q), q) for q in quads]
+    scale = max(0, -min((e for (e, _, _), _ in terms), default=0))
+    rhs = BetaPoly.zero(nvars, max_deg)
+    for (e, sign, d), (lam, mu, nu, kappa) in terms:
+        if dual:
+            term = evaluate("gp", mu, nu, nvars, max_deg)
+        else:
+            term = evaluate("GP", lam, kappa, nvars, max_deg, doubleslash=True)
+        rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(d)
+    return _compare(lhs.scale(2**scale), rhs)
 
 
 def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> VerificationReport:
@@ -161,30 +189,23 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
         raise ParameterError(f"nvars={nvars} below the longest index length {maxlen}")
     if max_deg < max_size + maxlen:
         raise ParameterError("max_deg too small for the vertical-strip extensions")
-    cases = []
-    for mu in mus:
-        cases.append((str(mu), "expansion"))
-        cases.append((str(mu), "positivity"))
-        cases.append((str(mu), "count-beta1"))
+    cases = [(str(mu), kind) for mu in mus for kind in ("expansion", "positivity", "count-beta1")]
     by_name = {str(m): m for m in mus}
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         name, kind = case
         mu = by_name[name]
         if kind == "expansion":
-            lhs = gp_gq("GQ", straight(mu), nvars, max_deg)
-            rhs = _gq_to_gp_rhs(mu, nvars, max_deg)
-            return _compare(lhs, rhs)
+            return _expansion_case(False, mu, EMPTY, nvars, max_deg)
+        lams = vertical_strip_extensions(mu)
+        minus = [lam for lam in lams if strip_sign(lam, mu) < 0]
         if kind == "positivity":
-            _, minus = vertical_strip_extensions_signed(mu)
-            gaps_ok = all(
-                mu.parts[i] - mu.parts[i + 1] >= 2 for i in range(len(mu) - 1)
-            )
+            gaps_ok = all(a - b >= 2 for a, b in zip(mu.parts, mu.parts[1:]))
             ok = (not minus) == gaps_ok
             return ok, None if ok else {"minus": [str(p) for p in minus]}
         # the beta=1 counting identity between restricted tableau sets:
         # each tableau adds 1 to the coefficient of its x-weight, at beta^0
-        plus, minus = vertical_strip_extensions_signed(mu)
+        plus = [lam for lam in lams if lam not in minus]
         sides = {"lhs": Counter(), "rhs": Counter()}
         streams = [("lhs", iter_tableaux("setshyt_q", straight(mu), nvars, max_deg - mu.size))]
         streams += [("lhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in minus]
@@ -200,71 +221,14 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
     return _run_cases("gq-to-gp", params, cases, worker)
 
 
-# -- Theorem: skew double-slash expansions and their duals ----------------------
-
-
-def _same_length_subshapes(nu: StrictPartition) -> list[StrictPartition]:
-    return [k for k in subshapes(nu) if len(k) == len(nu)]
-
-
-def check_skew_expansions(
-    max_size: int = 5, nvars: int = 3, max_deg: int = 8
-) -> VerificationReport:
-    """The double-slash GQ-to-GP expansion and its dual gq-to-gp version."""
-    cases = []
-    for mu in enumerate_strict_partitions(max_size):
-        for nu in subshapes(mu):
-            cases.append(("doubleslash", str(mu), str(nu)))
-    for lam in enumerate_strict_partitions(max_size):
-        for kappa in subshapes(lam):
-            cases.append(("dual", str(lam), str(kappa)))
+def check_skew_expansions(max_size: int = 5, nvars: int = 3, max_deg: int = 8) -> VerificationReport:
+    """The double-slash GQ-to-GP expansion (cases doubleslash, mu, nu) and its
+    dual gq-to-gp version (cases dual, lam, kappa)."""
+    pairs = [(str(a), str(b)) for a in enumerate_strict_partitions(max_size) for b in subshapes(a)]
+    cases = [(kind, *pair) for kind in ("doubleslash", "dual") for pair in pairs]
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
-        kind, outer_s, inner_s = case
-        outer = StrictPartition.parse(outer_s)
-        inner = StrictPartition.parse(inner_s)
-        if kind == "doubleslash":
-            mu, nu = outer, inner
-            lhs = gp_gq_doubleslash("GQ", mu, nu, nvars, max_deg)
-            pieces = []
-            for kappa in _same_length_subshapes(nu):
-                o_nk = shape_stats(SkewShape(nu, kappa)).overlap
-                d_nk = nu.size - kappa.size
-                for lam in vertical_strip_extensions(mu):
-                    st = shape_stats(SkewShape(lam, mu))
-                    d_lm = lam.size - mu.size
-                    e = len(mu) - len(nu) + o_nk - d_nk - d_lm
-                    sign = (-1) ** (st.cols + d_nk + d_lm)
-                    pieces.append((e, sign, d_nk + d_lm, lam, kappa))
-            scale = max(0, -min((e for e, *_ in pieces), default=0))
-            rhs = BetaPoly.zero(nvars, max_deg)
-            for e, sign, bpow, lam, kappa in pieces:
-                term = gp_gq_doubleslash("GP", lam, kappa, nvars, max_deg)
-                rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(bpow)
-            lhs = lhs.scale(2**scale)
-            return _compare(lhs, rhs)
-        lam, kappa = outer, inner
-        ny = max(nvars, 1)
-        lhs = dual_skew("gq", lam, kappa, ny).truncated(max_deg)
-        pieces = []
-        for mu in vertical_strip_subsets(lam):
-            st = shape_stats(SkewShape(lam, mu))
-            d_lm = lam.size - mu.size
-            for nu in subshapes(mu):
-                if len(nu) != len(kappa) or not contains(kappa, nu):
-                    continue
-                o_nk = shape_stats(SkewShape(nu, kappa)).overlap
-                d_nk = nu.size - kappa.size
-                e = len(lam) - len(kappa) + o_nk - d_nk - d_lm
-                sign = (-1) ** (st.cols + d_nk + d_lm)
-                pieces.append((e, sign, d_nk + d_lm, mu, nu))
-        scale = max(0, -min((e for e, *_ in pieces), default=0))
-        rhs = BetaPoly.zero(ny, max_deg)
-        for e, sign, bpow, mu, nu in pieces:
-            term = dual_skew("gp", mu, nu, ny).truncated(max_deg)
-            rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(bpow)
-        lhs = lhs.scale(2**scale)
-        return _compare(lhs, rhs)
+        return _expansion_case(case[0] == "dual", *map(StrictPartition.parse, case[1:]), nvars, max_deg)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
     return _run_cases("skew-expansions", params, cases, worker)
@@ -295,6 +259,8 @@ def check_overlap_matrix(max_part: int = 7) -> VerificationReport:
     A case is one product entry: (MN or NM, row index, column index)."""
     if max_part > 8:
         raise ParameterError("max_part is capped at 8")
+    if max_part < 0:
+        raise ParameterError(f"max_part must be at least 0, got {max_part}")
     # one block per length: the strict partitions with parts <= max_part
     position: dict[str, tuple[int, int]] = {}
     products: dict[tuple[int, str], tuple[list, list]] = {}
@@ -332,10 +298,12 @@ def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8) -> Verificat
     def worker(case: tuple) -> tuple[bool, dict | None]:
         lam = StrictPartition.parse(case[0])
         mu = StrictPartition.parse(case[1])
-        shape = SkewShape(lam, mu)
-        other = flip(shape)
+        other = flip(SkewShape(lam, mu))
         for flavor in ("GP", "GQ"):
-            ok, info = _compare(gp_gq(flavor, shape, nvars, max_deg), gp_gq(flavor, other, nvars, max_deg))
+            ok, info = _compare(
+                evaluate(flavor, lam, mu, nvars, max_deg),
+                evaluate(flavor, other.outer, other.inner, nvars, max_deg),
+            )
             if not ok:
                 return False, {"flavor": flavor, "flipped": str(other), **info}
         return True, None
@@ -408,26 +376,10 @@ def check_cauchy_family(
         for tag in ("skew-gq", "skew-gp", "a", "b", "c", "d", "e", "f"):
             cases.append((tag, mu_s, nu_s))
 
-    def lam_range(lo: StrictPartition) -> list[StrictPartition]:
-        return [
-            lam
-            for lam in enumerate_strict_partitions(max_deg + lo.size)
-            if contains(lo, lam)
-        ]
-
     def worker(case: tuple) -> tuple[bool, dict | None]:
         tag, mu_s, nu_s = case
-        if tag == "kernel":
-            flavor = mu_s
-            basis = "GQ" if flavor == "gp" else "GP"
-            total = BetaPoly.zero(nx + ny, max_deg, nx)
-            for lam in enumerate_strict_partitions(max_deg):
-                if len(lam) > nx:
-                    continue
-                px = evaluate(basis, lam, (), nx, max_deg)
-                py = evaluate(flavor, lam, (), ny, max_deg)
-                total = total + tensor_split(px, py, max_deg)
-            return _compare(total, kern)
+        if tag == "kernel":  # the Cauchy identity: the skew one at mu = nu = empty
+            tag, mu_s = "skew-" + mu_s, ""
         mu = StrictPartition.parse(mu_s)
         nu = StrictPartition.parse(nu_s)
         kappas = [k for k in subshapes(mu) if contains(k, nu)]
@@ -446,8 +398,8 @@ def check_cauchy_family(
         }[tag]
         twisted = kern.negate_vars(negated)
         lhs = BetaPoly.zero(nx + ny, max_deg, nx)
-        for lam in lam_range(mu):
-            if contains(nu, lam):
+        for lam in enumerate_strict_partitions(max_deg + mu.size):
+            if contains(mu, lam) and contains(nu, lam):
                 px = evaluate(big, lam, mu, nx, max_deg, doubleslash=True)
                 lhs = lhs + tensor_split(px, evaluate(small, lam, nu, ny, max_deg), max_deg)
         rhs = BetaPoly.zero(nx + ny, max_deg, nx)
@@ -475,21 +427,9 @@ def check_dual_expansions(max_size: int = 6, ny: int | None = None) -> Verificat
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         lam = StrictPartition.parse(case[0])
-        mus = vertical_strip_subsets(lam)
         if case[1] == "expansion":
-            lhs = dual_gp_gq("gq", lam, ny)
-            rhs = BetaPoly.zero(ny, None)
-            for mu in mus:
-                strip = SkewShape(lam, mu)
-                st = shape_stats(strip)
-                k = strip.size
-                coeff = (-1) ** (st.cols + k) * 2 ** (len(lam) - k)
-                rhs = rhs + dual_gp_gq("gp", mu, ny).scale(coeff).times_beta(k)
-            return _compare(lhs, rhs)
-        positive = all(
-            (shape_stats(SkewShape(lam, mu)).cols + lam.size - mu.size) % 2 == 0
-            for mu in mus
-        )
+            return _expansion_case(True, lam, EMPTY, ny, None)
+        positive = all(strip_sign(lam, mu) > 0 for mu in vertical_strip_subsets(lam))
         m = len(lam)
         resid = tuple(
             x for x in (lam.parts[i] - (m - i) for i in range(m)) if x > 0
@@ -553,18 +493,15 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
         n = int(n_s)
         sp = StrictPartition.parse(index)
         if kind != "staircase":
-            want = gp_gq(kind, straight(sp), n, 2 * n * sp.size).eval_rational(pt)
+            want = evaluate(kind, sp, (), n, 2 * n * sp.size).eval_rational(pt)
             got = symmetrization_eval(kind, sp.parts, n, pt)
             ok = got == want
             return ok, None if ok else {"point": str(pt), "formula": str(got), "tableaux": str(want)}
         b_val = symmetrization_eval("B", sp.parts, n, pt)
         total = Fraction(0)
         for lam in vertical_strip_extensions(sp):
-            strip = SkewShape(lam, sp)
-            k = strip.size
-            a_val = symmetrization_eval("A", lam.parts, n, pt)
-            total += (-1) ** shape_stats(strip).cols * (-pt.beta / 2) ** k * a_val
-        total *= 2 ** len(sp)
+            e, sign, d = _expansion_term(lam, sp, EMPTY, EMPTY)
+            total += sign * 2**e * pt.beta**d * symmetrization_eval("A", lam.parts, n, pt)
         ok = b_val == total
         return ok, None if ok else {"point": str(pt), "B": str(b_val), "sumA": str(total)}
 
@@ -579,12 +516,14 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
 def check_onerow_series(max_power: int = 4, nvars: int = 2, max_deg: int = 6) -> VerificationReport:
     if max_power > 6:
         raise ParameterError("max_power is capped at 6")
+    if max_power < 0:
+        raise ParameterError(f"max_power must be at least 0, got {max_power}")
     series = gq_onerow_series(nvars, max_power, max_deg)
     powers = {f"u^-{n}": n for n in range(max_power + 1)}
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         n = powers[case[0]]
-        ref = gp_gq("GQ", straight(StrictPartition((n,)) if n else EMPTY), nvars, max_deg)
+        ref = evaluate("GQ", (n,) if n else (), (), nvars, max_deg)
         return _compare(series[n], ref)
 
     params = {"max_power": max_power, "nvars": nvars, "max_deg": max_deg}

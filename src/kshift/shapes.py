@@ -165,16 +165,9 @@ def vertical_strip_extensions(mu: StrictPartition) -> list[StrictPartition]:
     return _graded_lex_sorted(out)
 
 
-def vertical_strip_extensions_signed(
-    mu: StrictPartition,
-) -> tuple[list[StrictPartition], list[StrictPartition]]:
-    """The split of the extensions by the sign (-1)^(cols + strip size)."""
-    plus, minus = [], []
-    for lam in vertical_strip_extensions(mu):
-        shape = SkewShape(lam, mu)
-        st = shape_stats(shape)
-        (plus if (st.cols + shape.size) % 2 == 0 else minus).append(lam)
-    return plus, minus
+def strip_sign(lam: StrictPartition, mu: StrictPartition) -> int:
+    """(-1)^(cols + size) of the vertical strip lam/mu: its sign in GQ_mu over GP."""
+    return (-1) ** (shape_stats(SkewShape(lam, mu)).cols + lam.size - mu.size)
 
 
 def vertical_strip_subsets(lam: StrictPartition) -> list[StrictPartition]:

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidShapeError
+from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
 from .shapes import Cell, SkewShape, StrictPartition, straight
 
@@ -308,6 +308,10 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     """Stream every tableau of the family exactly once, deterministically."""
     fam = _check_family(family)
     shape.require_valid()
+    if max_value < 1:
+        raise ParameterError(f"max_value must be at least 1, got {max_value}")
+    if deg_cap is not None and deg_cap < 0:
+        raise ParameterError(f"deg_cap must be at least 0, got {deg_cap}")
     p_flavor = fam.endswith("_p")
     if fam.startswith("setshyt"):
         for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "setvalued", deg_cap):

@@ -164,6 +164,16 @@ def test_meaningless_flags_are_usage_errors(capsys, argv):
         ("compute", "--func", "GP", "--outer", "2", "--max-deg", "-1"),
         ("compute", "--func", "gq", "--outer", "2", "--vars", "0"),
         ("expand", "--target", "GQ", "--basis", "GP", "--outer", "2", "--vars", "-1"),
+        ("verify", "--id", "onerow-series", "--max-power", "-1"),
+        ("verify", "--id", "overlap-matrix", "--max-part", "-1"),
+        ("verify", "--id", "flip", "--nvars", "0"),
+        ("verify", "--id", "skew-expansions", "--nvars", "0"),
+        ("verify", "--id", "onerow-series", "--nvars", "0"),
+        ("verify", "--id", "gq-to-gp", "--max-size", "0", "--nvars", "0"),
+        ("verify", "--id", "dual-expansions", "--ny", "0"),
+        ("verify", "--id", "dual-expansions", "--ny", "-1"),
+        ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "2", "--deg-cap", "-1", "--count-only"),
+        ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "-1", "--count-only"),
     ],
 )
 def test_nonsense_sizes_are_usage_errors(capsys, argv):

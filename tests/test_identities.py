@@ -299,3 +299,19 @@ def test_onerow_series_failure_names_the_smallest_power(monkeypatch):
     assert report.status == "FAIL" and report.cases == 5
     assert report.witness["case"] == "('u^-2',)"
     assert set(report.witness) == {"case", "lhs", "rhs"}
+
+
+def test_one_sign_routine_serves_every_expansion_check(monkeypatch):
+    # flip the sign of every one-box strip: each check that reads the
+    # coefficient through strip_sign must fail at its smallest such case
+    real = identities.strip_sign
+    monkeypatch.setattr(
+        identities, "strip_sign", lambda lam, mu: -real(lam, mu) if lam.size - mu.size == 1 else real(lam, mu)
+    )
+    gq = check_gq_to_gp(max_size=2, nvars=2, max_deg=4)
+    skew = check_skew_expansions(max_size=2, nvars=2, max_deg=4)
+    dual = check_dual_expansions(max_size=3)
+    assert (gq.status, skew.status, dual.status) == ("FAIL", "FAIL", "FAIL")
+    assert gq.witness["case"] == "('1', 'count-beta1')"
+    assert skew.witness["case"] == "('doubleslash', '1', '')"
+    assert dual.witness["case"] == "('2', 'expansion')"

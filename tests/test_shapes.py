@@ -14,9 +14,9 @@ from kshift.shapes import (
     removable_boxes,
     shape_stats,
     straight,
+    strip_sign,
     subshapes,
     vertical_strip_extensions,
-    vertical_strip_extensions_signed,
     vertical_strip_subsets,
 )
 
@@ -104,7 +104,7 @@ def test_vertical_strip_bounds_and_overlap():
 
 def test_signed_split_empty_iff_gaps_at_least_two():
     for mu in enumerate_strict_partitions(8):
-        _, minus = vertical_strip_extensions_signed(mu)
+        minus = [lam for lam in vertical_strip_extensions(mu) if strip_sign(lam, mu) < 0]
         gaps_ok = all(mu.parts[i] - mu.parts[i + 1] >= 2 for i in range(len(mu) - 1))
         assert (not minus) == gaps_ok
 
