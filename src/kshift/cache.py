@@ -48,7 +48,7 @@ class MemoCache:
         return os.path.join(self.directory, f"{digest}.json")
 
     def get(self, key: Any) -> Any | None:
-        """The JSON value stored on disk under key, or None."""
+        """The JSON value stored on disk under key, or None if no object under key is there."""
         key_str = self.key_string(key)
         path = self._path(key_str)
         if path and os.path.exists(path):
@@ -57,8 +57,8 @@ class MemoCache:
                     doc = json.load(fh)
             except (OSError, json.JSONDecodeError):
                 return None
-            if doc.get("key") == key_str:
-                return doc["value"]
+            if isinstance(doc, dict) and doc.get("key") == key_str:
+                return doc.get("value")
         return None
 
     def put(self, key: Any, value: Any) -> None:

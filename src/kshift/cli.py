@@ -3,9 +3,10 @@
 Exit codes: 0 success (PASS / all-MATCH), 1 mathematical mismatch (FAIL,
 MISMATCH, or a nonzero expansion residual), 2 usage errors, 3 resource limits.
 A flag with no meaning for the function is a usage error: --inner for schur,
-and --doubleslash for anything but GP/GQ/JP/JQ.  So is a nonsense size:
---vars below 1 or --max-deg below 0.  `compute` and `expand` get every
-function from `genfun.evaluate`.
+--doubleslash for anything but GP/GQ/JP/JQ, and --deg-cap for a family that is
+not set-valued.  So is a nonsense value: --vars below 1, --max-deg below 0, or
+a --beta with denominator 0.  `compute` and `expand` get every function from
+`genfun.evaluate`.
 
 Settings: the persistent cache directory from --cache-dir, then
 KSHIFT_CACHE_DIR, then `cache_dir=` in the --config file (key=value lines);
@@ -89,9 +90,8 @@ def _evaluate(func: str, args) -> BetaPoly:
     return genfun.evaluate(func, parts(args.outer), parts(args.inner), args.vars, args.max_deg, args.doubleslash)
 
 
-def _print_poly(poly: BetaPoly, fmt: str, beta: str | None) -> None:
-    if beta is not None:
-        value = Fraction(beta)
+def _print_poly(poly: BetaPoly, fmt: str, value: Fraction | None) -> None:
+    if value is not None:
         special = poly.specialize_beta(value)
         items = sorted(special.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         if fmt == "json":
@@ -122,8 +122,12 @@ def _print_poly(poly: BetaPoly, fmt: str, beta: str | None) -> None:
 
 
 def cmd_compute(args, settings) -> int:
+    try:
+        beta = None if args.beta is None else Fraction(args.beta)
+    except ZeroDivisionError:
+        raise ParameterError(f"--beta needs a nonzero denominator, got {args.beta!r}") from None
     poly = _evaluate(args.func, args)
-    _print_poly(poly, settings["format"], args.beta)
+    _print_poly(poly, settings["format"], beta)
     return 0
 
 

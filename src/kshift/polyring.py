@@ -15,6 +15,7 @@ variables, the split, the truncation and the terms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -257,34 +258,29 @@ class BetaPoly:
         return self._like(out)
 
     def substitute_geometric(self) -> "BetaPoly":
-        """Apply x_i -> x_i/(1 - beta x_i) to every variable, truncated."""
+        """Apply x_i -> x_i/(1 - beta x_i) to every variable, truncated.
+
+        (x/(1 - beta x))^e = sum_k C(e+k-1, k) beta^k x^(e+k), so each term
+        spreads over every raise k of its nonzero exponents that `_ok` keeps.
+        """
         if self.max_deg is None:
             raise UnboundedTruncationError("substitute_geometric needs a finite max_deg")
-        # x^k maps to a pure power of the series, computed per variable power.
-        series_pow: dict[tuple[int, int], BetaPoly] = {}
-
-        def var_series(i: int) -> BetaPoly:
-            terms = {}
-            for k in range(1, self.max_deg + 1):
-                exps = tuple(k if t == i else 0 for t in range(self.nvars))
-                if self._ok(exps):
-                    terms[(exps, k - 1)] = 1
-            return BetaPoly(self.nvars, terms, self.max_deg, self.split)
-
-        def powered(i: int, k: int) -> BetaPoly:
-            key = (i, k)
-            if key not in series_pow:
-                series_pow[key] = var_series(i) ** k
-            return series_pow[key]
-
-        total = BetaPoly.zero(self.nvars, self.max_deg, self.split)
+        out: dict[TermKey, int] = {}
         for (e, b), c in self.terms.items():
-            piece = BetaPoly.const(self.nvars, c, self.max_deg, self.split).times_beta(b)
-            for i, k in enumerate(e):
-                if k:
-                    piece = piece * powered(i, k)
-            total = total + piece
-        return total
+            spread = [(e, b, c)]
+            for i, m in enumerate(e):
+                if m:
+                    raised = []
+                    for f, d, a in spread:
+                        k, g = 0, f
+                        while self._ok(g):  # _ok fails for good once the raise is too large
+                            raised.append((g, d + k, a * math.comb(m + k - 1, k)))
+                            k += 1
+                            g = f[:i] + (m + k,) + f[i + 1 :]
+                    spread = raised
+            for f, d, a in spread:
+                out[(f, d)] = out.get((f, d), 0) + a
+        return self._like(out)
 
     def eval_rational(self, pt: RationalPoint) -> Fraction:
         if len(pt.coords) != self.nvars:

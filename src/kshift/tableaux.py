@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -111,24 +112,27 @@ class BarTableau:
 
 # -- backtracking core ---------------------------------------------------------
 #
-# Every family is walked by `_fillings`, which fills the cells in reading order
-# (rows from the bottom, then columns).  Each cell's choices depend only on the
-# largest code of its left and below neighbours, on whether the cell is a
-# diagonal cell under the P rule, and on the remaining set-valued budget, so
-# they are computed once per such key and reused at every node that shares it.
+# Every family is walked by `_fillings`, under one of two rules: the tableau
+# rule (a shared row value is unprimed, a shared column value primed; a cell
+# holds a set of codes, a single code when the budget is 0) or the reverse
+# plane partition rule.  Cells are filled in reading order (rows from the
+# bottom, then columns).  Each cell's choices depend only on the largest code
+# of its left and below neighbours, on whether the cell is a diagonal cell
+# under the P rule, and on the remaining set-valued budget, so they are
+# computed once per such key and reused at every node that shares it.
 
 
-def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_cap: int | None = None,
+def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
               tally: bool = False, content: tuple[int, ...] | None = None):
     """Every filling of the shape with values 1..max_value, in entry order.
 
-    `rule` is "single" (semistandard shifted tableaux), "rpp" (reverse plane
-    partitions) or "setvalued" (set-valued tableaux, where deg_cap bounds
-    |T| - (number of cells); None means no bound).  Yields the live
-    (cells, entries, counts, extra_used) for each filling: `entries` holds one
-    tuple of codes per cell, `counts[v - 1]` is how often value v occurs (kept
-    only with `tally`, else all zero), and `extra_used` is |T| - (number of
-    cells).  The lists are reused, so copy what must outlive the next step.
+    With `rpp` the fillings are reverse plane partitions, one code per cell.
+    Otherwise they are set-valued tableaux where deg_cap bounds
+    |T| - (number of cells) (None means no bound), so deg_cap 0 gives the
+    semistandard shifted tableaux.  Yields the live (cells, entries, counts)
+    for each filling: `entries` holds one tuple of codes per cell and
+    `counts[v - 1]` is how often value v occurs (kept only with `tally`, else
+    all zero).  The lists are reused, so copy what must outlive the next step.
     With `content` (straight shapes only), counts start at -content and only
     fillings where value v occurs content[v - 1] times are walked: an option
     that overdraws a value, or leaves room for one no later cell can hold, is
@@ -149,8 +153,6 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
     largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
     counts = [0] * max_value if content is None else [-c for c in content]
     tally = tally or content is not None
-    if rule != "setvalued":
-        deg_cap = 0
     if content:  # on a straight shape the cells after (i, j) lie right of or above (i, min(j, i + 1))
         floor = [index[(i, min(j, i + 1))] for (i, j) in cells]
     table: dict[tuple, list] = {}
@@ -165,7 +167,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
         )
         opts = table.get(key)
         if opts is None:
-            opts = _cell_options(2 * max_value, rule, *key)
+            opts = _cell_options(2 * max_value, rpp, *key)
             if key[3] is not None:
                 opts = table[key] = list(opts)
         for codes, top, extras in opts:
@@ -181,7 +183,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
                         continue
             entries[k] = codes
             if k == last:
-                yield cells, entries, counts, used + extras
+                yield cells, entries, counts
             else:
                 yield from rec(k + 1, used + extras)
             if tally:
@@ -192,7 +194,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
 
     if n == 0:
         if not any(counts):
-            yield cells, entries, counts, 0
+            yield cells, entries, counts
         return
     try:
         yield from rec(0, 0)
@@ -202,7 +204,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rule: str, deg_c
         del rec
 
 
-def _cell_options(top: int, rule: str, lv: int, bv: int, p_diag: bool, budget: int | None):
+def _cell_options(top: int, rpp: bool, lv: int, bv: int, p_diag: bool, budget: int | None):
     """(codes, largest code, extras used) for one cell, in entry order.
 
     lv and bv are the largest codes of the left and below neighbours (0 if
@@ -210,7 +212,7 @@ def _cell_options(top: int, rule: str, lv: int, bv: int, p_diag: bool, budget: i
     """
     for m in range(max(1, lv, bv), top + 1):
         primed = is_primed(m)
-        if rule == "rpp":
+        if rpp:
             if p_diag and not primed:
                 continue  # a P-flavour diagonal entry must be primed
         elif (m == lv and primed) or (m == bv and not primed) or (p_diag and primed):
@@ -274,7 +276,7 @@ def _maximal_runs(shape: SkewShape, entries: dict[Cell, int]) -> list[list[Cell]
 
 
 def _iter_bar(shape: SkewShape, max_value: int, p_flavor: bool) -> Iterator[tuple[dict[Cell, int], tuple[tuple[Cell, ...], ...]]]:
-    for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "single"):
+    for cells, entries, _ in _fillings(shape, max_value, p_flavor, False, 0):
         filling = {cell: code for cell, (code,) in zip(cells, entries)}
         runs = _maximal_runs(shape, filling)
         cut_choices = [
@@ -305,16 +307,21 @@ def _check_family(family: str) -> str:
 
 
 def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | None = None):
-    """Stream every tableau of the family exactly once, deterministically."""
+    """Stream every tableau of the family exactly once, deterministically.
+
+    deg_cap bounds |T| - |shape| and has a meaning for set-valued families only.
+    """
     fam = _check_family(family)
     shape.require_valid()
     if max_value < 1:
         raise ParameterError(f"max_value must be at least 1, got {max_value}")
     if deg_cap is not None and deg_cap < 0:
         raise ParameterError(f"deg_cap must be at least 0, got {deg_cap}")
+    if deg_cap is not None and not fam.startswith("setshyt"):
+        raise ParameterError(f"deg_cap bounds set-valued families only, not {fam}")
     p_flavor = fam.endswith("_p")
     if fam.startswith("setshyt"):
-        for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "setvalued", deg_cap):
+        for cells, entries, _ in _fillings(shape, max_value, p_flavor, False, deg_cap):
             yield SetValuedTableau(shape, tuple(zip(cells, entries)))
     elif fam.startswith("shbt"):
         for filling, blocks in _iter_bar(shape, max_value, p_flavor):
@@ -322,7 +329,7 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     else:
         rpp = fam.startswith("shrpp")
         kind = ReversePlanePartition if rpp else ShiftedTableau
-        for cells, entries, _, _ in _fillings(shape, max_value, p_flavor, "rpp" if rpp else "single"):
+        for cells, entries, _ in _fillings(shape, max_value, p_flavor, rpp, 0):
             yield kind(shape, tuple((cell, code) for cell, (code,) in zip(cells, entries)))
 
 
@@ -372,57 +379,49 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     return tuple(counts.get(v, 0) for v in range(1, top + 1)), t.size
 
 
-def _genfun_bar(shape: SkewShape, nvars: int, p_flavor: bool, max_deg: int | None, terms: dict) -> None:
-    """Per filling, the block refinements collapse to prod x_v (x_v - beta)^(m-1)."""
-    minus_beta = BetaPoly.monomial(nvars, (0,) * nvars, 1, -1, max_deg)
-
-    @functools.cache
-    def run_poly(value: int, length: int) -> BetaPoly:
-        xv = BetaPoly.variable(value, nvars, max_deg)
-        return xv * (xv + minus_beta) ** (length - 1)
-
-    for cells, entries, _, _ in _fillings(shape, nvars, p_flavor, "single"):
-        filling = {cell: code for cell, (code,) in zip(cells, entries)}
-        piece = BetaPoly.const(nvars, 1, max_deg)
-        for run in _maximal_runs(shape, filling):
-            piece = piece * run_poly(code_value(filling[run[0]]), len(run))
-        for key, c in piece.terms.items():
-            terms[key] = terms.get(key, 0) + c
-
-
 def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int | None) -> BetaPoly:
     """The weighted sum over the family as a truncated polynomial.
 
-    Set-valued and single-valued families contribute beta^(|T|-|shape|) x^T;
-    reverse plane partitions and bar tableaux contribute
-    (-beta)^(|shape|-size) x^weight.
+    One walk tallies the fillings by their key (c, r): c_v is the number of
+    elements equal to v, and r_v the number of lines of v, the rows of
+    unprimed and columns of primed v for bar tableaux (their maximal runs),
+    the columns of unprimed and rows of primed v for reverse plane
+    partitions.  Each key is expanded once:
+      set-valued and single-valued   beta^(|c| - |shape|) x^c       (r unused)
+      reverse plane partitions       (-beta)^(|shape| - |r|) x^r    (c unused)
+      bar tableaux                   prod_v x_v^r_v (x_v - beta)^(c_v - r_v),
+    the last being the sum of (-beta)^(|shape| - |T|) x^T over the ways to
+    cut each run into bars.
     """
     fam = _check_family(family)
     shape.require_valid()
     ncells = shape.size
-    p_flavor = fam.endswith("_p")
-    terms: dict[tuple[tuple[int, ...], int], int] = {}
-    if fam.startswith("shbt"):
-        # bar signs: (-beta)^k was folded into (x - beta) factors already
-        _genfun_bar(shape, nvars, p_flavor, max_deg, terms)
-    elif fam.startswith("shrpp"):
-        for cells, entries, _, _ in _fillings(shape, nvars, p_flavor, "rpp"):
-            # a value weighs its columns of unprimed and its rows of primed entries
-            lines = {(code, i if code & 1 else j) for (i, j), (code,) in zip(cells, entries)}
-            exps = [0] * nvars
+    rpp, bar = fam.startswith("shrpp"), fam.startswith("shbt")
+    deg_cap = (None if max_deg is None else max_deg - ncells) if fam.startswith("setshyt") else 0
+    if deg_cap is not None and deg_cap < 0:
+        return BetaPoly.zero(nvars, max_deg)
+    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for cells, entries, counts in _fillings(shape, nvars, fam.endswith("_p"), rpp, deg_cap, tally=not rpp):
+        r = ()
+        if rpp or bar:
+            lines = {(code, i if (code & 1) != bar else j) for (i, j), (code,) in zip(cells, entries)}
+            r = [0] * nvars
             for code, _ in lines:
-                exps[(code - 1) >> 1] += 1
-            k = ncells - len(lines)
-            key = (tuple(exps), k)
-            terms[key] = terms.get(key, 0) + (-1) ** k
-    else:
-        rule = "setvalued" if fam.startswith("setshyt") else "single"
-        deg_cap = None if max_deg is None else max_deg - ncells
-        if deg_cap is not None and deg_cap < 0:
-            return BetaPoly.zero(nvars, max_deg)
-        for _, _, counts, extra_used in _fillings(shape, nvars, p_flavor, rule, deg_cap, tally=True):
-            key = (tuple(counts), extra_used)
-            terms[key] = terms.get(key, 0) + 1
+                r[(code - 1) >> 1] += 1
+            r = tuple(r)
+        key = (tuple(counts), r)
+        tally[key] = tally.get(key, 0) + 1
+    terms: dict[tuple[tuple[int, ...], int], int] = {}
+    for (c, r), n in tally.items():
+        if bar:  # the binomial theorem, factor by factor
+            for ks in itertools.product(*(range(cv - rv + 1) for cv, rv in zip(c, r))):
+                key = (tuple(cv - k for cv, k in zip(c, ks)), sum(ks))
+                binom = math.prod(math.comb(cv - rv, k) for cv, rv, k in zip(c, r, ks))
+                terms[key] = terms.get(key, 0) + n * (-1) ** key[1] * binom
+        elif rpp:
+            terms[(r, ncells - sum(r))] = n * (-1) ** (ncells - sum(r))
+        else:
+            terms[(c, sum(c) - ncells)] = n
     return BetaPoly(nvars, terms, max_deg)
 
 
@@ -433,7 +432,7 @@ def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ..
     Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
     """
     extra = max(0, sum(content) - outer.size)  # with fewer elements than cells every walk overdraws
-    return sum(1 for _ in _fillings(straight(outer), len(content), p_flavor, "setvalued", extra, content=content))
+    return sum(1 for _ in _fillings(straight(outer), len(content), p_flavor, False, extra, content=content))
 
 
 # -- the one-row map and the prime-restricted family ---------------------------

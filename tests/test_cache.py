@@ -50,3 +50,14 @@ def test_a_value_under_the_unversioned_key_is_not_served(tmp_path):
     stale.write_text(json.dumps({"key": old, "value": "stale"}), encoding="utf-8")
     assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh") == "fresh"
     assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "again") == "fresh"
+
+
+def test_a_file_holding_no_json_object_is_a_miss(tmp_path):
+    key = ["kind", 2]
+    path = tmp_path / f"{hashlib.sha256(MemoCache.key_string(key).encode()).hexdigest()}.json"
+    for text in ("[1, 2]", '"text"', "3", "null", json.dumps({"key": MemoCache.key_string(key)})):
+        path.write_text(text, encoding="utf-8")
+        assert MemoCache(str(tmp_path)).get(key) is None, text
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh") == "fresh"
+    assert MemoCache(str(tmp_path)).get(key) == "fresh"  # the miss rewrote the entry

@@ -142,6 +142,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["compute", "--func", "GP", "--outer", "2,3"]) == 2  # not strict
     assert main(["enumerate", "--family", "nope", "--outer", "1", "--max-value", "1"]) == 2
     assert main(["verify"]) == 2  # neither --id nor --manifest
+    assert main(["compute", "--func", "GQ", "--outer", "1", "--beta", "1/0"]) == 2  # a zero denominator
 
 
 @pytest.mark.parametrize(
@@ -150,6 +151,9 @@ def test_usage_errors_exit_2(capsys):
         ("compute", "--func", "schur", "--outer", "2,1", "--inner", "1"),
         ("compute", "--func", "gp", "--outer", "2,1", "--doubleslash"),
         ("expand", "--target", "jq", "--basis", "jp", "--outer", "2,1", "--doubleslash"),
+        ("enumerate", "--family", "shyt_q", "--outer", "2,1", "--max-value", "2", "--deg-cap", "1", "--count-only"),
+        ("enumerate", "--family", "shrpp_q", "--outer", "2,1", "--max-value", "2", "--deg-cap", "1", "--count-only"),
+        ("enumerate", "--family", "shbt_q", "--outer", "2,1", "--max-value", "2", "--deg-cap", "1", "--count-only"),
     ],
 )
 def test_meaningless_flags_are_usage_errors(capsys, argv):

@@ -118,6 +118,34 @@ def test_substitute_geometric_beta_zero_is_identity():
     assert p.substitute_geometric().beta_zero() == p.beta_zero()
 
 
+@st.composite
+def truncated_polys(draw):
+    """Small polynomials in 1-3 variables, split or not, with a finite max_deg."""
+    nvars = draw(st.integers(1, 3))
+    split = draw(st.sampled_from([None] + list(range(1, nvars))))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(st.tuples(exps, st.integers(0, 2)), st.integers(-3, 3), max_size=4))
+    return BetaPoly(nvars, terms, draw(st.integers(0, 4)), split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_polys())
+def test_substitute_geometric_matches_sympy(p):
+    # x/(1 - b x) is exact up to degree max_deg as x * sum_{k <= max_deg} (b x)^k;
+    # sympy expands the image and the constructor applies the truncation
+    import sympy
+
+    b, xs = sympy.Symbol("b"), sympy.symbols(f"x1:{p.nvars + 1}")
+    image = [x * sum((b * x) ** k for k in range(p.max_deg + 1)) for x in xs]
+    expr = sum(
+        c * b**beta * sympy.prod([y**k for y, k in zip(image, e)]) for (e, beta), c in p.terms.items()
+    )
+    terms = {}
+    for (*e, beta), c in sympy.Poly(sympy.expand(expr), *xs, b).terms():
+        terms[(tuple(e), beta)] = int(c)
+    assert p.substitute_geometric() == BetaPoly(p.nvars, terms, p.max_deg, p.split)
+
+
 def test_substitute_geometric_needs_bound():
     with pytest.raises(UnboundedTruncationError):
         BetaPoly.variable(1, 1).substitute_geometric()
