@@ -97,10 +97,13 @@ class MemoCache:
         if key_str in self._mem:
             return self._mem[key_str]
         hit = self.get(key)
+        if hit is not None:
+            try:
+                self._mem[key_str] = decode(hit)
+            except Exception:  # whatever a damaged value makes the decoder raise: a miss, as an unreadable file is
+                hit = None
         if hit is None:
             self.store(key, compute(), encode)
-        else:
-            self._mem[key_str] = decode(hit)
         return self._mem[key_str]
 
 

@@ -122,17 +122,14 @@ def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaP
 
 
 def classical_pq(flavor: str, shape: SkewShape, nvars: int, max_deg: int | None = None) -> BetaPoly:
-    """The classical Schur P- or Q-polynomial of a (skew) shifted shape."""
-    fam = {"P": "shyt_p", "Q": "shyt_q"}[flavor]
+    """The classical Schur P- or Q-polynomial of a (skew) shifted shape.
+
+    P/Q is homogeneous of degree |shape|, the beta^0 part of GP/GQ: so it is
+    GP/GQ cut at x-degree |shape|, the walk over single-valued tableaux.
+    """
     if not shape.valid:
         return BetaPoly.zero(nvars, max_deg)
-
-    def compute() -> BetaPoly:
-        return genfun_from_tableaux(fam, shape, nvars, None)
-
-    key = ["classical", flavor, str(shape), nvars]
-    poly = CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
-    return poly.truncated(max_deg)
+    return gp_gq("G" + flavor, shape, nvars, shape.size).truncated(max_deg)
 
 
 def gp_gq(flavor: str, shape: SkewShape, nvars: int, max_deg: int) -> BetaPoly:

@@ -323,6 +323,8 @@ def check_coproducts(
     max_size: int = 4, nx: int = 2, ny: int = 2, max_deg: int = 6
 ) -> VerificationReport:
     """Two-alphabet evaluation equals the coproduct sums, for all families."""
+    if max_deg < 0:
+        raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
     lams = enumerate_strict_partitions(max_size)
     cases = [(fam, str(lam)) for fam in ("GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ") for lam in lams]
     n = nx + ny
@@ -363,6 +365,8 @@ def check_cauchy_family(
 ) -> VerificationReport:
     """The Cauchy identity, the skew Cauchy identities, and their six
     omega-twisted forms with negated alphabets."""
+    if max_deg < 0:
+        raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
     kern = _cached_kernel(nx, ny, max_deg)
     yvars = list(range(nx + 1, nx + ny + 1))
     xvars = list(range(1, nx + 1))

@@ -12,6 +12,10 @@ plane partitions where P means every diagonal entry is primed):
   shrpp_p / shrpp_q     shifted reverse plane partitions
   shbt_p / shbt_q       shifted bar tableaux: a filling plus a partition of
                         the cells into contiguous constant bars
+
+Every family but the bar tableaux yields one record, `Tableau`, with a tuple
+of codes per cell. Single-valued tableaux are the set-valued ones at budget
+0; they and reverse plane partitions hold one code per cell.
 """
 
 from __future__ import annotations
@@ -48,28 +52,14 @@ def format_code(code: int) -> str:
     return f"{code_value(code)}'" if is_primed(code) else str(code_value(code))
 
 
-def _format_rows(shape: SkewShape, cell_text) -> str:
-    rows = []
-    by_row: dict[int, list[Cell]] = {}
-    for c in shape.sorted_cells():
-        by_row.setdefault(c[0], []).append(c)
-    for i in sorted(by_row):
-        rows.append("".join("{" + cell_text(c) + "}" for c in by_row[i]))
-    return "|".join(rows)
-
-
 @dataclass(frozen=True)
-class ShiftedTableau:
-    shape: SkewShape
-    entries: tuple[tuple[Cell, int], ...]
+class Tableau:
+    """A filling of a shifted shape: (cell, codes) per cell, in reading order.
 
-    def text(self) -> str:
-        ent = dict(self.entries)
-        return _format_rows(self.shape, lambda c: format_code(ent[c]))
+    `codes` is the sorted tuple of the cell's elements, a 1-tuple for
+    single-valued tableaux and reverse plane partitions.
+    """
 
-
-@dataclass(frozen=True)
-class SetValuedTableau:
     shape: SkewShape
     entries: tuple[tuple[Cell, tuple[int, ...]], ...]
 
@@ -79,23 +69,15 @@ class SetValuedTableau:
         return sum(len(s) for _, s in self.entries)
 
     def text(self) -> str:
-        ent = dict(self.entries)
-        return _format_rows(self.shape, lambda c: "".join(format_code(x) for x in ent[c]))
-
-
-@dataclass(frozen=True)
-class ReversePlanePartition:
-    shape: SkewShape
-    entries: tuple[tuple[Cell, int], ...]
-
-    def text(self) -> str:
-        ent = dict(self.entries)
-        return _format_rows(self.shape, lambda c: format_code(ent[c]))
+        rows: dict[int, str] = {}
+        for (i, _), s in self.entries:
+            rows[i] = rows.get(i, "") + "{" + "".join(map(format_code, s)) + "}"
+        return "|".join(rows[i] for i in sorted(rows))
 
 
 @dataclass(frozen=True)
 class BarTableau:
-    filling: ShiftedTableau
+    filling: Tableau
     blocks: tuple[tuple[Cell, ...], ...]
 
     @property
@@ -275,10 +257,10 @@ def _maximal_runs(shape: SkewShape, entries: dict[Cell, int]) -> list[list[Cell]
     return runs
 
 
-def _iter_bar(shape: SkewShape, max_value: int, p_flavor: bool) -> Iterator[tuple[dict[Cell, int], tuple[tuple[Cell, ...], ...]]]:
-    for cells, entries, _ in _fillings(shape, max_value, p_flavor, False, 0):
-        filling = {cell: code for cell, (code,) in zip(cells, entries)}
-        runs = _maximal_runs(shape, filling)
+def _iter_bar(fillings: Iterator[Tableau]) -> Iterator[BarTableau]:
+    """Each single-valued filling with every way to cut its maximal runs into bars."""
+    for t in fillings:
+        runs = _maximal_runs(t.shape, {cell: code for cell, (code,) in t.entries})
         cut_choices = [
             list(itertools.product((False, True), repeat=len(run) - 1)) for run in runs
         ]
@@ -293,7 +275,7 @@ def _iter_bar(shape: SkewShape, max_value: int, p_flavor: bool) -> Iterator[tupl
                     else:
                         block.append(cell)
                 blocks.append(tuple(block))
-            yield filling, tuple(sorted(blocks))
+            yield BarTableau(t, tuple(sorted(blocks)))
 
 
 # -- public streaming interface ----------------------------------------------
@@ -319,18 +301,10 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
         raise ParameterError(f"deg_cap must be at least 0, got {deg_cap}")
     if deg_cap is not None and not fam.startswith("setshyt"):
         raise ParameterError(f"deg_cap bounds set-valued families only, not {fam}")
-    p_flavor = fam.endswith("_p")
-    if fam.startswith("setshyt"):
-        for cells, entries, _ in _fillings(shape, max_value, p_flavor, False, deg_cap):
-            yield SetValuedTableau(shape, tuple(zip(cells, entries)))
-    elif fam.startswith("shbt"):
-        for filling, blocks in _iter_bar(shape, max_value, p_flavor):
-            yield BarTableau(ShiftedTableau(shape, tuple(filling.items())), blocks)
-    else:
-        rpp = fam.startswith("shrpp")
-        kind = ReversePlanePartition if rpp else ShiftedTableau
-        for cells, entries, _ in _fillings(shape, max_value, p_flavor, rpp, 0):
-            yield kind(shape, tuple((cell, code) for cell, (code,) in zip(cells, entries)))
+    cap = deg_cap if fam.startswith("setshyt") else 0  # single-valued: set-valued at budget 0
+    walk = _fillings(shape, max_value, fam.endswith("_p"), fam.startswith("shrpp"), cap)
+    tableaux = (Tableau(shape, tuple(zip(cells, entries))) for cells, entries, _ in walk)
+    yield from _iter_bar(tableaux) if fam.startswith("shbt") else tableaux
 
 
 def weight(family: str, t) -> tuple[tuple[int, ...], int]:
@@ -341,15 +315,8 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     (cell count, element count, weight degree, or block count).
     """
     fam = _check_family(family)
-    if fam.startswith("shyt"):
+    if fam.startswith(("shyt", "setshyt")):  # one element per cell makes |T| the cell count
         counts: dict[int, int] = {}
-        for _, code in t.entries:
-            v = code_value(code)
-            counts[v] = counts.get(v, 0) + 1
-        top = max(counts) if counts else 0
-        return tuple(counts.get(v, 0) for v in range(1, top + 1)), len(t.entries)
-    if fam.startswith("setshyt"):
-        counts = {}
         for _, s in t.entries:
             for code in s:
                 v = code_value(code)
@@ -359,7 +326,7 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     if fam.startswith("shrpp"):
         cols: dict[int, set[int]] = {}
         rows: dict[int, set[int]] = {}
-        for (i, j), code in t.entries:
+        for (i, j), (code,) in t.entries:
             v = code_value(code)
             if is_primed(code):
                 rows.setdefault(v, set()).add(i)
@@ -373,7 +340,7 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     counts = {}
     ent = dict(t.filling.entries)
     for block in t.blocks:
-        v = code_value(ent[block[0]])
+        v = code_value(ent[block[0]][0])
         counts[v] = counts.get(v, 0) + 1
     top = max(counts) if counts else 0
     return tuple(counts.get(v, 0) for v in range(1, top + 1)), t.size
@@ -438,7 +405,7 @@ def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ..
 # -- the one-row map and the prime-restricted family ---------------------------
 
 
-def in_restricted_p(t: SetValuedTableau, outer: StrictPartition, inner: StrictPartition) -> bool:
+def in_restricted_p(t: Tableau, outer: StrictPartition, inner: StrictPartition) -> bool:
     """Membership in SetShYT_P(outer : inner) of a valid set-valued Q-tableau t.
 
     These are the Q-flavor tableaux that land in SetShYT_P(outer) after
@@ -461,7 +428,7 @@ def iter_restricted_p(
     inner: StrictPartition,
     max_value: int,
     deg_cap: int | None = None,
-) -> Iterator[SetValuedTableau]:
+) -> Iterator[Tableau]:
     """Enumerate SetShYT_P(outer : inner)."""
     if not all(inner.part(i) <= outer.part(i) for i in range(1, len(outer) + 1)) or len(
         inner
@@ -472,7 +439,7 @@ def iter_restricted_p(
             yield t
 
 
-def onerow_map(t: SetValuedTableau) -> tuple[str, SetValuedTableau]:
+def onerow_map(t: Tableau) -> tuple[str, Tableau]:
     """The weight-preserving one-row bijection.
 
     Fixed points are the tableaux already in SetShYT_P(n : n); any other
@@ -495,4 +462,4 @@ def onerow_map(t: SetValuedTableau) -> tuple[str, SetValuedTableau]:
     new_entries = {(1, 1): lower, (1, 2): upper}
     for j in range(2, n + 1):
         new_entries[(1, j + 1)] = ent[(1, j)]
-    return "moved", SetValuedTableau(new_shape, tuple(sorted(new_entries.items())))
+    return "moved", Tableau(new_shape, tuple(sorted(new_entries.items())))

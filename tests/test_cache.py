@@ -61,3 +61,14 @@ def test_a_file_holding_no_json_object_is_a_miss(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh") == "fresh"
     assert MemoCache(str(tmp_path)).get(key) == "fresh"  # the miss rewrote the entry
+
+
+def test_a_value_that_does_not_decode_is_a_miss(tmp_path):
+    # a junk polynomial, a term with no "coeff", and a list under a table key
+    poly, table = ["gpgq", "GQ", "1/", 1, 2], ["dual_table", "gq", 1]
+    no_coeff = {"vars": 1, "terms": [{"exps": [1], "beta": 0}]}
+    for key, value in ((poly, "junk"), (poly, no_coeff), (table, [1, 2])):
+        MemoCache(str(tmp_path)).put(key, value)
+        decode = genfun._decode_table if key is table else BetaPoly.from_json_obj
+        assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh", decode=decode) == "fresh", value
+        assert MemoCache(str(tmp_path)).get(key) == "fresh", value  # the miss rewrote the entry

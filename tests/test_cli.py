@@ -176,6 +176,8 @@ def test_meaningless_flags_are_usage_errors(capsys, argv):
         ("verify", "--id", "gq-to-gp", "--max-size", "0", "--nvars", "0"),
         ("verify", "--id", "dual-expansions", "--ny", "0"),
         ("verify", "--id", "dual-expansions", "--ny", "-1"),
+        ("verify", "--id", "cauchy", "--max-deg", "-1"),
+        ("verify", "--id", "coproducts", "--max-deg", "-1"),
         ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "2", "--deg-cap", "-1", "--count-only"),
         ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "-1", "--count-only"),
     ],
@@ -184,6 +186,8 @@ def test_nonsense_sizes_are_usage_errors(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "must be at least" in captured.err
+    nonsense = [a for a in argv if a.lstrip("-").isdigit() and int(a) < 1]
+    assert f"got {nonsense[-1]}" in captured.err  # the message names the value given, not a derived one
 
 
 def test_cache_transparency(tmp_path, capsys):

@@ -7,8 +7,7 @@ from kshift.polyring import BetaPoly
 from kshift.shapes import EMPTY, SkewShape, StrictPartition, straight, subshapes, enumerate_strict_partitions
 from kshift.tableaux import (
     BarTableau,
-    SetValuedTableau,
-    ShiftedTableau,
+    Tableau,
     content_count,
     genfun_from_tableaux,
     iter_restricted_p,
@@ -44,7 +43,7 @@ def test_enumerate_invalid_shape():
 def test_weight_shifted_example():
     # rows from the bottom: [1, 2', 3', 3], [2, 3'], [4]
     ent = {(1, 1): 2, (1, 2): 3, (1, 3): 5, (1, 4): 6, (2, 2): 4, (2, 3): 5, (3, 3): 8}
-    t = ShiftedTableau(straight(sp(4, 2, 1)), tuple(sorted(ent.items())))
+    t = Tableau(straight(sp(4, 2, 1)), tuple(sorted((c, (v,)) for c, v in ent.items())))
     exps, size = weight("shyt_p", t)
     assert exps == (1, 2, 3, 1)
     assert size == 7
@@ -54,14 +53,12 @@ def test_weight_rpp_example():
     # shape (5,3,2,1)/(4,1): both fillings from the running example weigh x1^3 x2 x4
     shape = SkewShape(sp(5, 3, 2, 1), sp(4, 1))
     ent1 = {(1, 5): 7, (2, 3): 1, (2, 4): 2, (3, 3): 1, (3, 4): 4, (4, 4): 4}
-    from kshift.tableaux import ReversePlanePartition
-
-    t1 = ReversePlanePartition(shape, tuple(sorted(ent1.items())))
+    t1 = Tableau(shape, tuple(sorted((c, (v,)) for c, v in ent1.items())))
     exps, size = weight("shrpp_q", t1)
     assert exps == (3, 1, 0, 1)
     assert size == 5
     ent2 = {(1, 5): 8, (2, 3): 1, (2, 4): 2, (3, 3): 1, (3, 4): 2, (4, 4): 3}
-    t2 = ReversePlanePartition(shape, tuple(sorted(ent2.items())))
+    t2 = Tableau(shape, tuple(sorted((c, (v,)) for c, v in ent2.items())))
     exps2, _ = weight("shrpp_p", t2)
     assert exps2 == (3, 1, 0, 1)
 
@@ -71,7 +68,7 @@ def test_weight_bar_example():
     fill = {(1, 1): 2, (1, 2): 2, (1, 3): 2, (1, 4): 5, (1, 5): 6, (2, 2): 4, (2, 3): 4, (2, 4): 5}
     blocks = (((1, 1), (1, 2)), ((1, 3),), ((1, 4), (2, 4)), ((1, 5),), ((2, 2), (2, 3)))
     t = BarTableau(
-        ShiftedTableau(straight(sp(5, 3)), tuple(sorted(fill.items()))),
+        Tableau(straight(sp(5, 3)), tuple(sorted((c, (v,)) for c, v in fill.items()))),
         tuple(sorted(blocks)),
     )
     exps, size = weight("shbt_p", t)
@@ -122,7 +119,7 @@ def test_bar_fixed_filling_weight_identity():
         shape = SkewShape(lam, mu)
         for filling in (dict(t.entries) for t in iter_tableaux("shyt_q", shape, nvars)):
             by_v: dict[int, list] = {}
-            for cell, code in filling.items():
+            for cell, (code,) in filling.items():
                 by_v.setdefault(code_value(code), []).append((cell, code))
             want = BetaPoly.const(nvars, 1, None)
             for v, items in by_v.items():
@@ -143,7 +140,7 @@ def test_bar_fixed_filling_weight_identity():
 
 
 def test_onerow_map_paper_example():
-    t = SetValuedTableau(
+    t = Tableau(
         straight(sp(3)),
         (((1, 1), (2, 3, 5, 6)), ((1, 2), (6, 8)), ((1, 3), (9,))),
     )
@@ -153,7 +150,7 @@ def test_onerow_map_paper_example():
 
 
 def test_onerow_map_fixes_unprimed():
-    t = SetValuedTableau(straight(sp(2)), (((1, 1), (2,)), ((1, 2), (2, 4))))
+    t = Tableau(straight(sp(2)), (((1, 1), (2,)), ((1, 2), (2, 4))))
     tag, image = onerow_map(t)
     assert tag == "fixed" and image == t
 
@@ -290,8 +287,8 @@ def test_enumerators_match_brute_force(family):
                 choices = [s for r in codes for s in itertools.combinations(codes, r)]
                 ok = lambda ent: _setvalued_valid(shape, ent, p_flavor)
             else:
-                choices = codes
-                ok = lambda ent: _semistandard(ent, p_flavor, family.startswith("shrpp"))
+                choices = [(c,) for c in codes]
+                ok = lambda ent: _semistandard({c: v for c, (v,) in ent.items()}, p_flavor, family.startswith("shrpp"))
             want = set()
             for filling in itertools.product(choices, repeat=len(cells)):
                 ent = dict(zip(cells, filling))
@@ -300,6 +297,18 @@ def test_enumerators_match_brute_force(family):
             got = [t.entries for t in iter_tableaux(family, shape, max_value)]
             assert len(got) == len(set(got)), (family, shape, max_value)
             assert set(got) == want, (family, shape, max_value)
+
+
+@pytest.mark.parametrize("flavor", ["p", "q"])
+def test_single_valued_tableaux_are_set_valued_at_budget_0(flavor):
+    # the same records, in the same order, over every shape with |outer| <= 5
+    for lam in enumerate_strict_partitions(5):
+        for mu in enumerate_strict_partitions(lam.size):
+            shape = SkewShape(lam, mu)
+            if shape.valid:
+                for max_value in (1, 2):
+                    single = list(iter_tableaux("shyt_" + flavor, shape, max_value))
+                    assert single == list(iter_tableaux("setshyt_" + flavor, shape, max_value, 0)), (shape, max_value)
 
 
 @pytest.mark.parametrize("family", ["shyt_p", "shyt_q", "setshyt_p", "setshyt_q", "shrpp_p", "shrpp_q", "shbt_p", "shbt_q"])
