@@ -183,6 +183,8 @@ def _expansion_case(
 def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> VerificationReport:
     """The vertical-strip expansion of GQ, its positivity rule, and the
     beta=1 counting identity over prime-restricted tableaux."""
+    if nvars < 1:
+        raise ParameterError(f"nvars must be at least 1, got {nvars}")
     mus = enumerate_strict_partitions(max_size)
     maxlen = max((len(m) for m in mus), default=0)
     if nvars < maxlen:
@@ -370,6 +372,9 @@ def check_cauchy_family(
     kern = _cached_kernel(nx, ny, max_deg)
     yvars = list(range(nx + 1, nx + ny + 1))
     xvars = list(range(1, nx + 1))
+    # the kernel under each negated alphabet, built once for every case
+    negations = {"": [], "y": yvars, "x": xvars, "xy": xvars + yvars}
+    twisted = {name: kern.negate_vars(which) for name, which in negations.items()}
     pairs = [
         (str(mu), str(nu))
         for mu in enumerate_strict_partitions(max_size)
@@ -391,16 +396,15 @@ def check_cauchy_family(
         # plain kernel, then the six omega-twisted ones with negated alphabets;
         # the big family is always taken with its double slash
         big, small, side, negated = {
-            "skew-gq": ("GP", "gq", "right", []),
-            "skew-gp": ("GQ", "gp", "right", []),
-            "a": ("GP", "jq", "left", yvars),
-            "b": ("GQ", "jp", "left", yvars),
-            "c": ("JP", "gq", "left", xvars),
-            "d": ("JQ", "gp", "left", xvars),
-            "e": ("JP", "jq", "right", xvars + yvars),
-            "f": ("JQ", "jp", "right", xvars + yvars),
+            "skew-gq": ("GP", "gq", "right", ""),
+            "skew-gp": ("GQ", "gp", "right", ""),
+            "a": ("GP", "jq", "left", "y"),
+            "b": ("GQ", "jp", "left", "y"),
+            "c": ("JP", "gq", "left", "x"),
+            "d": ("JQ", "gp", "left", "x"),
+            "e": ("JP", "jq", "right", "xy"),
+            "f": ("JQ", "jp", "right", "xy"),
         }[tag]
-        twisted = kern.negate_vars(negated)
         lhs = BetaPoly.zero(nx + ny, max_deg, nx)
         for lam in enumerate_strict_partitions(max_deg + mu.size):
             if contains(mu, lam) and contains(nu, lam):
@@ -411,9 +415,9 @@ def check_cauchy_family(
             px = evaluate(big, nu, kappa, nx, max_deg, doubleslash=True)
             rhs = rhs + tensor_split(px, evaluate(small, mu, kappa, ny, max_deg), max_deg)
         if side == "left":
-            lhs = twisted * lhs
+            lhs = twisted[negated] * lhs
         else:
-            rhs = twisted * rhs
+            rhs = twisted[negated] * rhs
         return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}

@@ -6,6 +6,11 @@ max_deg; the beta degree is never truncated.  A polynomial may carry a split
 index, in which case the first `split` variables and the remaining ones form
 two alphabets and the degree bound applies to each block separately.
 
+A truncated product never forms a term pair that the truncation drops.
+`__mul__` buckets the right factor's terms by block degree, and each left term
+visits only the buckets that still fit; `tensor_split` drops each factor's
+terms past max_deg before pairing.  Either way no degree is tested twice.
+
 An element of Z[beta] is a polynomial in 0 variables with max_deg None: the
 coefficient `coeff` returns, the factor `scale_by` takes, and every
 coefficient of a basis expansion.  Equality compares the number of
@@ -18,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -52,22 +58,18 @@ class BetaPoly:
         self.nvars = nvars
         self.max_deg = max_deg
         self.split = split
-        clean: dict[TermKey, int] = {}
-        if terms:
-            for (exps, b), c in terms.items():
-                if c and self._ok(exps):
-                    clean[(tuple(exps), b)] = c
-        self.terms = clean
+        items = terms.items() if terms else ()
+        if max_deg is None:
+            self.terms = {(tuple(e), b): c for (e, b), c in items if c}
+        elif split is None:
+            self.terms = {(tuple(e), b): c for (e, b), c in items if c and sum(e) <= max_deg}
+        else:
+            md, s = max_deg, split
+            self.terms = {(tuple(e), b): c for (e, b), c in items if c and sum(e[:s]) <= md and sum(e[s:]) <= md}
 
-    def _ok(self, exps: tuple[int, ...]) -> bool:
-        if self.max_deg is None:
-            return True
-        if self.split is None:
-            return sum(exps) <= self.max_deg
-        return (
-            sum(exps[: self.split]) <= self.max_deg
-            and sum(exps[self.split :]) <= self.max_deg
-        )
+    def _degrees(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """The x-degree of each block: (total,), or (x-block, y-block) when split."""
+        return (sum(exps),) if self.split is None else (sum(exps[: self.split]), sum(exps[self.split :]))
 
     # -- constructors ------------------------------------------------------
 
@@ -98,7 +100,8 @@ class BetaPoly:
         return cls(nvars, {(tuple(exps), beta_exp): coeff}, max_deg, split)
 
     def _like(self, terms: Mapping[TermKey, int]) -> "BetaPoly":
-        return BetaPoly(self.nvars, terms, self.max_deg, self.split)
+        """A polynomial like self from terms known to fit its truncation."""
+        return _fitted(self.nvars, terms, self.max_deg, self.split)
 
     def _check_compatible(self, other: "BetaPoly") -> int | None:
         if self.nvars != other.nvars or self.split != other.split:
@@ -132,13 +135,21 @@ class BetaPoly:
 
     def __mul__(self, other: "BetaPoly") -> "BetaPoly":
         md = self._check_compatible(other)
+        buckets: dict[tuple[int, ...], list] = {}  # one bucket when nothing is dropped
+        for (e, b), c in other.terms.items():
+            buckets.setdefault((0,) if md is None else self._degrees(e), []).append((e, b, c))
+        order = sorted(buckets.items())
         out: dict[TermKey, int] = {}
         for (e1, b1), c1 in self.terms.items():
-            for (e2, b2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(e1, e2)), b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        # the constructor drops every term beyond the truncation
-        return BetaPoly(self.nvars, out, md, self.split)
+            room = (math.inf,) if md is None else tuple(md - d for d in self._degrees(e1))
+            for degs, bucket in order:
+                if degs[0] > room[0]:
+                    break  # the buckets run in increasing first-block degree
+                if degs[-1] <= room[-1]:
+                    for e2, b2, c2 in bucket:
+                        key = (tuple(map(add, e1, e2)), b1 + b2)
+                        out[key] = out.get(key, 0) + c1 * c2
+        return _fitted(self.nvars, out, md, self.split)
 
     def __pow__(self, n: int) -> "BetaPoly":
         if n < 0:
@@ -229,7 +240,7 @@ class BetaPoly:
                 ne[perm[i]] = v
             key = (tuple(ne), b)
             out[key] = out.get(key, 0) + c
-        return self._like(out)
+        return BetaPoly(self.nvars, out, self.max_deg, self.split)
 
     def is_symmetric(self) -> bool:
         """Invariance under adjacent transpositions (within each block if split)."""
@@ -261,7 +272,8 @@ class BetaPoly:
         """Apply x_i -> x_i/(1 - beta x_i) to every variable, truncated.
 
         (x/(1 - beta x))^e = sum_k C(e+k-1, k) beta^k x^(e+k), so each term
-        spreads over every raise k of its nonzero exponents that `_ok` keeps.
+        spreads over every raise k of its nonzero exponents that still fits
+        the degree left in that exponent's block.
         """
         if self.max_deg is None:
             raise UnboundedTruncationError("substitute_geometric needs a finite max_deg")
@@ -270,14 +282,12 @@ class BetaPoly:
             spread = [(e, b, c)]
             for i, m in enumerate(e):
                 if m:
-                    raised = []
-                    for f, d, a in spread:
-                        k, g = 0, f
-                        while self._ok(g):  # _ok fails for good once the raise is too large
-                            raised.append((g, d + k, a * math.comb(m + k - 1, k)))
-                            k += 1
-                            g = f[:i] + (m + k,) + f[i + 1 :]
-                    spread = raised
+                    block = 0 if self.split is None or i < self.split else 1
+                    spread = [
+                        (f[:i] + (m + k,) + f[i + 1 :], d + k, a * math.comb(m + k - 1, k))
+                        for f, d, a in spread
+                        for k in range(self.max_deg - self._degrees(f)[block] + 1)
+                    ]
             for f, d, a in spread:
                 out[(f, d)] = out.get((f, d), 0) + a
         return self._like(out)
@@ -364,16 +374,25 @@ class BetaPoly:
         return f"BetaPoly({self.nvars} vars, {self.render()})"
 
 
+def _fitted(nvars: int, terms: Mapping[TermKey, int], max_deg: int | None, split: int | None) -> BetaPoly:
+    """A polynomial from tuple-keyed terms that all fit: only zeros are dropped."""
+    p = BetaPoly(nvars, None, max_deg, split)
+    p.terms = {k: c for k, c in terms.items() if c}
+    return p
+
+
 def tensor_split(px: BetaPoly, py: BetaPoly, max_deg: int | None) -> BetaPoly:
-    """The product px(x) * py(y) as a split polynomial over (x, y)."""
-    nx, ny = px.nvars, py.nvars
+    """The product px(x) * py(y) as a split polynomial over (x, y); each factor
+    is one block, so its terms past max_deg are dropped before pairing."""
+    left, right = (
+        [(e, b, c) for (e, b), c in p.terms.items() if max_deg is None or sum(e) <= max_deg] for p in (px, py)
+    )
     out: dict[TermKey, int] = {}
-    for (e1, b1), c1 in px.terms.items():
-        for (e2, b2), c2 in py.terms.items():
+    for e1, b1, c1 in left:
+        for e2, b2, c2 in right:
             key = (e1 + e2, b1 + b2)
             out[key] = out.get(key, 0) + c1 * c2
-    # the constructor drops every term beyond the truncation
-    return BetaPoly(nx + ny, out, max_deg, nx)
+    return _fitted(px.nvars + py.nvars, out, max_deg, px.nvars)
 
 
 def cauchy_kernel(nx: int, ny: int, max_deg: int) -> BetaPoly:

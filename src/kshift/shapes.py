@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidShapeError
+from .errors import InvalidShapeError, ParameterError
 
 Cell = tuple[int, int]
 
@@ -272,7 +272,7 @@ def flip(shape: SkewShape) -> SkewShape:
 def enumerate_strict_partitions(max_size: int) -> list[StrictPartition]:
     """All strict partitions of size <= max_size, graded-lex, no duplicates."""
     if max_size < 0:
-        raise ValueError("max_size must be >= 0")
+        raise ParameterError(f"max_size must be at least 0, got {max_size}")
     out = [EMPTY]
 
     def extend(prefix: list[int], remaining: int) -> None:

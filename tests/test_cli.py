@@ -190,6 +190,27 @@ def test_nonsense_sizes_are_usage_errors(capsys, argv):
     assert f"got {nonsense[-1]}" in captured.err  # the message names the value given, not a derived one
 
 
+def test_gq_to_gp_names_nvars(capsys):
+    code = main(["verify", "--id", "gq-to-gp", "--max-size", "0", "--nvars", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and "nvars" in err and "max_value" not in err
+
+
+MAX_SIZE_CHECKS = ["gq-to-gp", "skew-expansions", "flip", "coproducts", "cauchy", "dual-expansions", "conjectures"]
+
+
+def test_max_size_checks_are_listed():
+    takes = [cid for cid, check in identities.CHECKS.items() if "max_size" in inspect.signature(check).parameters]
+    assert sorted(takes) == sorted(MAX_SIZE_CHECKS)
+
+
+@pytest.mark.parametrize("check_id", MAX_SIZE_CHECKS)
+def test_negative_max_size_is_a_usage_error(capsys, check_id):
+    code = main(["verify", "--id", check_id, "--max-size", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "max_size must be at least 0, got -1" in captured.err
+
+
 def test_cache_transparency(tmp_path, capsys):
     cache.CACHE.clear_memory()
     args = ["compute", "--func", "GQ", "--outer", "2,1", "--vars", "2", "--max-deg", "5", "--format", "json"]

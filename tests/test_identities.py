@@ -66,6 +66,11 @@ def test_cauchy_small():
     assert report.status == "PASS"
 
 
+def test_cauchy_three_alphabet_variables():
+    report = check_cauchy_family(max_size=2, nx=3, ny=3)
+    assert (report.status, report.cases) == ("PASS", 74)
+
+
 def test_dual_expansions():
     report = check_dual_expansions(max_size=5)
     assert report.status == "PASS"

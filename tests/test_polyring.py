@@ -86,6 +86,75 @@ def test_eval_is_ring_homomorphism_untruncated(p, q):
     assert (p + q).eval_rational(pt) == p.eval_rational(pt) + q.eval_rational(pt)
 
 
+def all_pairs(a, b, nvars, max_deg, split, join):
+    """The test-only reference for a truncated product: pair every term, then
+    let the constructor truncate."""
+    out = {}
+    for (e1, b1), c1 in a.terms.items():
+        for (e2, b2), c2 in b.terms.items():
+            key = (join(e1, e2), b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    ref = BetaPoly(nvars, out, max_deg, split)
+    # the constructor keeps exactly the nonzero terms whose every block fits
+    blocks = [slice(None)] if split is None else [slice(None, split), slice(split, None)]
+
+    def fits(e):
+        return max_deg is None or all(sum(e[s]) <= max_deg for s in blocks)
+
+    assert ref.terms == {k: c for k, c in out.items() if c and fits(k[0])}
+    return ref
+
+
+def reference_mul(a, b):
+    md = min((m for m in (a.max_deg, b.max_deg) if m is not None), default=None)
+    return all_pairs(a, b, a.nvars, md, a.split, lambda e1, e2: tuple(x + y for x, y in zip(e1, e2)))
+
+
+def reference_tensor_split(px, py, max_deg):
+    return all_pairs(px, py, px.nvars + py.nvars, max_deg, px.nvars, lambda e1, e2: e1 + e2)
+
+
+def polys(nvars, split=None):
+    """Polynomials in nvars variables with several beta powers, coefficients of
+    both signs, and max_deg None or 0..6."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.builds(
+        lambda terms, max_deg: BetaPoly(nvars, terms, max_deg, split),
+        st.dictionaries(st.tuples(exps, st.integers(0, 3)), st.integers(-4, 4), max_size=6),
+        st.none() | st.integers(0, 6),
+    )
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two operands of one product: 0-4 variables, split or not, each with its own truncation."""
+    nvars = draw(st.integers(0, 4))
+    split = draw(st.sampled_from([None] + list(range(1, nvars))))
+    return draw(polys(nvars, split)), draw(polys(nvars, split))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs(), st.integers(0, 4))
+def test_products_match_the_all_pairs_reference(pair, k):
+    a, b = pair
+    assert a * b == reference_mul(a, b)
+    assert (a + b) * (a - b) == reference_mul(a + b, a - b)  # the cross terms cancel
+    power = BetaPoly.const(a.nvars, 1, a.max_deg, a.split)
+    for _ in range(k):
+        power = reference_mul(power, a)
+    assert a**k == power
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(polys),
+    st.integers(0, 3).flatmap(polys),
+    st.none() | st.integers(0, 6),
+)
+def test_tensor_split_matches_the_all_pairs_reference(px, py, max_deg):
+    assert tensor_split(px, py, max_deg) == reference_tensor_split(px, py, max_deg)
+
+
 def test_eval_examples():
     x1 = BetaPoly.variable(1, 1)
     p = x1 + (x1 * x1).times_beta(1)
