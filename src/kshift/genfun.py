@@ -215,9 +215,10 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     The coefficients of x^mu in the Cauchy identity kernel = sum_nu GQ_nu(x)
     gp_nu(y) (respectively GP/gq) give a triangular system, solved in candidate
     order from prod_i k_{mu_i}(y) and [x^mu] GQ_nu = beta^(|mu|-|nu|) times
-    `tableaux.content_count`.  The values are exact and do not depend on S:
-    one table per (flavor, ny) is kept, extended in place for a larger S, and
-    a smaller S is served as the prefix enumerate_strict_partitions(S).
+    `tableaux.content_count`, which the GP/GQ coproduct builds from one-variable
+    walks.  The values are exact and do not depend on S: one table per (flavor,
+    ny) is kept, extended in place for a larger S, and a smaller S is served as
+    the prefix enumerate_strict_partitions(S).
     """
     if flavor not in ("gp", "gq"):
         raise ValueError(f"flavor must be gp or gq, got {flavor!r}")
@@ -235,15 +236,14 @@ def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny
     for i, mu in enumerate(candidates):
         if mu in table:
             continue
-        content = mu.parts[::-1]  # GP/GQ are symmetric; this order prunes sooner
         acc = dict(_kernel_coefficient(mu.parts, ny).terms)
         for prev in candidates[:i]:
-            n = content_count(p_basis, prev, content)
+            n = content_count(p_basis, prev, mu.parts)
             if n:
                 for (e, b), v in table[prev].terms.items():
                     k = (e, b + mu.size - prev.size)
                     acc[k] = acc.get(k, 0) - n * v
-        lead, expected = content_count(p_basis, mu, content), (1 if p_basis else 2) ** len(mu)
+        lead, expected = content_count(p_basis, mu, mu.parts), (1 if p_basis else 2) ** len(mu)
         if lead != expected:
             raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
         table[mu] = BetaPoly(ny, acc).divide_exact(expected)

@@ -116,19 +116,19 @@ class BetaPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "BetaPoly") -> "BetaPoly":
+    def _combine(self, other: "BetaPoly", sign: int) -> "BetaPoly":
+        """self + sign * other: with equal truncations every term already fits."""
         md = self._check_compatible(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BetaPoly(self.nvars, out, md, self.split)
+            out[k] = out.get(k, 0) + sign * c
+        return (_fitted if self.max_deg == other.max_deg else BetaPoly)(self.nvars, out, md, self.split)
+
+    def __add__(self, other: "BetaPoly") -> "BetaPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BetaPoly") -> "BetaPoly":
-        md = self._check_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return BetaPoly(self.nvars, out, md, self.split)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "BetaPoly":
         return self._like({k: -c for k, c in self.terms.items()})
@@ -231,31 +231,17 @@ class BetaPoly:
         """The specialization beta = 0."""
         return self._like({(e, b): c for (e, b), c in self.terms.items() if b == 0})
 
-    def permuted(self, perm: tuple[int, ...]) -> "BetaPoly":
-        """Relabel variables: new exponent vector e' with e'[perm[i]] = e[i]."""
-        out: dict[TermKey, int] = {}
-        for (e, b), c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, v in enumerate(e):
-                ne[perm[i]] = v
-            key = (tuple(ne), b)
-            out[key] = out.get(key, 0) + c
-        return BetaPoly(self.nvars, out, self.max_deg, self.split)
-
     def is_symmetric(self) -> bool:
-        """Invariance under adjacent transpositions (within each block if split)."""
-        blocks = [(0, self.nvars)] if self.split is None else [
-            (0, self.split),
-            (self.split, self.nvars),
-        ]
-        ident = list(range(self.nvars))
-        for lo, hi in blocks:
-            for i in range(lo, hi - 1):
-                perm = ident[:]
-                perm[i], perm[i + 1] = perm[i + 1], perm[i]
-                if self.permuted(tuple(perm)) != self:
-                    return False
-        return True
+        """Invariance under permuting the variables (within each block if split):
+        every term has its orbit's sorted term's coefficient and no orbit lacks a term."""
+        blocks = [slice(None)] if self.split is None else [slice(None, self.split), slice(self.split, None)]
+        orbits: dict[TermKey, int] = {}
+        for (e, b), c in self.terms.items():
+            key = (tuple(x for s in blocks for x in sorted(e[s])), b)
+            if self.terms.get(key) != c:
+                return False
+            orbits[key] = orbits.get(key, 0) + 1
+        return all(n == math.prod(_rearrangements(e[s]) for s in blocks) for (e, _b), n in orbits.items())
 
     # -- substitutions and evaluation ----------------------------------------
 
@@ -372,6 +358,11 @@ class BetaPoly:
 
     def __repr__(self) -> str:
         return f"BetaPoly({self.nvars} vars, {self.render()})"
+
+
+def _rearrangements(exps: tuple[int, ...]) -> int:
+    """The number of distinct orderings of exps."""
+    return math.factorial(len(exps)) // math.prod(math.factorial(exps.count(x)) for x in set(exps))
 
 
 def _fitted(nvars: int, terms: Mapping[TermKey, int], max_deg: int | None, split: int | None) -> BetaPoly:

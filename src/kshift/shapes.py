@@ -150,19 +150,23 @@ def _graded_lex_sorted(ps: Iterable[StrictPartition]) -> list[StrictPartition]:
     return sorted(ps, key=StrictPartition.sort_key)
 
 
+def _step_rows(mu: StrictPartition, step: int) -> list[StrictPartition]:
+    """mu + step * e_S for every subset S of rows, kept when still strict, graded-lex."""
+    out = []
+    for mask in itertools.product((0, step), repeat=len(mu)):
+        parts = tuple(p + m for p, m in zip(mu.parts, mask))
+        if all(a > b for a, b in zip(parts, parts[1:] + (0,))):
+            out.append(StrictPartition(parts))
+    return _graded_lex_sorted(out)
+
+
 def vertical_strip_extensions(mu: StrictPartition) -> list[StrictPartition]:
     """All strict lam >= mu of the same length with lam/mu a vertical strip.
 
     These are exactly the shapes mu + e_S for subsets S of rows, kept when
     still strictly decreasing; includes mu itself.  Graded-lex order.
     """
-    out = []
-    n = len(mu)
-    for mask in itertools.product((0, 1), repeat=n):
-        parts = tuple(p + m for p, m in zip(mu.parts, mask))
-        if all(parts[i] > parts[i + 1] for i in range(n - 1)):
-            out.append(StrictPartition(parts))
-    return _graded_lex_sorted(out)
+    return _step_rows(mu, 1)
 
 
 def strip_sign(lam: StrictPartition, mu: StrictPartition) -> int:
@@ -172,15 +176,7 @@ def strip_sign(lam: StrictPartition, mu: StrictPartition) -> int:
 
 def vertical_strip_subsets(lam: StrictPartition) -> list[StrictPartition]:
     """All strict mu <= lam of the same length with lam/mu a vertical strip."""
-    out = []
-    n = len(lam)
-    for mask in itertools.product((0, 1), repeat=n):
-        parts = tuple(p - m for p, m in zip(lam.parts, mask))
-        if all(x > 0 for x in parts) and all(
-            parts[i] > parts[i + 1] for i in range(n - 1)
-        ):
-            out.append(StrictPartition(parts))
-    return _graded_lex_sorted(out)
+    return _step_rows(lam, -1)
 
 
 def removable_boxes(mu: StrictPartition) -> frozenset[Cell]:

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
-from .shapes import Cell, SkewShape, StrictPartition, straight
+from .shapes import Cell, SkewShape, StrictPartition, doubleslash_inners, straight, subshapes
 
 FAMILIES = (
     "shyt_p",
@@ -105,7 +105,7 @@ class BarTableau:
 
 
 def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
-              tally: bool = False, content: tuple[int, ...] | None = None):
+              tally: bool = False):
     """Every filling of the shape with values 1..max_value, in entry order.
 
     With `rpp` the fillings are reverse plane partitions, one code per cell.
@@ -115,10 +115,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
     for each filling: `entries` holds one tuple of codes per cell and
     `counts[v - 1]` is how often value v occurs (kept only with `tally`, else
     all zero).  The lists are reused, so copy what must outlive the next step.
-    With `content` (straight shapes only), counts start at -content and only
-    fillings where value v occurs content[v - 1] times are walked: an option
-    that overdraws a value, or leaves room for one no later cell can hold, is
-    pruned.
+    Fixed-content counts come from one-value walks (`content_count`).
 
     A cell's options, (codes, largest code, extras used), are stored per key
     only when the remaining budget is finite: an uncapped set-valued cell has
@@ -133,10 +130,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
     p_diag = [p_flavor and i == j for (i, j) in cells]
     entries: list[tuple[int, ...]] = [()] * n
     largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
-    counts = [0] * max_value if content is None else [-c for c in content]
-    tally = tally or content is not None
-    if content:  # on a straight shape the cells after (i, j) lie right of or above (i, min(j, i + 1))
-        floor = [index[(i, min(j, i + 1))] for (i, j) in cells]
+    counts = [0] * max_value
     table: dict[tuple, list] = {}
     last = n - 1
 
@@ -157,12 +151,6 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
             if tally:
                 for c in codes:
                     counts[(c - 1) >> 1] += 1
-                if content:  # prune overdrawn values and short ones below every later cell
-                    cut = max_value if k == last else (largest[floor[k]] - 1) >> 1
-                    if max(counts) > 0 or any(counts[:cut]):
-                        for c in codes:
-                            counts[(c - 1) >> 1] -= 1
-                        continue
             entries[k] = codes
             if k == last:
                 yield cells, entries, counts
@@ -175,8 +163,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
         largest[k] = 0
 
     if n == 0:
-        if not any(counts):
-            yield cells, entries, counts
+        yield cells, entries, counts
         return
     try:
         yield from rec(0, 0)
@@ -226,41 +213,23 @@ def _setvalued_valid(shape: SkewShape, entries: dict[Cell, tuple[int, ...]], p_f
     return True
 
 
-def _maximal_runs(shape: SkewShape, entries: dict[Cell, int]) -> list[list[Cell]]:
-    """Maximal constant bars: horizontal for unprimed values, vertical for primed."""
-    cells = shape.cells()
-    runs = []
-    for cell in sorted(cells):
-        i, j = cell
-        v = entries[cell]
-        # a primed run grows along its column, an unprimed one along its row
-        if is_primed(v):
-            prev = (i + 1, j)
-            if prev in cells and entries[prev] == v:
-                continue
-            run = [cell]
-            k = 1
-            while (i - k, j) in cells and entries[(i - k, j)] == v:
-                run.append((i - k, j))
-                k += 1
-            runs.append(sorted(run))
-        else:
-            prev = (i, j - 1)
-            if prev in cells and entries[prev] == v:
-                continue
-            run = [cell]
-            k = 1
-            while (i, j + k) in cells and entries[(i, j + k)] == v:
-                run.append((i, j + k))
-                k += 1
-            runs.append(run)
-    return runs
+def _maximal_runs(t: Tableau) -> list[list[Cell]]:
+    """Maximal constant bars: horizontal for unprimed values, vertical for primed.
+
+    The cells of one value in one row (unprimed) or column (primed) form a run,
+    listed at its first cell in reading order if unprimed, at its last if primed.
+    """
+    runs: dict[tuple[int, int], list[Cell]] = {}
+    for (i, j), (code,) in t.entries:
+        runs.setdefault((code, j if is_primed(code) else i), []).append((i, j))
+    order = sorted(runs.items(), key=lambda kv: kv[1][-1] if is_primed(kv[0][0]) else kv[1][0])
+    return [run for _, run in order]
 
 
 def _iter_bar(fillings: Iterator[Tableau]) -> Iterator[BarTableau]:
     """Each single-valued filling with every way to cut its maximal runs into bars."""
     for t in fillings:
-        runs = _maximal_runs(t.shape, {cell: code for cell, (code,) in t.entries})
+        runs = _maximal_runs(t)
         cut_choices = [
             list(itertools.product((False, True), repeat=len(run) - 1)) for run in runs
         ]
@@ -397,9 +366,25 @@ def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ..
     """How many set-valued shifted tableaux of shape outer hold value v content[v-1] times.
 
     Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
+    By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike)
+    the c = content[-1] elements of the last value fill outer/kappa, kappa in
+    doubleslash_inners(mu), and the others fill mu, |outer| - c <= |mu| <= |content| - c.
     """
-    extra = max(0, sum(content) - outer.size)  # with fewer elements than cells every walk overdraws
-    return sum(1 for _ in _fillings(straight(outer), len(content), p_flavor, False, extra, content=content))
+    if not content:
+        return int(not outer.parts)
+    c = content[-1]
+    return sum(
+        content_count(p_flavor, mu, content[:-1]) * _one_value_count(p_flavor, SkewShape(outer, kappa), c)
+        for mu in subshapes(outer) if outer.size - c <= mu.size <= sum(content) - c
+        for kappa in doubleslash_inners(mu)
+    )
+
+
+@functools.cache
+def _one_value_count(p_flavor: bool, shape: SkewShape, c: int) -> int:
+    """[x^c] of the one-variable GP/GQ of the shape, beta set to 1."""
+    fam = "setshyt_p" if p_flavor else "setshyt_q"
+    return genfun_from_tableaux(fam, shape, 1, c).terms.get(((c,), c - shape.size), 0)
 
 
 # -- the one-row map and the prime-restricted family ---------------------------

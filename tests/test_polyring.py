@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -255,7 +256,8 @@ def test_cauchy_kernel_beta_zero_is_classical():
             expected = expected * (one + xy) * inv
     assert k0 == expected
     # the classical kernel is symmetric under swapping the alphabets
-    assert k0.permuted((2, 3, 0, 1)) == k0
+    swapped = {(e[nx:] + e[:nx], b): c for (e, b), c in k0.terms.items()}
+    assert BetaPoly(n, swapped, D, nx) == k0
 
 
 def test_json_round_trip_bit_exact():
@@ -283,6 +285,43 @@ def test_tensor_split_and_symmetry_check():
     assert t.is_symmetric()
     asym = BetaPoly.variable(1, 2)
     assert not asym.is_symmetric()
+
+
+def reference_is_symmetric(p):
+    """The test-only reference: invariance under each adjacent transposition
+    within a block."""
+    blocks = [(0, p.nvars)] if p.split is None else [(0, p.split), (p.split, p.nvars)]
+    for lo, hi in blocks:
+        for i in range(lo, hi - 1):
+            swapped = {(e[:i] + (e[i + 1], e[i]) + e[i + 2 :], b): c for (e, b), c in p.terms.items()}
+            if swapped != p.terms:
+                return False
+    return True
+
+
+@st.composite
+def nearly_symmetric_polys(draw):
+    """Polynomials symmetrized within each block, then perhaps with one term
+    dropped or changed, so that both answers occur."""
+    nvars = draw(st.integers(2, 4))
+    split = draw(st.sampled_from([None] + list(range(1, nvars))))
+    p = draw(polys(nvars, split))
+    blocks = [range(nvars)] if split is None else [range(split), range(split, nvars)]
+    perms = [sum(q, ()) for q in itertools.product(*(itertools.permutations(r) for r in blocks))]
+    terms = {}
+    for (e, b), c in p.terms.items():
+        for perm in set(tuple(e[i] for i in q) for q in perms):
+            terms[(perm, b)] = c  # one coefficient per orbit
+    if terms and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(terms)))
+        terms[key] = draw(st.sampled_from([0, terms[key] + 1]))
+    return BetaPoly(nvars, terms, p.max_deg, split)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearly_symmetric_polys() | st.integers(0, 4).flatmap(polys))
+def test_is_symmetric_matches_the_transposition_reference(p):
+    assert p.is_symmetric() == reference_is_symmetric(p)
 
 
 def test_sorted_terms_graded_lex():

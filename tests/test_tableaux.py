@@ -347,3 +347,10 @@ def test_content_count_is_the_generating_function_coefficient(p_flavor):
             exps = content + (0,) * (3 - len(content))
             want = poly.terms.get((exps, sum(content) - nu.size), 0)
             assert content_count(p_flavor, nu, content) == want, (nu, content)
+    # 4-part contents, each against the 4-variable walk
+    contents = [c for c in itertools.product(range(4), repeat=4) if sum(c) <= 8]
+    for nu in enumerate_strict_partitions(6):
+        poly = genfun_from_tableaux(family, straight(nu), 4, 8)
+        for content in contents:
+            want = poly.terms.get((content, sum(content) - nu.size), 0)
+            assert content_count(p_flavor, nu, content) == want, (nu, content)
