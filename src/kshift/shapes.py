@@ -7,6 +7,7 @@ i .. i + parts[i-1] - 1, i.e. cells {(i, j) : 0 < i <= j < i + parts[i-1]}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -48,7 +49,7 @@ class StrictPartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return sum(self.parts)
 
@@ -122,7 +123,8 @@ class SkewShape:
 
     @property
     def size(self) -> int:
-        return len(self.cells())
+        self.require_valid()
+        return self.outer.size - self.inner.size
 
 
 def straight(lam: StrictPartition) -> SkewShape:
@@ -193,8 +195,9 @@ def removable_boxes(mu: StrictPartition) -> frozenset[Cell]:
     return frozenset(out)
 
 
-def doubleslash_inners(mu: StrictPartition) -> list[StrictPartition]:
-    """All strict nu <= mu with every cell of mu/nu a removable box of mu."""
+@functools.cache
+def doubleslash_inners(mu: StrictPartition) -> tuple[StrictPartition, ...]:
+    """All strict nu <= mu with every cell of mu/nu a removable box of mu (memoised)."""
     rows = sorted(i for i, _ in removable_boxes(mu))
     out = []
     for k in range(len(rows) + 1):
@@ -208,7 +211,7 @@ def doubleslash_inners(mu: StrictPartition) -> list[StrictPartition]:
                 x > 0 for x in parts
             ):
                 out.append(StrictPartition(tuple(parts)))
-    return _graded_lex_sorted(set(out))
+    return tuple(_graded_lex_sorted(set(out)))
 
 
 def _shape_from_cells(cells: frozenset[Cell]) -> SkewShape:
@@ -291,8 +294,9 @@ def strict_partitions_of(size: int) -> list[StrictPartition]:
     )
 
 
-def subshapes(lam: StrictPartition) -> list[StrictPartition]:
-    """All strict mu contained in lam, graded-lex order."""
+@functools.cache
+def subshapes(lam: StrictPartition) -> tuple[StrictPartition, ...]:
+    """All strict mu contained in lam, graded-lex order (memoised)."""
     out = [EMPTY]
 
     def rec(i: int, prefix: list[int]) -> None:
@@ -306,4 +310,4 @@ def subshapes(lam: StrictPartition) -> list[StrictPartition]:
             prefix.pop()
 
     rec(0, [])
-    return _graded_lex_sorted(out)
+    return tuple(_graded_lex_sorted(out))

@@ -16,6 +16,11 @@ plane partitions where P means every diagonal entry is primed):
 Every family but the bar tableaux yields one record, `Tableau`, with a tuple
 of codes per cell. Single-valued tableaux are the set-valued ones at budget
 0; they and reverse plane partitions hold one code per cell.
+
+A diagonal cell is walked under one of three rules: free (Q), P (no primed
+element), or marked (only its largest element may be primed).  The marked
+rule serves the prime-restricted family SetShYT_P(outer : inner), whose
+marked cells are the diagonal cells of the rows where outer and inner agree.
 """
 
 from __future__ import annotations
@@ -63,11 +68,6 @@ class Tableau:
     shape: SkewShape
     entries: tuple[tuple[Cell, tuple[int, ...]], ...]
 
-    @property
-    def size(self) -> int:
-        """|T|: the total number of elements over all cells."""
-        return sum(len(s) for _, s in self.entries)
-
     def text(self) -> str:
         rows: dict[int, str] = {}
         for (i, _), s in self.entries:
@@ -79,11 +79,6 @@ class Tableau:
 class BarTableau:
     filling: Tableau
     blocks: tuple[tuple[Cell, ...], ...]
-
-    @property
-    def size(self) -> int:
-        """|T|: the number of blocks."""
-        return len(self.blocks)
 
     def text(self) -> str:
         groups = ";".join(
@@ -99,23 +94,31 @@ class BarTableau:
 # holds a set of codes, a single code when the budget is 0) or the reverse
 # plane partition rule.  Cells are filled in reading order (rows from the
 # bottom, then columns).  Each cell's choices depend only on the largest code
-# of its left and below neighbours, on whether the cell is a diagonal cell
-# under the P rule, and on the remaining set-valued budget, so they are
-# computed once per such key and reused at every node that shares it.
+# of its left and below neighbours, on the cell's diagonal rule, and on the
+# remaining set-valued budget, so they are computed once per such key and
+# reused at every node that shares it.
+
+FREE, P_DIAG, MARKED = 0, 1, 2  # diagonal rules: Q, no primed element, only the largest primed
 
 
 def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
-              tally: bool = False):
+              tally: bool = False, marked: frozenset[int] = frozenset()):
     """Every filling of the shape with values 1..max_value, in entry order.
 
     With `rpp` the fillings are reverse plane partitions, one code per cell.
     Otherwise they are set-valued tableaux where deg_cap bounds
     |T| - (number of cells) (None means no bound), so deg_cap 0 gives the
-    semistandard shifted tableaux.  Yields the live (cells, entries, counts)
-    for each filling: `entries` holds one tuple of codes per cell and
-    `counts[v - 1]` is how often value v occurs (kept only with `tally`, else
-    all zero).  The lists are reused, so copy what must outlive the next step.
-    Fixed-content counts come from one-value walks (`content_count`).
+    semistandard shifted tableaux.  A cell off the diagonal, or on it without
+    `p_flavor`, is FREE.  With `p_flavor` a diagonal cell is P_DIAG (for
+    reverse plane partitions: its entry is primed), or MARKED when its row is
+    in `marked`, so the walk yields the Q walk's fillings whose diagonal
+    cells obey their rules, in the Q walk's order.
+
+    Yields the live (cells, entries, counts) for each filling: `entries` holds
+    one tuple of codes per cell and `counts[v - 1]` is how often value v
+    occurs (kept only with `tally`, else all zero).  The lists are reused, so
+    copy what must outlive the next step.  Fixed-content counts come from
+    one-value walks (`_one_value_count`).
 
     A cell's options, (codes, largest code, extras used), are stored per key
     only when the remaining budget is finite: an uncapped set-valued cell has
@@ -127,7 +130,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
     index = {c: k for k, c in enumerate(cells)}
     left = [index.get((i, j - 1), -1) for (i, j) in cells]
     below = [index.get((i - 1, j), -1) for (i, j) in cells]
-    p_diag = [p_flavor and i == j for (i, j) in cells]
+    diag = [(MARKED if i in marked else P_DIAG) if p_flavor and i == j else FREE for (i, j) in cells]
     entries: list[tuple[int, ...]] = [()] * n
     largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
     counts = [0] * max_value
@@ -138,7 +141,7 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
         key = (
             largest[left[k]],
             largest[below[k]],
-            p_diag[k],
+            diag[k],
             None if deg_cap is None else deg_cap - used,
         )
         opts = table.get(key)
@@ -173,26 +176,28 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
         del rec
 
 
-def _cell_options(top: int, rpp: bool, lv: int, bv: int, p_diag: bool, budget: int | None):
+def _cell_options(top: int, rpp: bool, lv: int, bv: int, diag: int, budget: int | None):
     """(codes, largest code, extras used) for one cell, in entry order.
 
     lv and bv are the largest codes of the left and below neighbours (0 if
-    none); p_diag marks a diagonal cell under the P rule.
+    none); diag is the cell's diagonal rule.  The P_DIAG and MARKED options
+    are the FREE ones without those that break the rule, in the same order.
     """
     for m in range(max(1, lv, bv), top + 1):
         primed = is_primed(m)
         if rpp:
-            if p_diag and not primed:
+            if diag and not primed:
                 continue  # a P-flavour diagonal entry must be primed
-        elif (m == lv and primed) or (m == bv and not primed) or (p_diag and primed):
+        elif (m == lv and primed) or (m == bv and not primed) or (diag == P_DIAG and primed):
             continue  # a shared row value is unprimed, a shared column value primed
         yield (m,), m, 0
-        if budget == 0:
-            continue
-        pool = [c for c in range(m + 1, top + 1) if not (p_diag and is_primed(c))]
+        if budget == 0 or (diag and primed):
+            continue  # a primed marked element must be the cell's largest
+        pool = [c for c in range(m + 1, top + 1) if not (diag == P_DIAG and is_primed(c))]
         for size in range(1, len(pool) + 1 if budget is None else min(len(pool), budget) + 1):
             for extra in itertools.combinations(pool, size):
-                yield (m,) + extra, extra[-1], size
+                if diag != MARKED or not any(is_primed(c) for c in extra[:-1]):
+                    yield (m,) + extra, extra[-1], size
 
 
 def _setvalued_valid(shape: SkewShape, entries: dict[Cell, tuple[int, ...]], p_flavor: bool) -> bool:
@@ -257,17 +262,21 @@ def _check_family(family: str) -> str:
     return fam
 
 
+def _check_walk(shape: SkewShape, max_value: int, deg_cap: int | None) -> None:
+    shape.require_valid()
+    if max_value < 1:
+        raise ParameterError(f"max_value must be at least 1, got {max_value}")
+    if deg_cap is not None and deg_cap < 0:
+        raise ParameterError(f"deg_cap must be at least 0, got {deg_cap}")
+
+
 def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | None = None):
     """Stream every tableau of the family exactly once, deterministically.
 
     deg_cap bounds |T| - |shape| and has a meaning for set-valued families only.
     """
     fam = _check_family(family)
-    shape.require_valid()
-    if max_value < 1:
-        raise ParameterError(f"max_value must be at least 1, got {max_value}")
-    if deg_cap is not None and deg_cap < 0:
-        raise ParameterError(f"deg_cap must be at least 0, got {deg_cap}")
+    _check_walk(shape, max_value, deg_cap)
     if deg_cap is not None and not fam.startswith("setshyt"):
         raise ParameterError(f"deg_cap bounds set-valued families only, not {fam}")
     cap = deg_cap if fam.startswith("setshyt") else 0  # single-valued: set-valued at budget 0
@@ -277,42 +286,25 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
 
 
 def weight(family: str, t) -> tuple[tuple[int, ...], int]:
-    """The (exponent vector, size statistic) of a tableau.
+    """The (exponent vector, size statistic |T|) of a tableau.
 
-    The exponent vector is indexed by value 1..v_max where v_max is the
-    largest value occurring; the size statistic is |T| as defined per family
-    (cell count, element count, weight degree, or block count).
+    Each element (set-valued and single-valued tableaux), line (reverse plane
+    partitions: a column of unprimed or a row of primed v) or block (bar
+    tableaux) adds 1 at its value in the exponent vector, indexed by value
+    1..v_max for the largest value v_max occurring; |T| is their number.
     """
     fam = _check_family(family)
-    if fam.startswith(("shyt", "setshyt")):  # one element per cell makes |T| the cell count
-        counts: dict[int, int] = {}
-        for _, s in t.entries:
-            for code in s:
-                v = code_value(code)
-                counts[v] = counts.get(v, 0) + 1
-        top = max(counts) if counts else 0
-        return tuple(counts.get(v, 0) for v in range(1, top + 1)), t.size
-    if fam.startswith("shrpp"):
-        cols: dict[int, set[int]] = {}
-        rows: dict[int, set[int]] = {}
-        for (i, j), (code,) in t.entries:
-            v = code_value(code)
-            if is_primed(code):
-                rows.setdefault(v, set()).add(i)
-            else:
-                cols.setdefault(v, set()).add(j)
-        top = max(list(cols) + list(rows)) if (cols or rows) else 0
-        exps = tuple(
-            len(cols.get(v, ())) + len(rows.get(v, ())) for v in range(1, top + 1)
-        )
-        return exps, sum(exps)
-    counts = {}
-    ent = dict(t.filling.entries)
-    for block in t.blocks:
-        v = code_value(ent[block[0]][0])
-        counts[v] = counts.get(v, 0) + 1
-    top = max(counts) if counts else 0
-    return tuple(counts.get(v, 0) for v in range(1, top + 1)), t.size
+    if fam.startswith("shbt"):
+        ent = dict(t.filling.entries)
+        codes = [ent[block[0]][0] for block in t.blocks]
+    elif fam.startswith("shrpp"):
+        codes = [code for code, _ in {(code, i if code & 1 else j) for (i, j), (code,) in t.entries}]
+    else:
+        codes = [code for _, s in t.entries for code in s]
+    exps = [0] * ((max(codes, default=0) + 1) >> 1)
+    for code in codes:
+        exps[(code - 1) >> 1] += 1
+    return tuple(exps), len(codes)
 
 
 def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int | None) -> BetaPoly:
@@ -373,18 +365,20 @@ def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ..
     if not content:
         return int(not outer.parts)
     c = content[-1]
+    lo, hi = outer.size - c, sum(content) - c
     return sum(
         content_count(p_flavor, mu, content[:-1]) * _one_value_count(p_flavor, SkewShape(outer, kappa), c)
-        for mu in subshapes(outer) if outer.size - c <= mu.size <= sum(content) - c
+        for mu in subshapes(outer) if lo <= mu.size <= hi
         for kappa in doubleslash_inners(mu)
     )
 
 
 @functools.cache
 def _one_value_count(p_flavor: bool, shape: SkewShape, c: int) -> int:
-    """[x^c] of the one-variable GP/GQ of the shape, beta set to 1."""
-    fam = "setshyt_p" if p_flavor else "setshyt_q"
-    return genfun_from_tableaux(fam, shape, 1, c).terms.get(((c,), c - shape.size), 0)
+    """[x^c] of the one-variable GP/GQ of the shape, beta set to 1: the fillings with c elements."""
+    if c < shape.size:
+        return 0
+    return sum(counts[0] == c for _, _, counts in _fillings(shape, 1, p_flavor, False, c - shape.size, tally=True))
 
 
 # -- the one-row map and the prime-restricted family ---------------------------
@@ -414,14 +408,21 @@ def iter_restricted_p(
     max_value: int,
     deg_cap: int | None = None,
 ) -> Iterator[Tableau]:
-    """Enumerate SetShYT_P(outer : inner)."""
+    """Enumerate SetShYT_P(outer : inner) in the order of the Q walk it lies in.
+
+    One walk of straight(outer) under the P rule, with the diagonal cells of
+    the rows where outer and inner agree MARKED; `in_restricted_p` is the
+    same test made on a finished tableau.
+    """
     if not all(inner.part(i) <= outer.part(i) for i in range(1, len(outer) + 1)) or len(
         inner
     ) != len(outer):
         raise InvalidShapeError(f"need inner <= outer of equal length: {outer}/{inner}")
-    for t in iter_tableaux("setshyt_q", straight(outer), max_value, deg_cap):
-        if in_restricted_p(t, outer, inner):
-            yield t
+    shape = straight(outer)
+    _check_walk(shape, max_value, deg_cap)
+    marked = frozenset(i for i in range(1, len(outer) + 1) if outer.part(i) == inner.part(i))
+    for cells, entries, _ in _fillings(shape, max_value, True, False, deg_cap, marked=marked):
+        yield Tableau(shape, tuple(zip(cells, entries)))
 
 
 def onerow_map(t: Tableau) -> tuple[str, Tableau]:

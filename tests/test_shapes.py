@@ -176,3 +176,15 @@ def test_partition_sort_key_grades_by_size(parts):
 
 def test_subshapes_example():
     assert {p.parts for p in subshapes(sp(2, 1))} == {(), (1,), (2,), (2, 1)}
+
+
+def test_skew_size_is_the_cell_count():
+    # the outer size less the inner size, on every valid pair with |outer| <= 6
+    for lam in enumerate_strict_partitions(6):
+        for mu in subshapes(lam):
+            shape = SkewShape(lam, mu)
+            assert shape.size == len(shape.cells()), shape
+    # invalid pairs raise, also where |outer| - |inner| is not negative
+    for outer, inner in ((sp(1), sp(2)), (sp(3, 1), sp(3, 2)), (sp(4), sp(2, 1)), (sp(3), sp(2, 1))):
+        with pytest.raises(InvalidShapeError):
+            SkewShape(outer, inner).size

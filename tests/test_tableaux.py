@@ -6,10 +6,14 @@ from kshift.errors import InvalidShapeError
 from kshift.polyring import BetaPoly
 from kshift.shapes import EMPTY, SkewShape, StrictPartition, straight, subshapes, enumerate_strict_partitions
 from kshift.tableaux import (
+    FAMILIES,
     BarTableau,
     Tableau,
+    _one_value_count,
+    code_value,
     content_count,
     genfun_from_tableaux,
+    is_primed,
     iter_restricted_p,
     iter_tableaux,
     onerow_map,
@@ -74,6 +78,47 @@ def test_weight_bar_example():
     exps, size = weight("shbt_p", t)
     assert exps == (2, 1, 2)
     assert size == 5
+
+
+def reference_weight(family, t):
+    """`weight` counted through a dict keyed by value, one family at a time."""
+    if family.startswith(("shyt", "setshyt")):
+        counts: dict[int, int] = {}
+        for _, s in t.entries:
+            for code in s:
+                v = code_value(code)
+                counts[v] = counts.get(v, 0) + 1
+        top = max(counts) if counts else 0
+        return tuple(counts.get(v, 0) for v in range(1, top + 1)), sum(len(s) for _, s in t.entries)
+    if family.startswith("shrpp"):
+        cols: dict[int, set[int]] = {}
+        rows: dict[int, set[int]] = {}
+        for (i, j), (code,) in t.entries:
+            v = code_value(code)
+            if is_primed(code):
+                rows.setdefault(v, set()).add(i)
+            else:
+                cols.setdefault(v, set()).add(j)
+        top = max(list(cols) + list(rows)) if (cols or rows) else 0
+        exps = tuple(len(cols.get(v, ())) + len(rows.get(v, ())) for v in range(1, top + 1))
+        return exps, sum(exps)
+    counts = {}
+    ent = dict(t.filling.entries)
+    for block in t.blocks:
+        v = code_value(ent[block[0]][0])
+        counts[v] = counts.get(v, 0) + 1
+    top = max(counts) if counts else 0
+    return tuple(counts.get(v, 0) for v in range(1, top + 1)), len(t.blocks)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weight_matches_the_dict_reference(family):
+    for lam in enumerate_strict_partitions(4):
+        for mu in subshapes(lam):
+            shape = SkewShape(lam, mu)
+            for max_value in (1, 2, 3):
+                for t in iter_tableaux(family, shape, max_value):
+                    assert weight(family, t) == reference_weight(family, t), (shape, t.text())
 
 
 def test_genfun_examples():
@@ -238,11 +283,23 @@ def test_restricted_family_matches_its_definition():
         if not lam.parts:
             continue
         for max_value in (1, 2, 3):
-            for deg_cap in (0, 1, 2) + ((None,) if lam.size <= 4 else ()):
+            for deg_cap in (0, 1, 2) + ((None,) if lam.size <= 5 else ()):
                 tableaux = list(iter_tableaux("setshyt_q", straight(lam), max_value, deg_cap))
                 for mu in _same_length_inners(lam):
                     want = [t for t in tableaux if _in_restricted_p_by_validity(t, lam, mu)]
                     assert list(iter_restricted_p(lam, mu, max_value, deg_cap)) == want, (lam, mu, max_value, deg_cap)
+
+
+@pytest.mark.parametrize("p_flavor", [True, False])
+def test_one_value_count_is_the_one_variable_coefficient(p_flavor):
+    family = "setshyt_p" if p_flavor else "setshyt_q"
+    for lam in enumerate_strict_partitions(7):
+        for kappa in subshapes(lam):
+            shape = SkewShape(lam, kappa)
+            poly = genfun_from_tableaux(family, shape, 1, shape.size + 3)
+            for c in range(shape.size + 4):
+                want = poly.terms.get(((c,), c - shape.size), 0)
+                assert _one_value_count(p_flavor, shape, c) == want, (shape, c)
 
 
 # -- brute-force oracle: every candidate filling, filtered by the rules ------
