@@ -15,6 +15,10 @@ slice P/Q, so they are peeled from high degree downward.  Within one degree,
 indices are processed in decreasing lexicographic order, which refines
 dominance; leading monomial coefficients are 1 for P/GP/gp/jp/schur and
 2^length for Q/GQ/gq/jq.
+
+The dual solve and the peel hold a polynomial symmetric in y (or in the x block)
+by its view, its terms at partition exponents padded to the number of variables:
+every rearrangement repeats them.  A finished value is written out to its orbits.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from operator import sub
 
 from .cache import CACHE
 from .errors import (
@@ -33,7 +38,7 @@ from .errors import (
     ResourceLimitError,
     SingularPointError,
 )
-from .polyring import BetaPoly, RationalPoint, tensor_split
+from .polyring import BetaPoly, RationalPoint
 from .shapes import (
     EMPTY,
     SkewShape,
@@ -169,35 +174,49 @@ def _ell_max(size: int) -> int:
     return m
 
 
-_SLICES: dict[int, list[BetaPoly]] = {}
+@functools.cache
+def _rearrangements(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of e, a weakly decreasing tuple."""
+    if not e:
+        return ((),)
+    return tuple((x,) + r for x in dict.fromkeys(e) for r in _rearrangements(e[: e.index(x)] + e[e.index(x) + 1 :]))
 
 
-def _kernel_x_slices(S: int, ny: int) -> list[BetaPoly]:
-    """Coefficients k_d(y), d <= S, of x^d in prod_j (1 - xbar*y_j)/(1 - x*y_j).
-
-    Per y_j the factor is (1 + (beta+y_j)x) / ((1 + beta*x)(1 - y_j*x)), so for
-    |e| + b = d the coefficient of beta^b y^e in k_d is [t^b] ((2+t)/(1+t))^s,
-    s the number of variables in y^e.  Slices are exact: kept per ny, extended in d.
-    """
-    slices = _SLICES.setdefault(ny, [])
-    for d in range(len(slices), S + 1):
-        terms = {}
-        for c in range(d + 1):
-            for picks in itertools.combinations_with_replacement(range(ny), c):
-                s, b = len(set(picks)), d - c
-                # ((2+t)/(1+t))^s = sum_k C(s,k) (1+t)^-k
-                weight = (b == 0) + sum(comb(s, k) * (-1) ** b * comb(k + b - 1, b) for k in range(1, s + 1))
-                terms[(tuple(picks.count(j) for j in range(ny)), b)] = weight
-        slices.append(BetaPoly(ny, terms))  # the constructor drops zero weights
-    return slices[: S + 1]
+def _orbits(view: dict, nx: int) -> dict:
+    """The terms of a view whose exponents start with a partition of length nx, over its x-orbits."""
+    return {(f + e[nx:], b): c for (e, b), c in view.items() if c for f in _rearrangements(e[:nx])}
 
 
 @functools.cache
-def _kernel_coefficient(parts: tuple[int, ...], ny: int) -> BetaPoly:
-    """prod_i k_{parts_i}(y): the coefficient of x^parts in the Cauchy kernel."""
+def _kernel_weight(s: int, b: int) -> int:
+    """[t^b] ((2+t)/(1+t))^s, where ((2+t)/(1+t))^s = sum_k C(s,k) (1+t)^-k."""
+    return (b == 0) + sum(comb(s, k) * (-1) ** b * comb(k + b - 1, b) for k in range(1, s + 1))
+
+
+@functools.cache
+def _kernel_view(parts: tuple[int, ...], ny: int) -> dict:
+    """The view of prod_i k_{parts_i}(y), the coefficient of x^parts in prod_j (1 - xbar*y_j)/(1 - x*y_j).
+
+    Per y_j the factor is (1 + (beta+y_j)x) / ((1 + beta*x)(1 - y_j*x)), so for
+    |e| + b = d the coefficient of beta^b y^e in k_d is `_kernel_weight(s, b)`,
+    s the number of nonzero parts of e.  With A the product of the earlier
+    slices, [y^lam](A k_d) = sum_{e <= lam} A[sort e] k_d[lam - e], each beta
+    power fixed by homogeneity in (y, beta)."""
     if not parts:
-        return BetaPoly.const(ny, 1)
-    return _kernel_coefficient(parts[:-1], ny) * _kernel_x_slices(parts[-1], ny)[-1]
+        return {((0,) * ny, 0): 1}
+    head, m, d = _kernel_view(parts[:-1], ny), sum(parts[:-1]), parts[-1]
+    view = {}
+    for n in range(m + d + 1):
+        for lam in (p + (0,) * (ny - len(p)) for p in partitions_of(n) if len(p) <= ny):
+            total = 0
+            for e in itertools.product(*(range(x + 1) for x in lam)):
+                k = sum(e)
+                a = head.get((tuple(sorted(e, reverse=True)), m - k))
+                if a and n - k <= d:
+                    total += a * _kernel_weight(ny - list(map(sub, lam, e)).count(0), d - n + k)
+            if total:
+                view[lam, m + d - n] = total
+    return view
 
 
 def _encode_table(table: dict[StrictPartition, BetaPoly]) -> dict:
@@ -212,13 +231,13 @@ def _decode_table(obj: dict) -> dict[StrictPartition, BetaPoly]:
 def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     """All dual functions gp_mu (or gq_mu) with |mu| <= S, in ny variables.
 
-    The coefficients of x^mu in the Cauchy identity kernel = sum_nu GQ_nu(x)
-    gp_nu(y) (respectively GP/gq) give a triangular system, solved in candidate
-    order from prod_i k_{mu_i}(y) and [x^mu] GQ_nu = beta^(|mu|-|nu|) times
-    `tableaux.content_count`, which the GP/GQ coproduct builds from one-variable
-    walks.  The values are exact and do not depend on S: one table per (flavor,
-    ny) is kept, extended in place for a larger S, and a smaller S is served as
-    the prefix enumerate_strict_partitions(S).
+    The coefficients of x^mu in the Cauchy identity kernel = sum_nu GQ_nu(x) gp_nu(y)
+    (respectively GP/gq) give a triangular system, solved in candidate order on the
+    y-symmetric views of prod_i k_{mu_i}(y) and of each entry, with [x^mu] GQ_nu =
+    beta^(|mu|-|nu|) times `tableaux.content_count` (the GP/GQ coproduct).  The
+    values are exact and do not depend on S: one table per (flavor, ny) is kept,
+    extended in place for a larger S, and a smaller S is served as the prefix
+    enumerate_strict_partitions(S).  Entries are stored written out in full.
     """
     if flavor not in ("gp", "gq"):
         raise ValueError(f"flavor must be gp or gq, got {flavor!r}")
@@ -231,22 +250,28 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
 
 
 def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny: int) -> dict:
-    """Add to table each candidate it lacks, given all the earlier ones."""
+    """Add to table each candidate it lacks, given all the earlier ones: on
+    views, each new entry written out to its orbits once it is divided."""
     p_basis = flavor == "gq"  # gq is dual to GP, gp to GQ
+    views: dict[StrictPartition, dict] = {}
     for i, mu in enumerate(candidates):
         if mu in table:
             continue
-        acc = dict(_kernel_coefficient(mu.parts, ny).terms)
+        acc = dict(_kernel_view(mu.parts, ny))
         for prev in candidates[:i]:
             n = content_count(p_basis, prev, mu.parts)
             if n:
-                for (e, b), v in table[prev].terms.items():
+                if prev not in views:
+                    terms = table[prev].terms.items()
+                    views[prev] = {(e, b): v for (e, b), v in terms if e == tuple(sorted(e, reverse=True))}
+                for (e, b), v in views[prev].items():
                     k = (e, b + mu.size - prev.size)
                     acc[k] = acc.get(k, 0) - n * v
         lead, expected = content_count(p_basis, mu, mu.parts), (1 if p_basis else 2) ** len(mu)
         if lead != expected:
             raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
-        table[mu] = BetaPoly(ny, acc).divide_exact(expected)
+        views[mu] = BetaPoly(ny, acc).divide_exact(expected).terms
+        table[mu] = BetaPoly(ny, _orbits(views[mu], ny))
     return table
 
 
@@ -307,34 +332,43 @@ class BasisExpansion:
         }
 
 
-def _peel(p: BetaPoly, basis: str, nx: int) -> tuple[dict[tuple[int, ...], BetaPoly], BetaPoly]:
+def _peel(p: BetaPoly, basis: str, nx: int, asymmetric=KshiftError) -> tuple[dict[tuple[int, ...], BetaPoly], BetaPoly]:
     """Greedy triangular peel of the first nx variables of p against the basis.
 
     Each coefficient is a polynomial in the other ny = p.nvars - nx variables
     (when nx = p.nvars, an element of Z[beta]: a 0-variable polynomial with no
     truncation).  Returns the coefficients in peel order and the residual,
-    split at nx, that the basis cannot explain.
+    split at nx, that the basis cannot explain.  p must be symmetric in each
+    block, or `asymmetric` is raised: the peel then keeps p only at x-exponents
+    that are partitions and writes the residual out to its x-orbits at the end.
     """
-    ny = p.nvars - nx
-    top = p.max_deg
-    if top is None:
-        top = max((sum(e[:nx]) for (e, _b) in p.terms), default=0)
-    degrees = range(top, -1, -1) if basis in _MAX_FIRST else range(top + 1)
-    coeffs: dict[tuple[int, ...], BetaPoly] = {}
+    split = BetaPoly(p.nvars, p.terms, p.max_deg, nx)
+    if not split.is_symmetric():
+        raise asymmetric("input polynomial is not symmetric")
     # by triangularity a peel step changes no x-monomial already visited, so
     # what the basis cannot explain is left in rest: rest is the residual
-    rest = BetaPoly(p.nvars, p.terms, p.max_deg, nx)
+    rest: dict[tuple[int, ...], dict] = {}
+    for (e, b), v in split.terms.items():
+        if e[:nx] == tuple(sorted(e[:nx], reverse=True)):
+            rest.setdefault(e[:nx], {})[e[nx:], b] = v
+    top = max(map(sum, rest), default=0) if p.max_deg is None else p.max_deg
+    degrees = range(top, -1, -1) if basis in _MAX_FIRST else range(top + 1)
+    coeffs: dict[tuple[int, ...], BetaPoly] = {}
     for d in degrees:
         for index in _basis_indices(basis, d, nx):
-            monomial = index + (0,) * (nx - len(index))
-            c = {(e[nx:], b): v for (e, b), v in rest.terms.items() if e[:nx] == monomial}
-            c = BetaPoly(ny, c, p.max_deg if ny else None)
+            c = BetaPoly(p.nvars - nx, rest.get(index + (0,) * (nx - len(index))), p.max_deg if nx < p.nvars else None)
             if c.is_zero():
                 continue
             c = c.divide_exact(_basis_lead(basis, index))
             coeffs[index] = c
-            rest = rest - tensor_split(evaluate(basis, index, (), nx, p.max_deg), c, p.max_deg)
-    return coeffs, rest
+            for (ex, bx), vx in evaluate(basis, index, (), nx, p.max_deg).terms.items():
+                if ex == tuple(sorted(ex, reverse=True)):
+                    bucket = rest.setdefault(ex, {})
+                    for (ey, by), vy in c.terms.items():
+                        k = (ey, bx + by)
+                        bucket[k] = bucket.get(k, 0) - vx * vy
+    residual = {(x + e, b): v for x, bucket in rest.items() for (e, b), v in bucket.items()}
+    return coeffs, BetaPoly(p.nvars, _orbits(residual, nx), p.max_deg, nx)
 
 
 def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
@@ -345,9 +379,7 @@ def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
     """
     if p.split is not None:
         raise ParameterError("expand_in_basis needs a one-alphabet polynomial")
-    if not p.is_symmetric():
-        raise NonSymmetricError("input polynomial is not symmetric")
-    coeffs, rest = _peel(p, basis, p.nvars)
+    coeffs, rest = _peel(p, basis, p.nvars, NonSymmetricError)
     return BasisExpansion(basis, p.nvars, p.max_deg, coeffs, BetaPoly(p.nvars, rest.terms, p.max_deg))
 
 

@@ -38,7 +38,7 @@ from .shapes import (
     vertical_strip_extensions,
     vertical_strip_subsets,
 )
-from .tableaux import genfun_from_tableaux, iter_restricted_p, iter_tableaux, weight
+from .tableaux import genfun_from_tableaux, iter_restricted_p, iter_tableaux, weight_tally
 
 
 @dataclass
@@ -213,10 +213,8 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
         streams += [("lhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in minus]
         streams += [("rhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in plus]
         for side, stream in streams:
-            for t in stream:
-                exps, _ = weight("setshyt_q", t)
-                sides[side][(exps + (0,) * (nvars - len(exps)), 0)] += 1
-        lhs, rhs = (BetaPoly(nvars, sides[side], max_deg) for side in ("lhs", "rhs"))
+            sides[side].update(weight_tally("setshyt_q", stream, nvars))
+        lhs, rhs = (BetaPoly(nvars, {(e, 0): n for e, n in sides[side].items()}, max_deg) for side in ("lhs", "rhs"))
         return _compare(lhs, rhs)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}

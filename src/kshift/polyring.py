@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -234,14 +235,12 @@ class BetaPoly:
     def is_symmetric(self) -> bool:
         """Invariance under permuting the variables (within each block if split):
         every term has its orbit's sorted term's coefficient and no orbit lacks a term."""
-        blocks = [slice(None)] if self.split is None else [slice(None, self.split), slice(self.split, None)]
-        orbits: dict[TermKey, int] = {}
-        for (e, b), c in self.terms.items():
-            key = (tuple(x for s in blocks for x in sorted(e[s])), b)
-            if self.terms.get(key) != c:
-                return False
-            orbits[key] = orbits.get(key, 0) + 1
-        return all(n == math.prod(_rearrangements(e[s]) for s in blocks) for (e, _b), n in orbits.items())
+        s, terms = self.split, self.terms
+        blocks = [slice(None)] if s is None else [slice(None, s), slice(s, None)]
+        keys = [(tuple(sorted(e)) if s is None else tuple(sorted(e[:s])) + tuple(sorted(e[s:])), b) for e, b in terms]
+        if list(map(terms.get, keys)) != list(terms.values()):
+            return False
+        return all(n == math.prod(_rearrangements(e[sl]) for sl in blocks) for (e, _b), n in Counter(keys).items())
 
     # -- substitutions and evaluation ----------------------------------------
 

@@ -28,8 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
@@ -285,26 +286,36 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     yield from _iter_bar(tableaux) if fam.startswith("shbt") else tableaux
 
 
-def weight(family: str, t) -> tuple[tuple[int, ...], int]:
-    """The (exponent vector, size statistic |T|) of a tableau.
-
-    Each element (set-valued and single-valued tableaux), line (reverse plane
-    partitions: a column of unprimed or a row of primed v) or block (bar
-    tableaux) adds 1 at its value in the exponent vector, indexed by value
-    1..v_max for the largest value v_max occurring; |T| is their number.
-    """
-    fam = _check_family(family)
+def _codes(fam: str, t) -> list[int]:
+    """A code per element (set-valued and single-valued tableaux), line (reverse plane partitions:
+    a column of unprimed or a row of primed v) or block (bar tableaux) of t, in the checked family fam."""
     if fam.startswith("shbt"):
         ent = dict(t.filling.entries)
-        codes = [ent[block[0]][0] for block in t.blocks]
-    elif fam.startswith("shrpp"):
-        codes = [code for code, _ in {(code, i if code & 1 else j) for (i, j), (code,) in t.entries}]
-    else:
-        codes = [code for _, s in t.entries for code in s]
+        return [ent[block[0]][0] for block in t.blocks]
+    if fam.startswith("shrpp"):
+        return [code for code, _ in {(code, i if code & 1 else j) for (i, j), (code,) in t.entries}]
+    return [code for _, s in t.entries for code in s]
+
+
+def weight(family: str, t) -> tuple[tuple[int, ...], int]:
+    """The (exponent vector, size statistic |T|) of a tableau: each of its `_codes` adds 1 at its
+    value, indexed by value 1..v_max for the largest value v_max occurring; |T| is their number."""
+    codes = _codes(_check_family(family), t)
     exps = [0] * ((max(codes, default=0) + 1) >> 1)
     for code in codes:
         exps[(code - 1) >> 1] += 1
     return tuple(exps), len(codes)
+
+
+def weight_tally(family: str, tableaux: Iterable, nvars: int) -> Counter:
+    """How many of the tableaux have each `weight` exponent vector, padded to nvars."""
+    fam, tally = _check_family(family), Counter()
+    for t in tableaux:
+        exps = [0] * nvars
+        for code in _codes(fam, t):
+            exps[(code - 1) >> 1] += 1
+        tally[tuple(exps)] += 1
+    return tally
 
 
 def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int | None) -> BetaPoly:

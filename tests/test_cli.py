@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from kshift import cache, identities
+from kshift import cache, cli, genfun, identities
 from kshift.cli import build_parser, main
+from kshift.polyring import BetaPoly
+from kshift.shapes import StrictPartition
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +211,20 @@ def test_negative_max_size_is_a_usage_error(capsys, check_id):
     code = main(["verify", "--id", check_id, "--max-size", "-1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "max_size must be at least 0, got -1" in captured.err
+
+
+def test_asymmetric_input_is_a_usage_error_and_an_asymmetric_dual_a_math_error(capsys, monkeypatch):
+    x1 = BetaPoly.variable(1, 3, 3)
+    monkeypatch.setattr(cli, "_evaluate", lambda func, args: x1)
+    code = main(["expand", "--target", "GQ", "--basis", "GP", "--outer", "1", "--vars", "3", "--max-deg", "3"])
+    assert code == 2 and "error: input polynomial is not symmetric" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a dual-table entry that is not symmetric reaches the skew-dual peel: exit 1
+    real = genfun.dual_table
+    corrupt = {StrictPartition((2, 1)): BetaPoly.variable(1, 3)}
+    monkeypatch.setattr(genfun, "dual_table", lambda f, S, n: {**real(f, S, n), **(corrupt if n == 3 else {})})
+    code = main(["compute", "--func", "gp", "--outer", "2,1", "--inner", "1", "--vars", "1", "--no-cache"])
+    assert code == 1 and "not symmetric" in capsys.readouterr().err
 
 
 def test_cache_transparency(tmp_path, capsys):

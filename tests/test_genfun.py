@@ -198,6 +198,17 @@ def test_dual_beta_zero():
         assert dual_gp_gq("gq", lam, 3).beta_zero() == classical_pq("Q", straight(lam), 3)
 
 
+def kernel_slices(S, ny):
+    """k_d(y), d <= S: the coefficients of x1^d in the one-x Cauchy kernel."""
+    kern = cauchy_kernel(1, ny, S)
+    return [BetaPoly(ny, {(e[1:], b): c for (e, b), c in kern.terms.items() if e[0] == d}) for d in range(S + 1)]
+
+
+def partition_terms(poly):
+    """The terms of poly at weakly decreasing exponents: its partition view."""
+    return {(e, b): c for (e, b), c in poly.terms.items() if list(e) == sorted(e, reverse=True)}
+
+
 def whole_polynomial_duals(flavor, S, ny):
     """The reference solve: build every basis GQ_nu (or GP_nu) whole over
     enough variables and read its coefficients of x^mu."""
@@ -205,7 +216,7 @@ def whole_polynomial_duals(flavor, S, ny):
     basis = "GQ" if flavor == "gp" else "GP"
     candidates = enumerate_strict_partitions(S)
     polys = {mu: gp_gq(basis, straight(mu), nx, S) for mu in candidates}
-    slices = genfun._kernel_x_slices(S, ny)
+    slices = kernel_slices(S, ny)
     solved = {}
     for mu in candidates:
         target = BetaPoly.const(ny, 1)
@@ -222,21 +233,35 @@ def whole_polynomial_duals(flavor, S, ny):
 
 @pytest.mark.parametrize("flavor", ["gp", "gq"])
 def test_dual_table_matches_the_whole_polynomial_solve(flavor):
-    for ny in range(1, 5):
-        want = whole_polynomial_duals(flavor, 7, ny)
-        for S in range(8):
+    for ny in range(1, 9):
+        top = 7 if ny <= 4 else 5
+        want = whole_polynomial_duals(flavor, top, ny)
+        for S in range(top + 1):
             table = dual_table(flavor, S, ny)
             assert list(table) == enumerate_strict_partitions(S)
             assert table == {mu: want[mu] for mu in table}, (S, ny)
 
 
 def test_kernel_slices_are_the_kernel_coefficients():
-    # k_d(y) is the coefficient of x1^d in the one-x Cauchy kernel
+    # the view of k_d(y), written out to its orbits, is the coefficient of
+    # x1^d in the one-x Cauchy kernel
     for ny in range(1, 5):
-        for d in range(7):
-            kern = cauchy_kernel(1, ny, d)
-            want = BetaPoly(ny, {(e[1:], b): c for (e, b), c in kern.terms.items() if e[0] == d})
-            assert genfun._kernel_x_slices(d, ny)[d] == want, (d, ny)
+        for d, want in enumerate(kernel_slices(6, ny)):
+            assert BetaPoly(ny, genfun._orbits(genfun._kernel_view((d,), ny), ny)) == want, (d, ny)
+
+
+def test_kernel_views_are_the_partition_terms_of_kernel_products():
+    # every product of slices that a dual table reads, at its partition
+    # exponents, for each strict partition of size <= 6 in up to 8 variables
+    for ny in range(1, 9):
+        slices = kernel_slices(6, ny)
+        for d, whole in enumerate(slices):
+            assert genfun._kernel_view((d,), ny) == partition_terms(whole), (d, ny)
+        for mu in enumerate_strict_partitions(6):
+            whole = BetaPoly.const(ny, 1)
+            for part in mu.parts:
+                whole = whole * slices[part]
+            assert genfun._kernel_view(mu.parts, ny) == partition_terms(whole), (mu, ny)
 
 
 def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
@@ -308,10 +333,11 @@ def test_split_peel_recombines_the_dual():
 
 
 def test_split_peel_without_exact_expansion_is_an_error(monkeypatch):
-    # x1 alone in the x-block is not symmetric, so the gp peel leaves a residual
+    # x1 alone in the x-block is not symmetric, which the partition peel cannot read
     nx, ny = 2, 1
     x1 = BetaPoly.variable(1, nx + ny)
-    assert not _peel(x1, "gp", nx)[1].is_zero()
+    with pytest.raises(KshiftError):
+        _peel(x1, "gp", nx)
     real = genfun.dual_table
 
     def table(flavor, S, nvars):
@@ -321,6 +347,78 @@ def test_split_peel_without_exact_expansion_is_an_error(monkeypatch):
     monkeypatch.setattr(CACHE, "enabled", False)
     with pytest.raises(KshiftError):
         dual_skew_table("gp", sp(2, 1), ny)
+
+
+def reference_peel(p, basis, nx):
+    """The whole-polynomial peel: read each coefficient by scanning every term
+    and subtract each basis element in full."""
+    ny = p.nvars - nx
+    top = p.max_deg
+    if top is None:
+        top = max((sum(e[:nx]) for (e, _b) in p.terms), default=0)
+    degrees = range(top, -1, -1) if basis in genfun._MAX_FIRST else range(top + 1)
+    coeffs = {}
+    rest = BetaPoly(p.nvars, p.terms, p.max_deg, nx)
+    for d in degrees:
+        for index in genfun._basis_indices(basis, d, nx):
+            monomial = index + (0,) * (nx - len(index))
+            c = {(e[nx:], b): v for (e, b), v in rest.terms.items() if e[:nx] == monomial}
+            c = BetaPoly(ny, c, p.max_deg if ny else None)
+            if c.is_zero():
+                continue
+            c = c.divide_exact(genfun._basis_lead(basis, index))
+            coeffs[index] = c
+            rest = rest - tensor_split(evaluate(basis, index, (), nx, p.max_deg), c, p.max_deg)
+    return coeffs, rest
+
+
+def assert_peels_agree(p, basis, nx):
+    coeffs, rest = _peel(p, basis, nx)
+    want_coeffs, want_rest = reference_peel(p, basis, nx)
+    assert list(coeffs.items()) == list(want_coeffs.items()), (basis, nx, p)
+    assert rest == want_rest, (basis, nx, p)
+    return rest
+
+
+@pytest.mark.parametrize("flavor", ["gp", "gq"])
+def test_split_peel_matches_the_whole_polynomial_peel(flavor):
+    # every input dual_skew_table peels: gp_lam (or gq) in nx + ny variables, nx = len(lam)
+    for lam in enumerate_strict_partitions(6):
+        nx = max(1, len(lam))
+        for ny in range(1, 5):
+            assert assert_peels_agree(dual_table(flavor, lam.size, nx + ny)[lam], flavor, nx).is_zero()
+
+
+def test_split_peel_of_a_truncated_dual_leaves_the_same_residual():
+    # below its top degree gp_lam(x, y) is not spanned by gp_mu(x) over Z[beta][y]
+    lam, nx, ny = sp(3, 1), 2, 2
+    truncated = dual_table("gp", lam.size, nx + ny)[lam].truncated(lam.size - 1)
+    assert not assert_peels_agree(truncated, "gp", nx).is_zero()
+
+
+def test_expansion_peel_matches_the_whole_polynomial_peel():
+    inputs = []
+    for lam in enumerate_strict_partitions(4):
+        top = lam.size + 2
+        inputs += [
+            (gp_gq("GQ", straight(lam), 3, top), "GP"),
+            (gp_gq("GP", straight(lam), 3, top), "GP"),
+            (gp_gq("GQ", straight(lam), 3, top), "GQ"),
+            (dual_gp_gq("gq", lam, 3), "gp"),
+            (dual_gp_gq("gp", lam, 3), "gp"),
+            (dual_gp_gq("gq", lam, 3), "gq"),
+            (gp_gq("GP", straight(lam), 4, 4), "schur"),
+            (dual_gp_gq("gp", lam, 4), "schur"),
+        ]
+    # symmetric inputs the basis does not span: a residual in one alphabet
+    inputs += [(schur((1, 1), 2), "P"), (dual_gp_gq("gp", sp(3, 1), 3).truncated(3), "gp")]
+    residuals = [assert_peels_agree(p, basis, p.nvars) for p, basis in inputs]
+    assert not residuals[-1].is_zero() and not residuals[-2].is_zero()
+    # a leading coefficient that does not divide fails the same way in both
+    gp1 = gp_gq("GP", straight(sp(1)), 2, 3)
+    for peel in (_peel, reference_peel):
+        with pytest.raises(NonDivisibleError):
+            peel(gp1, "GQ", 2)
 
 
 def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):

@@ -18,6 +18,7 @@ from kshift.tableaux import (
     iter_tableaux,
     onerow_map,
     weight,
+    weight_tally,
 )
 
 
@@ -388,6 +389,19 @@ def test_genfun_is_the_weight_sum_over_the_enumerator(family):
                     terms[key] = terms.get(key, 0) + ((-1) ** k if signed else 1)
                 want = BetaPoly(nvars, terms, max_deg)
                 assert genfun_from_tableaux(family, shape, nvars, max_deg) == want, (shape, nvars, max_deg)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weight_tally_counts_the_padded_weights(family):
+    deg_cap = 1 if family.startswith("setshyt") else None
+    for shape in _small_shapes():
+        for nvars in (1, 3):
+            want: dict = {}
+            for t in iter_tableaux(family, shape, nvars, deg_cap):
+                exps = weight(family, t)[0]
+                key = exps + (0,) * (nvars - len(exps))
+                want[key] = want.get(key, 0) + 1
+            assert weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars) == want, (shape, nvars)
 
 
 @pytest.mark.parametrize("p_flavor", [True, False])
