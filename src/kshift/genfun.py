@@ -19,6 +19,9 @@ dominance; leading monomial coefficients are 1 for P/GP/gp/jp/schur and
 The dual solve and the peel hold a polynomial symmetric in y (or in the x block)
 by its view, its terms at partition exponents padded to the number of variables:
 every rearrangement repeats them.  A finished value is written out to its orbits.
+The Schur world is on Kostka numbers, counted by the horizontal-strip rule: s_lam
+has the view K_{lam,nu}, and omega(g) = sum c_lam s_lam' the view sum_lam c_lam
+K_{lam',nu}, with c_lam the Schur coefficients of g from the peel.
 """
 
 from __future__ import annotations
@@ -54,57 +57,34 @@ from .tableaux import content_count, genfun_from_tableaux
 # -- plain (not necessarily strict) partitions for the Schur world -----------
 
 
-def partitions_of(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
+@functools.cache
+def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Partitions of n in decreasing lexicographic order."""
     if n == 0:
-        return [()]
-    out = []
+        return ((),)
     top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return out
+    return tuple((first,) + rest for first in range(top, 0, -1) for rest in partitions_of(n - first, first))
 
 
 def transpose_partition(p: tuple[int, ...]) -> tuple[int, ...]:
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, max(p, default=0) + 1))
 
 
-def _iter_ssyt_weights(shape: tuple[int, ...], nvars: int):
-    """Weights of semistandard Young tableaux with entries in 1..nvars."""
-    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
-    n = len(cells)
-    index = {c: k for k, c in enumerate(cells)}
-    vals = [0] * n
-    weight = [0] * nvars
-    if n == 0:
-        yield tuple(weight)
-        return
+@functools.cache
+def _kostka(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """The Kostka number K_{lam,nu}, the number of SSYT of shape lam and content nu.
 
-    def rec(k: int):
-        if k == n:
-            yield tuple(weight)
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, vals[index[(i, j - 1)]])
-        if i > 0:
-            lo = max(lo, vals[index[(i - 1, j)]] + 1)
-        for v in range(lo, nvars + 1):
-            vals[k] = v
-            weight[v - 1] += 1
-            yield from rec(k + 1)
-            weight[v - 1] -= 1
-        vals[k] = 0
-
-    yield from rec(0)
+    The cells holding the last value form a horizontal strip lam/kappa, that is
+    lam_{i+1} <= kappa_i <= lam_i with |lam/kappa| = nu_last."""
+    if not nu:
+        return int(not lam)
+    inners = itertools.product(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))))
+    return sum(_kostka(tuple(k for k in kappa if k), nu[:-1]) for kappa in inners if sum(lam) - sum(kappa) == nu[-1])
 
 
 def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaPoly:
-    """The classical Schur polynomial s_lam(x_1..x_nvars)."""
+    """The classical Schur polynomial s_lam(x_1..x_nvars), sum over partitions nu of
+    K_{lam,nu} m_nu: its view holds the Kostka numbers, written out to their orbits."""
     lam = tuple(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x <= 0 for x in lam):
         raise ValueError(f"not a partition: {lam}")
@@ -112,11 +92,9 @@ def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaP
         return BetaPoly.zero(nvars, max_deg)
 
     def compute() -> BetaPoly:
-        terms: dict = {}
-        for w in _iter_ssyt_weights(lam, nvars):
-            key = (w, 0)
-            terms[key] = terms.get(key, 0) + 1
-        return BetaPoly(nvars, terms, None)
+        nus = (nu for nu in partitions_of(sum(lam)) if len(nu) <= nvars)
+        view = {(nu + (0,) * (nvars - len(nu)), 0): _kostka(lam, nu) for nu in nus}
+        return BetaPoly(nvars, _orbits(view, nvars), None)
 
     key = ["schur", list(lam), nvars]
     poly = CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
@@ -414,26 +392,33 @@ def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int) -
 
 
 def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
-    """Expand in the Schur basis, transpose every index, recombine.
+    """The Schur involution s_lam -> s_lam' on p, cut at max_deg (default p's).
 
     Faithful when p.nvars >= the working degree bound, since a transposed
     index of size <= max_deg has at most max_deg rows.
     """
-    bound = p.max_deg
-    if bound is None:
-        bound = max(p.x_degrees(), default=0)
+    bound = max(p.x_degrees(), default=0) if p.max_deg is None else p.max_deg
     if p.nvars < bound:
         raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
-    out_deg = max_deg if max_deg is not None else p.max_deg
-    return BasisExpansion("schur", p.nvars, out_deg, _omega_schur_coeffs(p)).recombine()
+    if p.split is not None:
+        raise ParameterError("omega needs a one-alphabet polynomial")
+    return _omega(p, p.nvars, max_deg if max_deg is not None else p.max_deg, NonSymmetricError)
 
 
-def _omega_schur_coeffs(p: BetaPoly) -> dict[tuple[int, ...], BetaPoly]:
-    """Schur coefficients of omega(p), index-transposed; p must be faithful."""
-    exp = expand_in_basis(p, "schur")
-    if not exp.residual_zero:
+def _omega(g: BetaPoly, nvars: int, max_deg: int | None, asymmetric=KshiftError) -> BetaPoly:
+    """omega(g) in nvars variables: the Schur coefficients c_lam of a faithful g
+    from the peel, then the view [m_nu] = sum_lam c_lam K_{lam',nu}, written out once."""
+    coeffs, rest = _peel(g, "schur", g.nvars, asymmetric)
+    if not rest.is_zero():
         raise KshiftError("nonzero Schur residual")
-    return {transpose_partition(idx): c for idx, c in exp.coeffs.items()}
+    view: dict = {}
+    for lam, c in coeffs.items():  # the constructor drops the degrees past max_deg
+        for nu in (nu for nu in partitions_of(sum(lam)) if len(nu) <= nvars):
+            k = _kostka(transpose_partition(lam), nu)
+            for (_e, b), v in c.terms.items():
+                key = (nu + (0,) * (nvars - len(nu)), b)
+                view[key] = view.get(key, 0) + k * v
+    return BetaPoly(nvars, _orbits(view, nvars), max_deg)
 
 
 def jp_jq(
@@ -443,15 +428,15 @@ def jp_jq(
     nvars: int = 3,
     max_deg: int | None = None,
 ) -> BetaPoly:
-    """jp or jq of lam/mu: the Schur transpose of the matching dual function."""
+    """jp or jq of lam/mu: omega of the matching dual function, which is faithful
+    in |lam/mu| variables, read off its Schur coefficients by Kostka numbers."""
     dual_flavor = {"jp": "gp", "jq": "gq"}[flavor]
     if not contains(mu, lam):
         return BetaPoly.zero(nvars, max_deg)
     key = ["jpjq", flavor, str(lam), str(mu), nvars, max_deg]
 
     def compute() -> BetaPoly:
-        g = evaluate(dual_flavor, lam, mu, max(1, lam.size - mu.size))
-        return BasisExpansion("schur", nvars, max_deg, _omega_schur_coeffs(g)).recombine()
+        return _omega(evaluate(dual_flavor, lam, mu, max(1, lam.size - mu.size)), nvars, max_deg)
 
     return CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 

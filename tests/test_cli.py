@@ -227,6 +227,13 @@ def test_asymmetric_input_is_a_usage_error_and_an_asymmetric_dual_a_math_error(c
     assert code == 1 and "not symmetric" in capsys.readouterr().err
 
 
+def test_an_asymmetric_dual_under_omega_is_a_math_error(capsys, monkeypatch):
+    # jp/jq's omega peels an engine value, so its asymmetry is an internal fault: exit 1
+    monkeypatch.setattr(genfun, "dual_gp_gq", lambda flavor, lam, n: BetaPoly.variable(1, n))
+    code = main(["compute", "--func", "jq", "--outer", "2,1", "--vars", "3", "--no-cache"])
+    assert code == 1 and "not symmetric" in capsys.readouterr().err
+
+
 def test_cache_transparency(tmp_path, capsys):
     cache.CACHE.clear_memory()
     args = ["compute", "--func", "GQ", "--outer", "2,1", "--vars", "2", "--max-deg", "5", "--format", "json"]

@@ -1,7 +1,9 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kshift import genfun
 from kshift.cache import CACHE
@@ -13,6 +15,9 @@ from kshift.errors import (
     SingularPointError,
 )
 from kshift.genfun import (
+    BasisExpansion,
+    _kostka,
+    _omega,
     _peel,
     classical_pq,
     dual_gp_gq,
@@ -26,6 +31,7 @@ from kshift.genfun import (
     gq_onerow_series,
     jp_jq,
     omega,
+    partitions_of,
     schur,
     structure_constants,
     symmetrization_eval,
@@ -63,6 +69,37 @@ def test_schur_examples():
     assert schur((1, 1), 1).is_zero()
     s21 = schur((2, 1), 2)
     assert s21 == BetaPoly(2, {((2, 1), 0): 1, ((1, 2), 0): 1}, None)
+
+
+def test_schur_matches_the_bialternant():
+    # s_lam(x_1..x_n) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j)), divided by sympy
+    import sympy
+
+    for n in range(7):
+        for lam in partitions_of(n):
+            for nv in range(1, 5):
+                xs = sympy.symbols(f"x1:{nv + 1}")
+                want: dict = {}
+                if len(lam) <= nv:
+                    row = lam + (0,) * (nv - len(lam))
+                    num = sympy.Matrix(nv, nv, lambda i, j: xs[i] ** (row[j] + nv - 1 - j)).det(method="berkowitz")
+                    den = sympy.Matrix(nv, nv, lambda i, j: xs[i] ** (nv - 1 - j)).det(method="berkowitz")
+                    quo, rem = sympy.div(sympy.Poly(num, *xs), sympy.Poly(den, *xs))
+                    assert rem.is_zero
+                    want = {(e, 0): int(c) for e, c in quo.terms()}
+                assert schur(lam, nv) == BetaPoly(nv, want, None), (lam, nv)
+                for cut in {n, max(n - 1, 0)}:
+                    assert schur(lam, nv, cut) == BetaPoly(nv, want, cut), (lam, nv, cut)
+
+
+def test_kostka_of_one_to_the_n_is_the_hook_length_count():
+    for n in range(8):
+        for lam in partitions_of(n):
+            hooks = 1
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    hooks *= row - j + sum(1 for r in lam[i + 1 :] if r > j)
+            assert _kostka(lam, (1,) * n) == factorial(n) // hooks, lam
 
 
 def test_transpose_partition():
@@ -451,6 +488,54 @@ def test_omega_involution():
 def test_omega_needs_enough_variables():
     with pytest.raises(ParameterError):
         omega(schur((2, 1), 2))  # degree 3 needs at least 3 variables
+
+
+def test_omega_keeps_its_error_kinds():
+    with pytest.raises(NonSymmetricError):
+        omega(BetaPoly.variable(1, 2))
+    with pytest.raises(ParameterError):
+        omega(tensor_split(schur((1,), 1), schur((1,), 1), None))  # two alphabets
+
+
+def _recombined_transpose(g, nvars, max_deg):
+    """The reference for omega: peel g in the Schur basis, transpose, recombine whole polynomials."""
+    exp = expand_in_basis(g, "schur")
+    assert exp.residual_zero
+    coeffs = {transpose_partition(idx): c for idx, c in exp.coeffs.items()}
+    return BasisExpansion("schur", nvars, max_deg, coeffs).recombine()
+
+
+def test_omega_matches_the_recombined_transpose_on_every_dual():
+    for lam in enumerate_strict_partitions(5):
+        for mu in subshapes(lam):
+            size = lam.size - mu.size
+            for flavor in ("gp", "gq"):
+                g = evaluate(flavor, lam, mu, max(1, size))
+                for nvars in range(1, 5):
+                    for max_deg in (None, max(size - 1, 0)):
+                        want = _recombined_transpose(g, nvars, max_deg)
+                        assert _omega(g, nvars, max_deg) == want, (flavor, lam, mu, nvars, max_deg)
+                        assert jp_jq("j" + flavor[1], lam, mu, nvars, max_deg) == want
+
+
+@st.composite
+def schur_combinations(draw):
+    """nvars and Z[beta] coefficients of Schur polynomials of size <= nvars."""
+    nvars = draw(st.integers(1, 4))
+    indices = [lam for n in range(nvars + 1) for lam in partitions_of(n)]
+    beta_coeffs = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=2)
+    coeffs = draw(st.dictionaries(st.sampled_from(indices), beta_coeffs, max_size=4))
+    return nvars, {lam: BetaPoly(0, {((), b): v for b, v in c.items()}) for lam, c in coeffs.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(schur_combinations(), st.none() | st.integers(0, 4))
+def test_omega_on_schur_combinations(combo, cut):
+    nvars, coeffs = combo
+    p = BasisExpansion("schur", nvars, None, coeffs).recombine()
+    assert omega(omega(p)) == p
+    transposed = {transpose_partition(lam): c for lam, c in coeffs.items()}
+    assert omega(p, cut) == BasisExpansion("schur", nvars, cut, transposed).recombine()
 
 
 def test_jp_jq_examples():
