@@ -4,11 +4,12 @@ Keys are JSON-serializable lists whose first element names the kind of value.
 Every key string carries SCHEMA_VERSION, so files written under an older key
 layout or algorithm are never read: bump it when a value changes meaning.
 The memory map holds live values, immutable by convention (`dual_table`
-extends its table in place and stores it again).  JSON appears only at the
-disk boundary, `get` and `put`: a value is encoded when written to disk and
-decoded after a disk read.  Disk writes replace the file atomically, so
-readers always see a complete document.  Results must be identical with the
-cache disabled.
+extends its table in place and stores it again).  The `dual_table` and
+`dual_skew_table` values are tables of views, terms at partition exponents
+only, not written-out polynomials.  JSON appears only at the disk boundary,
+`get` and `put`: a value is encoded when written to disk and decoded after a
+disk read.  Disk writes replace the file atomically, so readers always see a
+complete document.  Results must be identical with the cache disabled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import tempfile
 from typing import Any, Callable
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class MemoCache:

@@ -16,11 +16,14 @@ indices are processed in decreasing lexicographic order, which refines
 dominance; leading monomial coefficients are 1 for P/GP/gp/jp/schur and
 2^length for Q/GQ/gq/jq.
 
-The dual solve and the peel hold a polynomial symmetric in y (or in the x block)
-by its view, its terms at partition exponents padded to the number of variables:
-every rearrangement repeats them.  A finished value is written out to its orbits.
-The Schur world is on Kostka numbers, counted by the horizontal-strip rule: s_lam
-has the view K_{lam,nu}, and omega(g) = sum c_lam s_lam' the view sum_lam c_lam
+The engine holds a symmetric polynomial by its view, its terms at partition
+exponents padded to the number of variables (in each block, for one symmetric in
+x and in y apart): every rearrangement repeats them.  The dual and skew-dual
+tables store views, the one peel loop and omega map views to views, and only the
+edge writes a value out to its orbits: `dual_gp_gq`, `dual_skew` and `jp_jq`, as
+`evaluate` returns them.  `is_symmetric` runs only on a caller's polynomial.  The
+Schur world is on Kostka numbers, counted by the horizontal-strip rule: s_lam has
+the view K_{lam,nu}, and omega(g) = sum c_lam s_lam' the view sum_lam c_lam
 K_{lam',nu}, with c_lam the Schur coefficients of g from the peel.
 """
 
@@ -36,6 +39,7 @@ from operator import sub
 from .cache import CACHE
 from .errors import (
     KshiftError,
+    NonDivisibleError,
     NonSymmetricError,
     ParameterError,
     ResourceLimitError,
@@ -92,9 +96,7 @@ def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaP
         return BetaPoly.zero(nvars, max_deg)
 
     def compute() -> BetaPoly:
-        nus = (nu for nu in partitions_of(sum(lam)) if len(nu) <= nvars)
-        view = {(nu + (0,) * (nvars - len(nu)), 0): _kostka(lam, nu) for nu in nus}
-        return BetaPoly(nvars, _orbits(view, nvars), None)
+        return _written(_basis_view("schur", lam, nvars, None), nvars)
 
     key = ["schur", list(lam), nvars]
     poly = CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
@@ -165,6 +167,40 @@ def _orbits(view: dict, nx: int) -> dict:
     return {(f + e[nx:], b): c for (e, b), c in view.items() if c for f in _rearrangements(e[:nx])}
 
 
+def _written(view: dict, nvars: int, max_deg: int | None = None) -> BetaPoly:
+    """The polynomial in nvars variables whose view this is, written out to its orbits."""
+    return BetaPoly(nvars, _orbits(view, nvars), max_deg)
+
+
+def _view(p: BetaPoly) -> dict:
+    """A caller's one-alphabet polynomial by its view, once it is seen to be symmetric."""
+    if not p.is_symmetric():
+        raise NonSymmetricError("input polynomial is not symmetric")
+    return {(e, b): c for (e, b), c in p.terms.items() if e == tuple(sorted(e, reverse=True))}
+
+
+def _split_view(view: dict, nx: int) -> dict:
+    """The view of a symmetric polynomial split after its first nx variables, keyed
+    by (x partition + y partition, beta power): each joint partition's parts are
+    divided between the two blocks in every way."""
+    out = {}
+    for (rho, b), c in view.items():
+        for xs in set(itertools.combinations(rho, nx)):
+            ys = list(rho)
+            for x in xs:
+                ys.remove(x)
+            out[xs + tuple(ys), b] = c
+    return out
+
+
+def _divided(view: dict, d: int) -> dict:
+    """The view divided exactly by d, without its zero terms."""
+    bad = next((c for c in view.values() if c % d), 0)
+    if bad:
+        raise NonDivisibleError(f"{bad} is not divisible by {d}")
+    return {k: c // d for k, c in view.items() if c}
+
+
 @functools.cache
 def _kernel_weight(s: int, b: int) -> int:
     """[t^b] ((2+t)/(1+t))^s, where ((2+t)/(1+t))^s = sum_k C(s,k) (1+t)^-k."""
@@ -197,17 +233,17 @@ def _kernel_view(parts: tuple[int, ...], ny: int) -> dict:
     return view
 
 
-def _encode_table(table: dict[StrictPartition, BetaPoly]) -> dict:
-    """A table of polynomials indexed by strict partitions, as a cache value."""
-    return {str(mu): poly.to_json_obj() for mu, poly in table.items()}
+def _encode_table(table: dict[StrictPartition, dict]) -> dict:
+    """A table of views indexed by strict partitions, as a cache value."""
+    return {str(mu): [[list(e), b, str(c)] for (e, b), c in view.items()] for mu, view in table.items()}
 
 
-def _decode_table(obj: dict) -> dict[StrictPartition, BetaPoly]:
-    return {StrictPartition.parse(k): BetaPoly.from_json_obj(v) for k, v in obj.items()}
+def _decode_table(obj: dict) -> dict[StrictPartition, dict]:
+    return {StrictPartition.parse(k): {(tuple(e), b): int(c) for e, b, c in v} for k, v in obj.items()}
 
 
-def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
-    """All dual functions gp_mu (or gq_mu) with |mu| <= S, in ny variables.
+def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
+    """The views of all dual functions gp_mu (or gq_mu) with |mu| <= S, in ny variables.
 
     The coefficients of x^mu in the Cauchy identity kernel = sum_nu GQ_nu(x) gp_nu(y)
     (respectively GP/gq) give a triangular system, solved in candidate order on the
@@ -215,8 +251,15 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     beta^(|mu|-|nu|) times `tableaux.content_count` (the GP/GQ coproduct).  The
     values are exact and do not depend on S: one table per (flavor, ny) is kept,
     extended in place for a larger S, and a smaller S is served as the prefix
-    enumerate_strict_partitions(S).  Entries are stored written out in full.
+    enumerate_strict_partitions(S).  Entries are stored as views; `dual_gp_gq`
+    writes one out.
     """
+    table = _dual_views(flavor, S, ny)
+    return {mu: table[mu] for mu in enumerate_strict_partitions(S)}
+
+
+def _dual_views(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
+    """The one kept table of (flavor, ny), extended to every |mu| <= S."""
     if flavor not in ("gp", "gq"):
         raise ValueError(f"flavor must be gp or gq, got {flavor!r}")
     candidates = enumerate_strict_partitions(S)
@@ -224,38 +267,32 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, BetaPoly]:
     table = CACHE.get_or_compute(key, lambda: _solve_duals(flavor, {}, candidates, ny), _encode_table, _decode_table)
     if len(table) < len(candidates):
         CACHE.store(key, _solve_duals(flavor, table, candidates, ny), _encode_table)
-    return {mu: table[mu] for mu in candidates}
+    return table
 
 
 def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny: int) -> dict:
-    """Add to table each candidate it lacks, given all the earlier ones: on
-    views, each new entry written out to its orbits once it is divided."""
+    """Add to table the view of each candidate it lacks, given all the earlier ones."""
     p_basis = flavor == "gq"  # gq is dual to GP, gp to GQ
-    views: dict[StrictPartition, dict] = {}
     for i, mu in enumerate(candidates):
         if mu in table:
             continue
         acc = dict(_kernel_view(mu.parts, ny))
         for prev in candidates[:i]:
-            n = content_count(p_basis, prev, mu.parts)
+            n = content_count(p_basis, prev.parts, mu.parts)
             if n:
-                if prev not in views:
-                    terms = table[prev].terms.items()
-                    views[prev] = {(e, b): v for (e, b), v in terms if e == tuple(sorted(e, reverse=True))}
-                for (e, b), v in views[prev].items():
+                for (e, b), v in table[prev].items():
                     k = (e, b + mu.size - prev.size)
                     acc[k] = acc.get(k, 0) - n * v
-        lead, expected = content_count(p_basis, mu, mu.parts), (1 if p_basis else 2) ** len(mu)
+        lead, expected = content_count(p_basis, mu.parts, mu.parts), (1 if p_basis else 2) ** len(mu)
         if lead != expected:
             raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
-        views[mu] = BetaPoly(ny, acc).divide_exact(expected).terms
-        table[mu] = BetaPoly(ny, _orbits(views[mu], ny))
+        table[mu] = _divided(acc, expected)
     return table
 
 
 def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int) -> BetaPoly:
     """The dual function gp_lam or gq_lam as an exact polynomial in y."""
-    return dual_table(flavor, lam.size, nvars_y)[lam]
+    return _written(_dual_views(flavor, lam.size, nvars_y)[lam], nvars_y)
 
 
 # -- the expansion engine ------------------------------------------------------
@@ -271,6 +308,28 @@ def _basis_indices(basis: str, degree: int, nvars: int) -> list[tuple[int, ...]]
     if basis == "schur":
         return [p for p in partitions_of(degree) if len(p) <= nvars]
     return [p.parts for p in strict_partitions_of(degree) if len(p) <= nvars]
+
+
+@functools.cache
+def _basis_view(basis: str, index: tuple[int, ...], nx: int, max_deg: int | None) -> dict:
+    """The view of a basis element in nx variables, cut at max_deg.
+
+    gp/gq come from the dual tables, schur from Kostka numbers, and P/Q (and
+    GP/GQ at a finite max_deg) from content counts: [x^nu] GP_lam is
+    beta^(|nu|-|lam|) content_count(lam, nu).  Any other basis is read off the
+    partition terms of `evaluate`."""
+    size, pad = sum(index), lambda nu: nu + (0,) * (nx - len(nu))
+    if basis in ("gp", "gq"):
+        view = _dual_views(basis, size, nx)[StrictPartition(index)]
+    elif basis == "schur":
+        view = {(pad(nu), 0): _kostka(index, nu) for nu in partitions_of(size) if len(nu) <= nx}
+    elif basis in ("P", "Q") or (basis in ("GP", "GQ") and max_deg is not None):
+        nus = (nu for d in range(size, (size if basis in ("P", "Q") else max_deg) + 1) for nu in partitions_of(d))
+        view = {(pad(nu), sum(nu) - size): content_count(basis[-1] == "P", index, nu) for nu in nus if len(nu) <= nx}
+    else:
+        terms = evaluate(basis, index, (), nx, max_deg).terms
+        view = {(e, b): c for (e, b), c in terms.items() if e == tuple(sorted(e, reverse=True))}
+    return {(e, b): c for (e, b), c in view.items() if c and (max_deg is None or sum(e) <= max_deg)}
 
 
 @dataclass
@@ -310,43 +369,36 @@ class BasisExpansion:
         }
 
 
-def _peel(p: BetaPoly, basis: str, nx: int, asymmetric=KshiftError) -> tuple[dict[tuple[int, ...], BetaPoly], BetaPoly]:
-    """Greedy triangular peel of the first nx variables of p against the basis.
+def _peel(view: dict, basis: str, nx: int, max_deg: int | None) -> tuple[dict[tuple[int, ...], dict], dict]:
+    """Greedy triangular peel of a view against the basis in its first nx variables.
 
-    Each coefficient is a polynomial in the other ny = p.nvars - nx variables
-    (when nx = p.nvars, an element of Z[beta]: a 0-variable polynomial with no
-    truncation).  Returns the coefficients in peel order and the residual,
-    split at nx, that the basis cannot explain.  p must be symmetric in each
-    block, or `asymmetric` is raised: the peel then keeps p only at x-exponents
-    that are partitions and writes the residual out to its x-orbits at the end.
+    The view holds a polynomial symmetric in its first nx variables and in the
+    other ny, keyed by (x partition + y partition, beta power); with ny = 0 it is
+    a one-alphabet view.  Each coefficient is a y-view (an element of Z[beta]
+    keyed by ((), beta power) when ny = 0), and each basis element subtracted is
+    its `_basis_view`.  Returns the coefficients in peel order and the residual
+    view, what the basis cannot explain.
     """
-    split = BetaPoly(p.nvars, p.terms, p.max_deg, nx)
-    if not split.is_symmetric():
-        raise asymmetric("input polynomial is not symmetric")
     # by triangularity a peel step changes no x-monomial already visited, so
     # what the basis cannot explain is left in rest: rest is the residual
     rest: dict[tuple[int, ...], dict] = {}
-    for (e, b), v in split.terms.items():
-        if e[:nx] == tuple(sorted(e[:nx], reverse=True)):
-            rest.setdefault(e[:nx], {})[e[nx:], b] = v
-    top = max(map(sum, rest), default=0) if p.max_deg is None else p.max_deg
+    for (e, b), v in view.items():
+        rest.setdefault(e[:nx], {})[e[nx:], b] = v
+    top = max(map(sum, rest), default=0) if max_deg is None else max_deg
     degrees = range(top, -1, -1) if basis in _MAX_FIRST else range(top + 1)
-    coeffs: dict[tuple[int, ...], BetaPoly] = {}
+    coeffs: dict[tuple[int, ...], dict] = {}
     for d in degrees:
         for index in _basis_indices(basis, d, nx):
-            c = BetaPoly(p.nvars - nx, rest.get(index + (0,) * (nx - len(index))), p.max_deg if nx < p.nvars else None)
-            if c.is_zero():
+            c = _divided(rest.get(index + (0,) * (nx - len(index)), {}), _basis_lead(basis, index))
+            if not c:
                 continue
-            c = c.divide_exact(_basis_lead(basis, index))
             coeffs[index] = c
-            for (ex, bx), vx in evaluate(basis, index, (), nx, p.max_deg).terms.items():
-                if ex == tuple(sorted(ex, reverse=True)):
-                    bucket = rest.setdefault(ex, {})
-                    for (ey, by), vy in c.terms.items():
-                        k = (ey, bx + by)
-                        bucket[k] = bucket.get(k, 0) - vx * vy
-    residual = {(x + e, b): v for x, bucket in rest.items() for (e, b), v in bucket.items()}
-    return coeffs, BetaPoly(p.nvars, _orbits(residual, nx), p.max_deg, nx)
+            for (ex, bx), vx in _basis_view(basis, index, nx, max_deg).items():
+                bucket = rest.setdefault(ex, {})
+                for (ey, by), vy in c.items():
+                    k = (ey, bx + by)
+                    bucket[k] = bucket.get(k, 0) - vx * vy
+    return coeffs, {(x + e, b): v for x, bucket in rest.items() for (e, b), v in bucket.items() if v}
 
 
 def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
@@ -357,29 +409,30 @@ def expand_in_basis(p: BetaPoly, basis: str) -> BasisExpansion:
     """
     if p.split is not None:
         raise ParameterError("expand_in_basis needs a one-alphabet polynomial")
-    coeffs, rest = _peel(p, basis, p.nvars, NonSymmetricError)
-    return BasisExpansion(basis, p.nvars, p.max_deg, coeffs, BetaPoly(p.nvars, rest.terms, p.max_deg))
+    coeffs, rest = _peel(_view(p), basis, p.nvars, p.max_deg)
+    scalars = {index: BetaPoly(0, c) for index, c in coeffs.items()}
+    return BasisExpansion(basis, p.nvars, p.max_deg, scalars, _written(rest, p.nvars, p.max_deg))
 
 
 # -- skew duals, omega, and the j/J families -----------------------------------
 
 
-def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPartition, BetaPoly]:
-    """All skew duals gp_{lam/mu} (or gq) as polynomials in ny variables.
+def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPartition, dict]:
+    """The views of all skew duals gp_{lam/mu} (or gq) in ny variables.
 
     Uses the two-alphabet identity g_lam(x,y) = sum_mu g_mu(x) g_{lam/mu}(y):
-    the full dual polynomial over nx+ny variables is expanded over its x-block
-    in the same dual basis.
+    the split view of the dual over nx+ny variables, built from its view in
+    the dual table, is peeled over its x-block in the same dual basis, and each
+    coefficient is a y-view.
     """
-    S = lam.size
     nx = max(1, len(lam))
     key = ["dual_skew_table", flavor, str(lam), ny]
 
-    def compute() -> dict[StrictPartition, BetaPoly]:
-        coeffs, rest = _peel(dual_table(flavor, S, nx + ny)[lam], flavor, nx)
-        if not rest.is_zero():
+    def compute() -> dict[StrictPartition, dict]:
+        coeffs, rest = _peel(_split_view(_dual_views(flavor, lam.size, nx + ny)[lam], nx), flavor, nx, None)
+        if rest:
             raise KshiftError(f"split expansion has a nonzero residual in basis {flavor}")
-        return {StrictPartition(idx): poly for idx, poly in coeffs.items()}
+        return {StrictPartition(idx): c for idx, c in coeffs.items()}
 
     return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
 
@@ -388,7 +441,7 @@ def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int) -
     """The skew dual function; zero exactly when mu is not contained in lam."""
     if not contains(mu, lam):
         return BetaPoly.zero(ny, None)
-    return dual_skew_table(flavor, lam, ny).get(mu, BetaPoly.zero(ny, None))
+    return _written(dual_skew_table(flavor, lam, ny).get(mu, {}), ny)
 
 
 def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
@@ -402,23 +455,23 @@ def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
         raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
     if p.split is not None:
         raise ParameterError("omega needs a one-alphabet polynomial")
-    return _omega(p, p.nvars, max_deg if max_deg is not None else p.max_deg, NonSymmetricError)
+    max_deg = max_deg if max_deg is not None else p.max_deg
+    return _written(_omega(_view(p), p.nvars, p.nvars, max_deg), p.nvars, max_deg)
 
 
-def _omega(g: BetaPoly, nvars: int, max_deg: int | None, asymmetric=KshiftError) -> BetaPoly:
-    """omega(g) in nvars variables: the Schur coefficients c_lam of a faithful g
-    from the peel, then the view [m_nu] = sum_lam c_lam K_{lam',nu}, written out once."""
-    coeffs, rest = _peel(g, "schur", g.nvars, asymmetric)
-    if not rest.is_zero():
+def _omega(view: dict, n: int, nvars: int, max_deg: int | None) -> dict:
+    """The view of omega(g) in nvars variables, cut at max_deg, from the view of g
+    in its n variables, where it is faithful: g's Schur coefficients c_lam from the
+    peel, then [m_nu] = sum_lam c_lam K_{lam',nu}."""
+    coeffs, rest = _peel(view, "schur", n, None)
+    if rest:
         raise KshiftError("nonzero Schur residual")
-    view: dict = {}
-    for lam, c in coeffs.items():  # the constructor drops the degrees past max_deg
-        for nu in (nu for nu in partitions_of(sum(lam)) if len(nu) <= nvars):
-            k = _kostka(transpose_partition(lam), nu)
-            for (_e, b), v in c.terms.items():
-                key = (nu + (0,) * (nvars - len(nu)), b)
-                view[key] = view.get(key, 0) + k * v
-    return BetaPoly(nvars, _orbits(view, nvars), max_deg)
+    out: dict = {}
+    for lam, c in coeffs.items():
+        for (nu, _), k in _basis_view("schur", transpose_partition(lam), nvars, max_deg).items():
+            for (_e, b), v in c.items():
+                out[nu, b] = out.get((nu, b), 0) + k * v
+    return {key: v for key, v in out.items() if v}
 
 
 def jp_jq(
@@ -428,15 +481,17 @@ def jp_jq(
     nvars: int = 3,
     max_deg: int | None = None,
 ) -> BetaPoly:
-    """jp or jq of lam/mu: omega of the matching dual function, which is faithful
-    in |lam/mu| variables, read off its Schur coefficients by Kostka numbers."""
+    """jp or jq of lam/mu: omega of the view of the matching dual function, which
+    is faithful in |lam/mu| variables, written out once in nvars variables."""
     dual_flavor = {"jp": "gp", "jq": "gq"}[flavor]
     if not contains(mu, lam):
         return BetaPoly.zero(nvars, max_deg)
     key = ["jpjq", flavor, str(lam), str(mu), nvars, max_deg]
 
     def compute() -> BetaPoly:
-        return _omega(evaluate(dual_flavor, lam, mu, max(1, lam.size - mu.size)), nvars, max_deg)
+        n = max(1, lam.size - mu.size)
+        g = dual_skew_table(dual_flavor, lam, n).get(mu, {}) if mu.parts else _dual_views(dual_flavor, lam.size, n)[lam]
+        return _written(_omega(g, n, nvars, max_deg), nvars, max_deg)
 
     return CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 

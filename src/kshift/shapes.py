@@ -268,6 +268,13 @@ def flip(shape: SkewShape) -> SkewShape:
     return out
 
 
+def _listed(fn):
+    """Memoise fn, which returns a tuple, and hand each caller a fresh list of it."""
+    cached = functools.cache(fn)
+    return functools.wraps(fn)(lambda n: list(cached(n)))
+
+
+@_listed
 def enumerate_strict_partitions(max_size: int) -> list[StrictPartition]:
     """All strict partitions of size <= max_size, graded-lex, no duplicates."""
     if max_size < 0:
@@ -283,15 +290,13 @@ def enumerate_strict_partitions(max_size: int) -> list[StrictPartition]:
             prefix.pop()
 
     extend([], max_size)
-    return _graded_lex_sorted(set(out))
+    return tuple(_graded_lex_sorted(set(out)))
 
 
+@_listed
 def strict_partitions_of(size: int) -> list[StrictPartition]:
     """Strict partitions of exactly `size`, in decreasing lex order."""
-    return sorted(
-        (p for p in enumerate_strict_partitions(size) if p.size == size),
-        key=lambda p: tuple(-x for x in p.parts),
-    )
+    return tuple(p for p in enumerate_strict_partitions(size) if p.size == size)  # graded-lex: one size
 
 
 @functools.cache

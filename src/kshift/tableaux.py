@@ -201,24 +201,6 @@ def _cell_options(top: int, rpp: bool, lv: int, bv: int, diag: int, budget: int 
                     yield (m,) + extra, extra[-1], size
 
 
-def _setvalued_valid(shape: SkewShape, entries: dict[Cell, tuple[int, ...]], p_flavor: bool) -> bool:
-    """Full semistandardness check for a set-valued filling."""
-    cells = shape.cells()
-    for (i, j), s in entries.items():
-        if not s or list(s) != sorted(set(s)):
-            return False
-        if p_flavor and i == j and any(is_primed(c) for c in s):
-            return False
-        for nb, shared_primed in (((i, j - 1), False), ((i - 1, j), True)):
-            if nb in cells:
-                t = entries[nb]
-                if t[-1] > s[0]:
-                    return False
-                if t[-1] == s[0] and is_primed(s[0]) != shared_primed:
-                    return False
-    return True
-
-
 def _maximal_runs(t: Tableau) -> list[list[Cell]]:
     """Maximal constant bars: horizontal for unprimed values, vertical for primed.
 
@@ -365,31 +347,35 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
 
 
 @functools.cache
-def content_count(p_flavor: bool, outer: StrictPartition, content: tuple[int, ...]) -> int:
-    """How many set-valued shifted tableaux of shape outer hold value v content[v-1] times.
+def content_count(p_flavor: bool, outer: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """How many set-valued shifted tableaux of shape outer (a strict partition's
+    parts) hold value v content[v-1] times.
 
     Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
     By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike)
     the c = content[-1] elements of the last value fill outer/kappa, kappa in
     doubleslash_inners(mu), and the others fill mu, |outer| - c <= |mu| <= |content| - c.
+    Every key is a tuple of parts, so no shape is built or hashed per term.
     """
     if not content:
-        return int(not outer.parts)
+        return int(not outer)
     c = content[-1]
-    lo, hi = outer.size - c, sum(content) - c
+    lo, hi = sum(outer) - c, sum(content) - c
     return sum(
-        content_count(p_flavor, mu, content[:-1]) * _one_value_count(p_flavor, SkewShape(outer, kappa), c)
-        for mu in subshapes(outer) if lo <= mu.size <= hi
+        content_count(p_flavor, mu.parts, content[:-1]) * _one_value_count(p_flavor, outer, kappa.parts, c)
+        for mu in subshapes(StrictPartition(outer)) if lo <= mu.size <= hi
         for kappa in doubleslash_inners(mu)
     )
 
 
 @functools.cache
-def _one_value_count(p_flavor: bool, shape: SkewShape, c: int) -> int:
-    """[x^c] of the one-variable GP/GQ of the shape, beta set to 1: the fillings with c elements."""
-    if c < shape.size:
+def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...], c: int) -> int:
+    """[x^c] of the one-variable GP/GQ of outer/inner, beta set to 1: the fillings with c elements."""
+    extras = c - sum(outer) + sum(inner)
+    if extras < 0:
         return 0
-    return sum(counts[0] == c for _, _, counts in _fillings(shape, 1, p_flavor, False, c - shape.size, tally=True))
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    return sum(counts[0] == c for _, _, counts in _fillings(shape, 1, p_flavor, False, extras, tally=True))
 
 
 # -- the one-row map and the prime-restricted family ---------------------------

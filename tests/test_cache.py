@@ -72,3 +72,22 @@ def test_a_value_that_does_not_decode_is_a_miss(tmp_path):
         decode = genfun._decode_table if key is table else BetaPoly.from_json_obj
         assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh", decode=decode) == "fresh", value
         assert MemoCache(str(tmp_path)).get(key) == "fresh", value  # the miss rewrote the entry
+
+
+def test_a_dual_table_in_the_previous_layout_is_never_read(tmp_path, monkeypatch):
+    # schema 2 stored each dual-table entry written out in full; schema 3 stores
+    # views, so a file in the old layout must be a miss, never decoded or served
+    key = ["dual_table", "gq", 2]
+    old_key = json.dumps([2, key], sort_keys=True, separators=(",", ":"))
+    old_path = tmp_path / f"{hashlib.sha256(old_key.encode()).hexdigest()}.json"
+    wrong = BetaPoly.const(2, 7).to_json_obj()
+    old_text = json.dumps({"key": old_key, "value": {"": wrong, "1": wrong, "2": wrong, "2,1": wrong}})
+    old_path.write_text(old_text, encoding="utf-8")
+    monkeypatch.setattr(CACHE, "enabled", False)
+    fresh = genfun.dual_table("gq", 3, 2)
+    monkeypatch.setattr(CACHE, "enabled", True)
+    monkeypatch.setattr(CACHE, "_mem", {})
+    monkeypatch.setattr(CACHE, "directory", str(tmp_path))
+    assert genfun.dual_table("gq", 3, 2) == fresh
+    assert old_path.read_text(encoding="utf-8") == old_text
+    assert MemoCache(str(tmp_path)).get(key) == genfun._encode_table(fresh)

@@ -219,19 +219,29 @@ def test_asymmetric_input_is_a_usage_error_and_an_asymmetric_dual_a_math_error(c
     code = main(["expand", "--target", "GQ", "--basis", "GP", "--outer", "1", "--vars", "3", "--max-deg", "3"])
     assert code == 2 and "error: input polynomial is not symmetric" in capsys.readouterr().err
     monkeypatch.undo()
-    # a dual-table entry that is not symmetric reaches the skew-dual peel: exit 1
-    real = genfun.dual_table
-    corrupt = {StrictPartition((2, 1)): BetaPoly.variable(1, 3)}
-    monkeypatch.setattr(genfun, "dual_table", lambda f, S, n: {**real(f, S, n), **(corrupt if n == 3 else {})})
+    # a dual-table view the skew-dual peel cannot explain is an internal fault: exit 1
+    lam, stray = StrictPartition((2, 1)), {((1, 1, 1), 0): 1}  # (1, 1) is no gp index
+    corrupt_dual_view(monkeypatch, lam, 3, stray)
     code = main(["compute", "--func", "gp", "--outer", "2,1", "--inner", "1", "--vars", "1", "--no-cache"])
-    assert code == 1 and "not symmetric" in capsys.readouterr().err
+    assert code == 1 and "split expansion has a nonzero residual in basis gp" in capsys.readouterr().err
+
+
+def corrupt_dual_view(monkeypatch, lam, ny, stray):
+    """Add the stray terms to the dual-table view of lam in ny variables the engine reads."""
+    real = genfun._dual_views
+
+    def views(flavor, S, n):
+        table = real(flavor, S, n)
+        return {**table, lam: {**table[lam], **stray}} if n == ny else table
+
+    monkeypatch.setattr(genfun, "_dual_views", views)
 
 
 def test_an_asymmetric_dual_under_omega_is_a_math_error(capsys, monkeypatch):
-    # jp/jq's omega peels an engine value, so its asymmetry is an internal fault: exit 1
-    monkeypatch.setattr(genfun, "dual_gp_gq", lambda flavor, lam, n: BetaPoly.variable(1, n))
+    # jp/jq's omega peels an engine view, so a term off the partitions is an internal fault: exit 1
+    corrupt_dual_view(monkeypatch, StrictPartition((2, 1)), 3, {((0, 1, 0), 0): 1})
     code = main(["compute", "--func", "jq", "--outer", "2,1", "--vars", "3", "--no-cache"])
-    assert code == 1 and "not symmetric" in capsys.readouterr().err
+    assert code == 1 and "nonzero Schur residual" in capsys.readouterr().err
 
 
 def test_cache_transparency(tmp_path, capsys):

@@ -151,8 +151,8 @@ def test_gp_gq_grading():
 
 def test_dual_grading():
     table = dual_table("gp", 5, 3)
-    for lam, poly in table.items():
-        for (e, b), _ in poly.terms.items():
+    for lam, view in table.items():
+        for (e, b), _ in written(view, 3).terms.items():
             assert sum(e) + b == lam.size
 
 
@@ -246,6 +246,27 @@ def partition_terms(poly):
     return {(e, b): c for (e, b), c in poly.terms.items() if list(e) == sorted(e, reverse=True)}
 
 
+def written(view, nvars, max_deg=None):
+    """A view written out to its orbits."""
+    return BetaPoly(nvars, genfun._orbits(view, nvars), max_deg)
+
+
+def split_view(poly, nx):
+    """The terms of poly at exponents that are partitions in each block: its split view."""
+    return {
+        (e, b): c
+        for (e, b), c in poly.terms.items()
+        if list(e[:nx]) == sorted(e[:nx], reverse=True) and list(e[nx:]) == sorted(e[nx:], reverse=True)
+    }
+
+
+def written_split(view, nvars, nx, max_deg):
+    """A split view written out to its orbits in each block, as a split polynomial."""
+    orbits = genfun._rearrangements
+    terms = {(f + g, b): c for (e, b), c in view.items() for f in orbits(e[:nx]) for g in orbits(e[nx:])}
+    return BetaPoly(nvars, terms, max_deg, nx)
+
+
 def whole_polynomial_duals(flavor, S, ny):
     """The reference solve: build every basis GQ_nu (or GP_nu) whole over
     enough variables and read its coefficients of x^mu."""
@@ -276,7 +297,7 @@ def test_dual_table_matches_the_whole_polynomial_solve(flavor):
         for S in range(top + 1):
             table = dual_table(flavor, S, ny)
             assert list(table) == enumerate_strict_partitions(S)
-            assert table == {mu: want[mu] for mu in table}, (S, ny)
+            assert {mu: written(view, ny) for mu, view in table.items()} == {mu: want[mu] for mu in table}, (S, ny)
 
 
 def test_kernel_slices_are_the_kernel_coefficients():
@@ -332,7 +353,7 @@ def test_dual_table_reads_no_whole_polynomial(monkeypatch):
 
     monkeypatch.setattr(genfun, "gp_gq", whole)
     monkeypatch.setattr(CACHE, "enabled", False)
-    assert dual_table("gp", 6, 2)[sp(3, 2, 1)] == dual_gp_gq("gp", sp(3, 2, 1), 2)
+    assert written(dual_table("gp", 6, 2)[sp(3, 2, 1)], 2) == dual_gp_gq("gp", sp(3, 2, 1), 2)
 
 
 def test_dual_skew_examples():
@@ -359,30 +380,31 @@ def test_split_peel_recombines_the_dual():
     nx, ny = 2, 2
     for flavor in ("gp", "gq"):
         for lam in (sp(2, 1), sp(3, 1), sp(3, 2)):
-            full = dual_table(flavor, lam.size, nx + ny)[lam]
-            coeffs, rest = _peel(full, flavor, nx)
-            assert rest.is_zero()
+            full = dual_gp_gq(flavor, lam, nx + ny)
+            coeffs, rest = _peel(genfun._split_view(dual_table(flavor, lam.size, nx + ny)[lam], nx), flavor, nx, None)
+            assert not rest
             total = BetaPoly.zero(nx + ny, None, nx)
             for index, c in coeffs.items():
-                total = total + tensor_split(dual_gp_gq(flavor, sp(*index), nx), c, None)
+                total = total + tensor_split(dual_gp_gq(flavor, sp(*index), nx), written(c, ny), None)
             assert total == BetaPoly(nx + ny, full.terms, None, nx)
             assert {sp(*index): c for index, c in coeffs.items()} == dual_skew_table(flavor, lam, ny)
 
 
 def test_split_peel_without_exact_expansion_is_an_error(monkeypatch):
-    # x1 alone in the x-block is not symmetric, which the partition peel cannot read
+    # x1*x2*y1 alone: its x-partition (1, 1) is no gp index, so it stays in the residual
     nx, ny = 2, 1
-    x1 = BetaPoly.variable(1, nx + ny)
-    with pytest.raises(KshiftError):
-        _peel(x1, "gp", nx)
-    real = genfun.dual_table
+    stray = {((1, 1, 1), 0): 1}
+    coeffs, rest = _peel(genfun._split_view(stray, nx), "gp", nx, None)
+    assert not coeffs and rest == stray
+    real = genfun._dual_views
 
     def table(flavor, S, nvars):
-        return {**real(flavor, S, nvars), sp(2, 1): x1} if nvars == nx + ny else real(flavor, S, nvars)
+        views = real(flavor, S, nvars)
+        return {**views, sp(2, 1): {**views[sp(2, 1)], **stray}} if nvars == nx + ny else views
 
-    monkeypatch.setattr(genfun, "dual_table", table)
+    monkeypatch.setattr(genfun, "_dual_views", table)
     monkeypatch.setattr(CACHE, "enabled", False)
-    with pytest.raises(KshiftError):
+    with pytest.raises(KshiftError, match="nonzero residual"):
         dual_skew_table("gp", sp(2, 1), ny)
 
 
@@ -410,9 +432,13 @@ def reference_peel(p, basis, nx):
 
 
 def assert_peels_agree(p, basis, nx):
-    coeffs, rest = _peel(p, basis, nx)
+    """The view peel of p against the reference, compared written out."""
+    ny = p.nvars - nx
+    coeffs, rest = _peel(split_view(p, nx), basis, nx, p.max_deg)
     want_coeffs, want_rest = reference_peel(p, basis, nx)
-    assert list(coeffs.items()) == list(want_coeffs.items()), (basis, nx, p)
+    got = [(index, written(c, ny, p.max_deg if ny else None)) for index, c in coeffs.items()]
+    assert got == list(want_coeffs.items()), (basis, nx, p)
+    rest = written_split(rest, p.nvars, nx, p.max_deg)
     assert rest == want_rest, (basis, nx, p)
     return rest
 
@@ -423,13 +449,13 @@ def test_split_peel_matches_the_whole_polynomial_peel(flavor):
     for lam in enumerate_strict_partitions(6):
         nx = max(1, len(lam))
         for ny in range(1, 5):
-            assert assert_peels_agree(dual_table(flavor, lam.size, nx + ny)[lam], flavor, nx).is_zero()
+            assert assert_peels_agree(dual_gp_gq(flavor, lam, nx + ny), flavor, nx).is_zero()
 
 
 def test_split_peel_of_a_truncated_dual_leaves_the_same_residual():
     # below its top degree gp_lam(x, y) is not spanned by gp_mu(x) over Z[beta][y]
     lam, nx, ny = sp(3, 1), 2, 2
-    truncated = dual_table("gp", lam.size, nx + ny)[lam].truncated(lam.size - 1)
+    truncated = dual_gp_gq("gp", lam, nx + ny).truncated(lam.size - 1)
     assert not assert_peels_agree(truncated, "gp", nx).is_zero()
 
 
@@ -453,9 +479,51 @@ def test_expansion_peel_matches_the_whole_polynomial_peel():
     assert not residuals[-1].is_zero() and not residuals[-2].is_zero()
     # a leading coefficient that does not divide fails the same way in both
     gp1 = gp_gq("GP", straight(sp(1)), 2, 3)
-    for peel in (_peel, reference_peel):
-        with pytest.raises(NonDivisibleError):
-            peel(gp1, "GQ", 2)
+    with pytest.raises(NonDivisibleError):
+        _peel(split_view(gp1, 2), "GQ", 2, gp1.max_deg)
+    with pytest.raises(NonDivisibleError):
+        reference_peel(gp1, "GQ", 2)
+
+
+CLOSED_FORMS = ("schur", "gp", "gq", "GP", "GQ", "P", "Q")
+
+
+def test_basis_views_are_the_partition_terms_of_the_written_out_elements():
+    for basis in CLOSED_FORMS:
+        if basis == "schur":
+            indices = [lam for n in range(7) for lam in partitions_of(n)]
+        else:
+            indices = [lam.parts for lam in enumerate_strict_partitions(6)]
+        for index in indices:
+            size = sum(index)
+            cuts = [max(size - 1, 0), size + 2] + ([] if basis in ("GP", "GQ") else [None])
+            for nx in range(1, 5):
+                for max_deg in cuts:
+                    want = partition_terms(evaluate(basis, index, (), nx, max_deg))
+                    assert genfun._basis_view(basis, index, nx, max_deg) == want, (basis, index, nx, max_deg)
+
+
+def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
+    # every engine value is a view by construction: no symmetry test runs on
+    # one, and the peel builds no closed-form basis element written out
+    from kshift.identities import check_cauchy_family
+
+    def is_symmetric(self):
+        raise AssertionError("is_symmetric ran on an engine value")
+
+    built = []
+    real = genfun.evaluate
+
+    def evaluate_spy(func, *args, **kwargs):
+        built.append(func)
+        return real(func, *args, **kwargs)
+
+    monkeypatch.setattr(BetaPoly, "is_symmetric", is_symmetric)
+    monkeypatch.setattr(genfun, "evaluate", evaluate_spy)
+    monkeypatch.setattr(CACHE, "_mem", {})
+    genfun._basis_view.cache_clear()
+    assert check_cauchy_family().ok
+    assert not set(built) & set(CLOSED_FORMS), built
 
 
 def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):
@@ -514,7 +582,8 @@ def test_omega_matches_the_recombined_transpose_on_every_dual():
                 for nvars in range(1, 5):
                     for max_deg in (None, max(size - 1, 0)):
                         want = _recombined_transpose(g, nvars, max_deg)
-                        assert _omega(g, nvars, max_deg) == want, (flavor, lam, mu, nvars, max_deg)
+                        got = written(_omega(partition_terms(g), g.nvars, nvars, max_deg), nvars, max_deg)
+                        assert got == want, (flavor, lam, mu, nvars, max_deg)
                         assert jp_jq("j" + flavor[1], lam, mu, nvars, max_deg) == want
 
 
