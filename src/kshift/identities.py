@@ -38,7 +38,7 @@ from .shapes import (
     vertical_strip_extensions,
     vertical_strip_subsets,
 )
-from .tableaux import genfun_from_tableaux, iter_restricted_p, iter_tableaux, weight_tally
+from .tableaux import _tally, genfun_from_tableaux, marked_rows
 
 
 @dataclass
@@ -205,15 +205,13 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
             gaps_ok = all(a - b >= 2 for a, b in zip(mu.parts, mu.parts[1:]))
             ok = (not minus) == gaps_ok
             return ok, None if ok else {"minus": [str(p) for p in minus]}
-        # the beta=1 counting identity between restricted tableau sets:
-        # each tableau adds 1 to the coefficient of its x-weight, at beta^0
-        plus = [lam for lam in lams if lam not in minus]
+        # the beta=1 counting identity between restricted tableau sets, SetShYT_Q(mu)
+        # and SetShYT_P(lam : mu): each tableau adds 1 at its x-weight, at beta^0
         sides = {"lhs": Counter(), "rhs": Counter()}
-        streams = [("lhs", iter_tableaux("setshyt_q", straight(mu), nvars, max_deg - mu.size))]
-        streams += [("lhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in minus]
-        streams += [("rhs", iter_restricted_p(lam, mu, nvars, max_deg - lam.size)) for lam in plus]
-        for side, stream in streams:
-            sides[side].update(weight_tally("setshyt_q", stream, nvars))
+        walks = [("lhs", mu, False, frozenset())]
+        walks += [("lhs" if lam in minus else "rhs", lam, True, marked_rows(lam, mu)) for lam in lams]
+        for side, lam, p_flavor, marked in walks:
+            sides[side].update(_tally(straight(lam), nvars, p_flavor, False, max_deg - lam.size, marked=marked))
         lhs, rhs = (BetaPoly(nvars, {(e, 0): n for e, n in sides[side].items()}, max_deg) for side in ("lhs", "rhs"))
         return _compare(lhs, rhs)
 

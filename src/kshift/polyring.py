@@ -27,11 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import (
-    NonDivisibleError,
-    NvarsMismatchError,
-    UnboundedTruncationError,
-)
+from .errors import NvarsMismatchError, UnboundedTruncationError
 
 TermKey = tuple[tuple[int, ...], int]
 
@@ -182,14 +178,6 @@ class BetaPoly:
                 out[key] = out.get(key, 0) + c * v
         return self._like(out)
 
-    def divide_exact(self, d: int) -> "BetaPoly":
-        out = {}
-        for k, c in self.terms.items():
-            if c % d:
-                raise NonDivisibleError(f"{c} is not divisible by {d}")
-            out[k] = c // d
-        return self._like(out)
-
     # -- views and structure -----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -221,9 +209,6 @@ class BetaPoly:
 
     def x_degrees(self) -> set[int]:
         return {sum(e) for (e, _b) in self.terms}
-
-    def degree_slice(self, d: int) -> "BetaPoly":
-        return self._like({(e, b): c for (e, b), c in self.terms.items() if sum(e) == d})
 
     def truncated(self, max_deg: int | None) -> "BetaPoly":
         return BetaPoly(self.nvars, self.terms, max_deg, self.split)

@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
@@ -88,53 +86,58 @@ class BarTableau:
         return f"{self.filling.text()} bars={groups}"
 
 
-# -- backtracking core ---------------------------------------------------------
+# -- the walk: listing and counting -------------------------------------------
 #
-# Every family is walked by `_fillings`, under one of two rules: the tableau
-# rule (a shared row value is unprimed, a shared column value primed; a cell
-# holds a set of codes, a single code when the budget is 0) or the reverse
-# plane partition rule.  Cells are filled in reading order (rows from the
-# bottom, then columns).  Each cell's choices depend only on the largest code
-# of its left and below neighbours, on the cell's diagonal rule, and on the
-# remaining set-valued budget, so they are computed once per such key and
-# reused at every node that shares it.
+# Every family is walked under the tableau rule (a shared row value is unprimed,
+# a shared column value primed; a cell holds a set of codes, one code at budget
+# 0) or the reverse plane partition rule, cells in reading order (rows from the
+# bottom, then columns).  A cell's options depend only on the largest codes of
+# its left and below neighbours, its diagonal rule and the budget left
+# (`_cell_options`).  `_fillings` lists the fillings, for `iter_tableaux` and
+# `iter_restricted_p`.  `_tally` counts them by weight without listing any
+# (the transfer-matrix method), and every generating function and count of the
+# engine reads it: it merges the partial fillings that agree on what the rest
+# of the walk reads, so its cost grows with a row's states, not the fillings.
 
 FREE, P_DIAG, MARKED = 0, 1, 2  # diagonal rules: Q, no primed element, only the largest primed
 
 
+def _layout(shape: SkewShape, p_flavor: bool, marked: frozenset[int]):
+    """The cells in reading order, the index of each one's left and below neighbour (-1 if none),
+    and its rule: FREE, or with `p_flavor` on the diagonal MARKED if its row is in `marked`, else P_DIAG."""
+    cells = shape.sorted_cells()
+    index = {c: k for k, c in enumerate(cells)}
+    left = [index.get((i, j - 1), -1) for (i, j) in cells]
+    below = [index.get((i - 1, j), -1) for (i, j) in cells]
+    diag = [(MARKED if i in marked else P_DIAG) if p_flavor and i == j else FREE for (i, j) in cells]
+    return cells, left, below, diag
+
+
 def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
-              tally: bool = False, marked: frozenset[int] = frozenset()):
+              marked: frozenset[int] = frozenset()):
     """Every filling of the shape with values 1..max_value, in entry order.
 
     With `rpp` the fillings are reverse plane partitions, one code per cell.
     Otherwise they are set-valued tableaux where deg_cap bounds
     |T| - (number of cells) (None means no bound), so deg_cap 0 gives the
-    semistandard shifted tableaux.  A cell off the diagonal, or on it without
-    `p_flavor`, is FREE.  With `p_flavor` a diagonal cell is P_DIAG (for
-    reverse plane partitions: its entry is primed), or MARKED when its row is
-    in `marked`, so the walk yields the Q walk's fillings whose diagonal
-    cells obey their rules, in the Q walk's order.
+    semistandard shifted tableaux.  Diagonal rules are as in `_layout`: for
+    reverse plane partitions a P_DIAG entry is primed.  So the walk yields
+    the Q walk's fillings whose diagonal cells obey their rules, in the Q
+    walk's order.
 
-    Yields the live (cells, entries, counts) for each filling: `entries` holds
-    one tuple of codes per cell and `counts[v - 1]` is how often value v
-    occurs (kept only with `tally`, else all zero).  The lists are reused, so
-    copy what must outlive the next step.  Fixed-content counts come from
-    one-value walks (`_one_value_count`).
+    Yields the live (cells, entries) for each filling: `entries` holds one
+    tuple of codes per cell.  The list is reused, so copy what must outlive
+    the next step.
 
     A cell's options, (codes, largest code, extras used), are stored per key
     only when the remaining budget is finite: an uncapped set-valued cell has
     exponentially many subsets, and holding them all would cost memory that
     streaming them from `_cell_options` does not.
     """
-    cells = shape.sorted_cells()
+    cells, left, below, diag = _layout(shape, p_flavor, marked)
     n = len(cells)
-    index = {c: k for k, c in enumerate(cells)}
-    left = [index.get((i, j - 1), -1) for (i, j) in cells]
-    below = [index.get((i - 1, j), -1) for (i, j) in cells]
-    diag = [(MARKED if i in marked else P_DIAG) if p_flavor and i == j else FREE for (i, j) in cells]
     entries: list[tuple[int, ...]] = [()] * n
     largest = [0] * (n + 1)  # largest[-1] stays 0 for a missing neighbour
-    counts = [0] * max_value
     table: dict[tuple, list] = {}
     last = n - 1
 
@@ -152,22 +155,16 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
                 opts = table[key] = list(opts)
         for codes, top, extras in opts:
             largest[k] = top
-            if tally:
-                for c in codes:
-                    counts[(c - 1) >> 1] += 1
             entries[k] = codes
             if k == last:
-                yield cells, entries, counts
+                yield cells, entries
             else:
                 yield from rec(k + 1, used + extras)
-            if tally:
-                for c in codes:
-                    counts[(c - 1) >> 1] -= 1
         entries[k] = ()
         largest[k] = 0
 
     if n == 0:
-        yield cells, entries, counts
+        yield cells, entries
         return
     try:
         yield from rec(0, 0)
@@ -175,6 +172,76 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
         # rec's closure refers to rec: break that cycle so the table is freed
         # now, not at some later full garbage collection
         del rec
+
+
+def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
+           bar: bool = False, marked: frozenset[int] = frozenset()) -> dict[tuple[int, ...], int]:
+    """{`weight` exponent vector padded to max_value: how many tableaux have it}, for the
+    fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.
+
+    A tableau cell adds its elements.  A cell of a reverse plane partition or a
+    bar tableau adds one unless it continues a line: holds the code of the
+    neighbour the line runs through, the left one for a primed rpp or an
+    unprimed bar entry, else the one below.  A bar tableau may cut a line there
+    too, starting a bar that adds one.  A state is (0 for a missing neighbour,
+    the largest codes of the filled cells an unfilled one reads, the budget
+    left); it holds {weight packed into one integer: count}, so a cell adds its
+    integer to each key.  Only one layer of states is held, and an uncapped
+    cell's options are not stored (see `_fillings`).
+    """
+    cells, left, below, diag = _layout(shape, p_flavor, marked)
+    n = len(cells)
+    last_read = [-1] * (n + 1)  # the last cell reading each one; slot -1 takes a missing neighbour
+    for k in range(n):
+        last_read[left[k]] = last_read[below[k]] = k
+    w = (2 * n).bit_length()  # bits per value: a weight entry is at most 2n
+    unit = [0] + [1 << ((code - 1) >> 1) * w for code in range(1, 2 * max_value + 1)]
+
+    def deltas(codes: tuple[int, ...], top: int, lv: int, bv: int) -> tuple[int, ...]:
+        if not (rpp or bar):
+            return (sum(unit[c] for c in codes),)
+        if top != (lv if (top & 1) != bar else bv):
+            return (unit[top],)
+        return (0, unit[top]) if bar else (0,)
+
+    table: dict[tuple, list] = {}
+    layer: dict[tuple, dict[int, int]] = {(0, deg_cap): {0: 1}}
+    live: tuple[int, ...] = ()  # the cells whose codes a state holds, in order
+    for k in range(n):
+        pos = {m: p for p, m in enumerate(live, 1)}
+        lp, bp = pos.get(left[k], 0), pos.get(below[k], 0)
+        read_later = last_read[k] > k
+        live = tuple(m for m in live if last_read[m] > k) + ((k,) if read_later else ())
+        keep = [pos[m] for m in live if m != k]
+        nxt: dict[tuple, dict[int, int]] = {}
+        for state, partial in layer.items():
+            lv, bv, budget = state[lp], state[bp], state[-1]
+            key = (lv, bv, diag[k], budget)
+            opts = table.get(key)
+            if opts is None:
+                opts = (
+                    (delta, top, extras)
+                    for codes, top, extras in _cell_options(2 * max_value, rpp, *key)
+                    for delta in deltas(codes, top, lv, bv)
+                )
+                if budget is not None:
+                    opts = table[key] = list(opts)
+            carried = tuple(state[p] for p in keep)
+            for delta, top, extras in opts:
+                after = (0, *carried, *((top,) if read_later else ()), None if budget is None else budget - extras)
+                target = nxt.get(after)
+                if target is None:
+                    target = nxt[after] = {}
+                for packed, count in partial.items():
+                    packed += delta
+                    target[packed] = target.get(packed, 0) + count
+        layer = nxt
+    mask, out = (1 << w) - 1, {}
+    for partial in layer.values():
+        for packed, count in partial.items():
+            exps = tuple(packed >> v * w & mask for v in range(max_value))
+            out[exps] = out.get(exps, 0) + count
+    return out
 
 
 def _cell_options(top: int, rpp: bool, lv: int, bv: int, diag: int, budget: int | None):
@@ -264,7 +331,7 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
         raise ParameterError(f"deg_cap bounds set-valued families only, not {fam}")
     cap = deg_cap if fam.startswith("setshyt") else 0  # single-valued: set-valued at budget 0
     walk = _fillings(shape, max_value, fam.endswith("_p"), fam.startswith("shrpp"), cap)
-    tableaux = (Tableau(shape, tuple(zip(cells, entries))) for cells, entries, _ in walk)
+    tableaux = (Tableau(shape, tuple(zip(cells, entries))) for cells, entries in walk)
     yield from _iter_bar(tableaux) if fam.startswith("shbt") else tableaux
 
 
@@ -289,30 +356,12 @@ def weight(family: str, t) -> tuple[tuple[int, ...], int]:
     return tuple(exps), len(codes)
 
 
-def weight_tally(family: str, tableaux: Iterable, nvars: int) -> Counter:
-    """How many of the tableaux have each `weight` exponent vector, padded to nvars."""
-    fam, tally = _check_family(family), Counter()
-    for t in tableaux:
-        exps = [0] * nvars
-        for code in _codes(fam, t):
-            exps[(code - 1) >> 1] += 1
-        tally[tuple(exps)] += 1
-    return tally
-
-
 def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int | None) -> BetaPoly:
-    """The weighted sum over the family as a truncated polynomial.
-
-    One walk tallies the fillings by their key (c, r): c_v is the number of
-    elements equal to v, and r_v the number of lines of v, the rows of
-    unprimed and columns of primed v for bar tableaux (their maximal runs),
-    the columns of unprimed and rows of primed v for reverse plane
-    partitions.  Each key is expanded once:
-      set-valued and single-valued   beta^(|c| - |shape|) x^c       (r unused)
-      reverse plane partitions       (-beta)^(|shape| - |r|) x^r    (c unused)
-      bar tableaux                   prod_v x_v^r_v (x_v - beta)^(c_v - r_v),
-    the last being the sum of (-beta)^(|shape| - |T|) x^T over the ways to
-    cut each run into bars.
+    """The weighted sum over the family as a truncated polynomial: each tableau T
+    weighs beta^(|T| - |shape|) x^T if set-valued or single-valued, and
+    (-beta)^(|shape| - |T|) x^T if a reverse plane partition or a bar tableau,
+    x^T and |T| as in `weight`.  No tableau is listed: `_tally` counts them
+    by x^T, and each exponent vector gives one term.
     """
     fam = _check_family(family)
     shape.require_valid()
@@ -321,28 +370,10 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
     deg_cap = (None if max_deg is None else max_deg - ncells) if fam.startswith("setshyt") else 0
     if deg_cap is not None and deg_cap < 0:
         return BetaPoly.zero(nvars, max_deg)
-    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for cells, entries, counts in _fillings(shape, nvars, fam.endswith("_p"), rpp, deg_cap, tally=not rpp):
-        r = ()
-        if rpp or bar:
-            lines = {(code, i if (code & 1) != bar else j) for (i, j), (code,) in zip(cells, entries)}
-            r = [0] * nvars
-            for code, _ in lines:
-                r[(code - 1) >> 1] += 1
-            r = tuple(r)
-        key = (tuple(counts), r)
-        tally[key] = tally.get(key, 0) + 1
-    terms: dict[tuple[tuple[int, ...], int], int] = {}
-    for (c, r), n in tally.items():
-        if bar:  # the binomial theorem, factor by factor
-            for ks in itertools.product(*(range(cv - rv + 1) for cv, rv in zip(c, r))):
-                key = (tuple(cv - k for cv, k in zip(c, ks)), sum(ks))
-                binom = math.prod(math.comb(cv - rv, k) for cv, rv, k in zip(c, r, ks))
-                terms[key] = terms.get(key, 0) + n * (-1) ** key[1] * binom
-        elif rpp:
-            terms[(r, ncells - sum(r))] = n * (-1) ** (ncells - sum(r))
-        else:
-            terms[(c, sum(c) - ncells)] = n
+    terms, signed = {}, rpp or bar
+    for exps, n in _tally(shape, nvars, fam.endswith("_p"), rpp, deg_cap, bar).items():
+        k = ncells - sum(exps) if signed else sum(exps) - ncells
+        terms[(exps, k)] = (-1) ** k * n if signed else n
     return BetaPoly(nvars, terms, max_deg)
 
 
@@ -354,7 +385,8 @@ def content_count(p_flavor: bool, outer: tuple[int, ...], content: tuple[int, ..
     Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
     By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike)
     the c = content[-1] elements of the last value fill outer/kappa, kappa in
-    doubleslash_inners(mu), and the others fill mu, |outer| - c <= |mu| <= |content| - c.
+    doubleslash_inners(mu), and the others fill mu, |outer| - c <= |mu| <= |content| - c;
+    a kappa with |outer| - |kappa| > c leaves a cell empty, so it is skipped unwalked.
     Every key is a tuple of parts, so no shape is built or hashed per term.
     """
     if not content:
@@ -362,20 +394,19 @@ def content_count(p_flavor: bool, outer: tuple[int, ...], content: tuple[int, ..
     c = content[-1]
     lo, hi = sum(outer) - c, sum(content) - c
     return sum(
-        content_count(p_flavor, mu.parts, content[:-1]) * _one_value_count(p_flavor, outer, kappa.parts, c)
+        content_count(p_flavor, mu.parts, content[:-1]) * _one_value_count(p_flavor, outer, kappa.parts).get((c,), 0)
         for mu in subshapes(StrictPartition(outer)) if lo <= mu.size <= hi
-        for kappa in doubleslash_inners(mu)
+        for kappa in doubleslash_inners(mu) if kappa.size >= lo
     )
 
 
 @functools.cache
-def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...], c: int) -> int:
-    """[x^c] of the one-variable GP/GQ of outer/inner, beta set to 1: the fillings with c elements."""
-    extras = c - sum(outer) + sum(inner)
-    if extras < 0:
-        return 0
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    return sum(counts[0] == c for _, _, counts in _fillings(shape, 1, p_flavor, False, extras, tally=True))
+def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The one-value fillings of outer/inner by their number of elements c: at key
+    (c,), [x^c] of the one-variable GP/GQ of outer/inner with beta set to 1.  One
+    uncapped `_tally` counts them without listing: a cell holds at most 1' and 1,
+    so the count is finite."""
+    return _tally(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
 
 
 # -- the one-row map and the prime-restricted family ---------------------------
@@ -411,15 +442,19 @@ def iter_restricted_p(
     the rows where outer and inner agree MARKED; `in_restricted_p` is the
     same test made on a finished tableau.
     """
-    if not all(inner.part(i) <= outer.part(i) for i in range(1, len(outer) + 1)) or len(
-        inner
-    ) != len(outer):
-        raise InvalidShapeError(f"need inner <= outer of equal length: {outer}/{inner}")
+    marked = marked_rows(outer, inner)
     shape = straight(outer)
     _check_walk(shape, max_value, deg_cap)
-    marked = frozenset(i for i in range(1, len(outer) + 1) if outer.part(i) == inner.part(i))
-    for cells, entries, _ in _fillings(shape, max_value, True, False, deg_cap, marked=marked):
+    for cells, entries in _fillings(shape, max_value, True, False, deg_cap, marked):
         yield Tableau(shape, tuple(zip(cells, entries)))
+
+
+def marked_rows(outer: StrictPartition, inner: StrictPartition) -> frozenset[int]:
+    """The rows where outer and inner agree, whose diagonal cells are MARKED in
+    SetShYT_P(outer : inner); inner <= outer must be of equal length."""
+    if not all(inner.part(i) <= outer.part(i) for i in range(1, len(outer) + 1)) or len(inner) != len(outer):
+        raise InvalidShapeError(f"need inner <= outer of equal length: {outer}/{inner}")
+    return frozenset(i for i in range(1, len(outer) + 1) if outer.part(i) == inner.part(i))
 
 
 def onerow_map(t: Tableau) -> tuple[str, Tableau]:

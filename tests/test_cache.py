@@ -14,6 +14,13 @@ def test_a_memory_hit_returns_the_same_object():
     assert cache.get_or_compute(["kind", 1], lambda: BetaPoly.zero(2), *codec) is value
 
 
+def test_keys_with_different_strings_never_share_a_memory_entry():
+    cache = MemoCache()
+    keys = (["kind", 1], ["kind", "1"], ["kind", None], ["kind", "None"], ["kind", [1, 2]], ["kind", "(1, 2)"], ["kind", 1, 2])
+    assert len({MemoCache.key_string(key) for key in keys}) == len(keys)
+    assert [cache.get_or_compute(key, lambda i=i: i) for i, key in enumerate(keys)] == list(range(len(keys)))
+
+
 def test_a_disk_value_is_decoded_once(tmp_path):
     decoded = []
 

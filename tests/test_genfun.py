@@ -55,6 +55,14 @@ def sp(*parts):
     return StrictPartition(tuple(parts))
 
 
+def divide_exact(p, d):
+    """p with every coefficient divided by d; NonDivisibleError unless d divides each."""
+    bad = next((c for c in p.terms.values() if c % d), 0)
+    if bad:
+        raise NonDivisibleError(f"{bad} is not divisible by {d}")
+    return BetaPoly(p.nvars, {k: c // d for k, c in p.terms.items()}, p.max_deg, p.split)
+
+
 def beta_coeffs(expansion):
     return {
         idx: {b: v for (_e, b), v in c.terms.items()} for idx, c in expansion.coeffs.items() if not c.is_zero()
@@ -285,7 +293,7 @@ def whole_polynomial_duals(flavor, S, ny):
             target = target - dual.scale_by(polys[prev].coeff(monomial))
         lead = 2 ** len(mu) if flavor == "gp" else 1
         assert polys[mu].coeff(monomial) == BetaPoly.const(0, lead)
-        solved[mu] = target.divide_exact(lead)
+        solved[mu] = divide_exact(target, lead)
     return solved
 
 
@@ -425,7 +433,7 @@ def reference_peel(p, basis, nx):
             c = BetaPoly(ny, c, p.max_deg if ny else None)
             if c.is_zero():
                 continue
-            c = c.divide_exact(genfun._basis_lead(basis, index))
+            c = divide_exact(c, genfun._basis_lead(basis, index))
             coeffs[index] = c
             rest = rest - tensor_split(evaluate(basis, index, (), nx, p.max_deg), c, p.max_deg)
     return coeffs, rest

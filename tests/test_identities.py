@@ -31,6 +31,20 @@ def test_gq_to_gp_small_sweep():
     assert report.cases == 3 * 7  # three sub-checks per strict partition
 
 
+@pytest.mark.parametrize("check", [check_gq_to_gp, check_conjectures])
+def test_the_tableau_checks_count_without_listing(monkeypatch, check):
+    # the counting form of the theorem and the conjectural tableau sums read the
+    # counting walk only: no tableau is listed
+    from kshift import tableaux
+
+    def fillings(*args, **kwargs):
+        raise AssertionError("a check listed tableaux")
+
+    monkeypatch.setattr(tableaux, "_fillings", fillings)
+    monkeypatch.setattr(cache.CACHE, "_mem", {})
+    assert check().ok
+
+
 def test_gq_to_gp_parameter_errors():
     with pytest.raises(ParameterError):
         check_gq_to_gp(max_size=6, nvars=2, max_deg=9)

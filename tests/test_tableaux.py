@@ -1,24 +1,35 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from kshift.errors import InvalidShapeError
 from kshift.polyring import BetaPoly
-from kshift.shapes import EMPTY, SkewShape, StrictPartition, straight, subshapes, enumerate_strict_partitions
+from kshift.shapes import (
+    EMPTY,
+    SkewShape,
+    StrictPartition,
+    enumerate_strict_partitions,
+    straight,
+    subshapes,
+    vertical_strip_extensions,
+)
 from kshift.tableaux import (
     FAMILIES,
     BarTableau,
     Tableau,
+    _codes,
     _one_value_count,
+    _tally,
     code_value,
     content_count,
     genfun_from_tableaux,
     is_primed,
     iter_restricted_p,
     iter_tableaux,
+    marked_rows,
     onerow_map,
     weight,
-    weight_tally,
 )
 
 
@@ -316,7 +327,7 @@ def test_one_value_count_is_the_one_variable_coefficient(p_flavor):
             poly = genfun_from_tableaux(family, shape, 1, shape.size + 3)
             for c in range(shape.size + 4):
                 want = poly.terms.get(((c,), c - shape.size), 0)
-                assert _one_value_count(p_flavor, lam.parts, kappa.parts, c) == want, (shape, c)
+                assert _one_value_count(p_flavor, lam.parts, kappa.parts).get((c,), 0) == want, (shape, c)
 
 
 # -- brute-force oracle: every candidate filling, filtered by the rules ------
@@ -383,14 +394,19 @@ def test_single_valued_tableaux_are_set_valued_at_budget_0(flavor):
                     assert single == list(iter_tableaux("setshyt_" + flavor, shape, max_value, 0)), (shape, max_value)
 
 
+def _skew_shapes(max_outer):
+    """Every skew shape, straight and empty ones included, with |outer| <= max_outer."""
+    return [SkewShape(lam, mu) for lam in enumerate_strict_partitions(max_outer) for mu in subshapes(lam)]
+
+
 @pytest.mark.parametrize("family", ["shyt_p", "shyt_q", "setshyt_p", "setshyt_q", "shrpp_p", "shrpp_q", "shbt_p", "shbt_q"])
 def test_genfun_is_the_weight_sum_over_the_enumerator(family):
     # set-valued and single-valued tableaux weigh beta^(|T|-|shape|) x^T,
     # reverse plane partitions and bar tableaux (-beta)^(|shape|-|T|) x^T
     signed = family.startswith(("shrpp", "shbt"))
-    for shape in _small_shapes():
+    for shape in _skew_shapes(5):
         ncells = shape.size
-        for nvars in (1, 2):
+        for nvars in (1, 2, 3):
             for max_deg in (None, ncells + 1):
                 deg_cap = None
                 if family.startswith("setshyt") and max_deg is not None:
@@ -405,8 +421,20 @@ def test_genfun_is_the_weight_sum_over_the_enumerator(family):
                 assert genfun_from_tableaux(family, shape, nvars, max_deg) == want, (shape, nvars, max_deg)
 
 
+def weight_tally(family, tableaux, nvars):
+    """How many of the tableaux have each `weight` exponent vector, padded to nvars."""
+    tally = Counter()
+    for t in tableaux:
+        exps = [0] * nvars
+        for code in _codes(family, t):
+            exps[(code - 1) >> 1] += 1
+        tally[tuple(exps)] += 1
+    return tally
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_weight_tally_counts_the_padded_weights(family):
+    # the reference against `weight`, then the counting walk against the reference
     deg_cap = 1 if family.startswith("setshyt") else None
     for shape in _small_shapes():
         for nvars in (1, 3):
@@ -416,6 +444,21 @@ def test_weight_tally_counts_the_padded_weights(family):
                 key = exps + (0,) * (nvars - len(exps))
                 want[key] = want.get(key, 0) + 1
             assert weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars) == want, (shape, nvars)
+            rpp, bar = family.startswith("shrpp"), family.startswith("shbt")
+            got = _tally(shape, nvars, family.endswith("_p"), rpp, 0 if deg_cap is None else deg_cap, bar)
+            assert got == want, (shape, nvars)
+
+
+def test_tally_counts_the_prime_restricted_family():
+    # SetShYT_P(lam : mu) for every vertical strip lam/mu, counted against its listing walk
+    for mu in enumerate_strict_partitions(5):
+        for lam in vertical_strip_extensions(mu):
+            marked = marked_rows(lam, mu)
+            for nvars in (2, 3):
+                for deg_cap in (0, 2, 4):
+                    want = weight_tally("setshyt_q", iter_restricted_p(lam, mu, nvars, deg_cap), nvars)
+                    got = _tally(straight(lam), nvars, True, False, deg_cap, marked=marked)
+                    assert got == want, (lam, mu, nvars, deg_cap)
 
 
 @pytest.mark.parametrize("p_flavor", [True, False])
