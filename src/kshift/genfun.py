@@ -21,10 +21,13 @@ exponents padded to the number of variables (in each block, for one symmetric in
 x and in y apart): every rearrangement repeats them.  The dual and skew-dual
 tables store views, the one peel loop and omega map views to views, and only the
 edge writes a value out to its orbits: `dual_gp_gq`, `dual_skew` and `jp_jq`, as
-`evaluate` returns them.  `is_symmetric` runs only on a caller's polynomial.  The
-Schur world is on Kostka numbers, counted by the horizontal-strip rule: s_lam has
-the view K_{lam,nu}, and omega(g) = sum c_lam s_lam' the view sum_lam c_lam
-K_{lam',nu}, with c_lam the Schur coefficients of g from the peel.
+`evaluate` returns them.  `is_symmetric` runs only on a caller's polynomial.  A
+product of a written-out polynomial K and a view L is read at partitions too, with
+[x^lam](K L) = sum_e K_e L[sort(lam - e)], blockwise when split (`_times_view`): the
+Cauchy check multiplies its twisted kernels so.  The Schur world is on Kostka
+numbers, counted by the horizontal-strip rule: s_lam has the view K_{lam,nu}, and
+omega(g) = sum c_lam s_lam' the view sum_lam c_lam K_{lam',nu}, with c_lam the
+Schur coefficients of g from the peel.
 """
 
 from __future__ import annotations
@@ -167,16 +170,25 @@ def _orbits(view: dict, nx: int) -> dict:
     return {(f + e[nx:], b): c for (e, b), c in view.items() if c for f in _rearrangements(e[:nx])}
 
 
-def _written(view: dict, nvars: int, max_deg: int | None = None) -> BetaPoly:
-    """The polynomial in nvars variables whose view this is, written out to its orbits."""
-    return BetaPoly(nvars, _orbits(view, nvars), max_deg)
+def _written(view: dict, nvars: int, max_deg: int | None = None, split: int | None = None) -> BetaPoly:
+    """The polynomial in nvars variables whose view this is, written out to its orbits
+    (in each block when split after the first `split` variables)."""
+    terms = _orbits(view, nvars if split is None else split)
+    if split is not None:
+        terms = {(e[:split] + f, b): c for (e, b), c in terms.items() for f in _rearrangements(e[split:])}
+    return BetaPoly(nvars, terms, max_deg, split)
+
+
+def _partition_terms(p: BetaPoly) -> dict:
+    """The terms of a one-alphabet polynomial at partition exponents: its view if it is symmetric."""
+    return {(e, b): c for (e, b), c in p.terms.items() if e == tuple(sorted(e, reverse=True))}
 
 
 def _view(p: BetaPoly) -> dict:
     """A caller's one-alphabet polynomial by its view, once it is seen to be symmetric."""
     if not p.is_symmetric():
         raise NonSymmetricError("input polynomial is not symmetric")
-    return {(e, b): c for (e, b), c in p.terms.items() if e == tuple(sorted(e, reverse=True))}
+    return _partition_terms(p)
 
 
 def _split_view(view: dict, nx: int) -> dict:
@@ -191,6 +203,45 @@ def _split_view(view: dict, nx: int) -> dict:
                 ys.remove(x)
             out[xs + tuple(ys), b] = c
     return out
+
+
+@functools.cache
+def _product_plan(exps: frozenset, blocks: tuple[int, ...], max_deg: int) -> dict:
+    """{remainder: the pairs (lam, e)} over the exponents e and every lam >= e that is a
+    partition of degree <= max_deg in each block, padded to the block's length, where the
+    remainder is lam - e sorted in each block."""
+    cuts = list(itertools.accumulate(blocks, initial=0))
+    padded = [[p + (0,) * (n - len(p)) for d in range(max_deg + 1) for p in partitions_of(d) if len(p) <= n] for n in blocks]
+    plan: dict[tuple[int, ...], list] = {}
+    for parts in itertools.product(*padded):
+        lam = sum(parts, ())
+        for e in exps:
+            r = tuple(map(sub, lam, e))
+            if min(r) >= 0:
+                rest = sum((tuple(sorted(r[i:j], reverse=True)) for i, j in zip(cuts, cuts[1:])), ())
+                plan.setdefault(rest, []).append((lam, e))
+    return plan
+
+
+def _times_view(poly: BetaPoly, view: dict) -> dict:
+    """The partition terms of poly * g, cut at poly's finite max_deg, for g symmetric in each block
+    of poly's alphabet and given by its view: [x^lam y^rho beta^B](poly g) is the sum over poly's
+    terms of poly_{e,b} g[sort(lam - e_x) + sort(rho - e_y), B - b], over pairs planned once per
+    exponent set, so sign twists of poly share them.  This is the view of poly * g when poly is
+    symmetric too, which the caller checks: no symmetry is tested here."""
+    blocks = (poly.nvars,) if poly.split is None else (poly.split, poly.nvars - poly.split)
+    by_exp: dict[tuple[int, ...], list] = {}
+    g: dict[tuple[int, ...], list] = {}
+    for terms, grouped in ((poly.terms, by_exp), (view, g)):
+        for (e, b), c in terms.items():
+            grouped.setdefault(e, []).append((b, c))
+    plan, out = _product_plan(frozenset(by_exp), blocks, poly.max_deg), {}
+    for rest, at_rest in g.items():
+        for lam, e in plan.get(rest, ()):
+            for b1, c1 in by_exp[e]:
+                for b2, c2 in at_rest:
+                    out[lam, b1 + b2] = out.get((lam, b1 + b2), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def _divided(view: dict, d: int) -> dict:
@@ -327,8 +378,7 @@ def _basis_view(basis: str, index: tuple[int, ...], nx: int, max_deg: int | None
         nus = (nu for d in range(size, (size if basis in ("P", "Q") else max_deg) + 1) for nu in partitions_of(d))
         view = {(pad(nu), sum(nu) - size): content_count(basis[-1] == "P", index, nu) for nu in nus if len(nu) <= nx}
     else:
-        terms = evaluate(basis, index, (), nx, max_deg).terms
-        view = {(e, b): c for (e, b), c in terms.items() if e == tuple(sorted(e, reverse=True))}
+        view = _partition_terms(evaluate(basis, index, (), nx, max_deg))
     return {(e, b): c for (e, b), c in view.items() if c and (max_deg is None or sum(e) <= max_deg)}
 
 

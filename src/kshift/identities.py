@@ -22,7 +22,7 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import KshiftError, ParameterError
-from .genfun import _ell_max, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
+from .genfun import _ell_max, _partition_terms, _times_view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel, tensor_split
 from .shapes import (
     EMPTY,
@@ -116,6 +116,13 @@ def _run_cases(
     return report
 
 
+def _at_least(low: int, **sizes: int) -> None:
+    """Refuse a size parameter below low, naming it and the value given."""
+    for name, n in sizes.items():
+        if n < low:
+            raise ParameterError(f"{name} must be at least {low}, got {n}")
+
+
 def _case_size_key(case: tuple) -> tuple:
     """Order case fields that parse as strict partitions by size
     (`StrictPartition.sort_key`), and every other string after them."""
@@ -183,8 +190,7 @@ def _expansion_case(
 def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> VerificationReport:
     """The vertical-strip expansion of GQ, its positivity rule, and the
     beta=1 counting identity over prime-restricted tableaux."""
-    if nvars < 1:
-        raise ParameterError(f"nvars must be at least 1, got {nvars}")
+    _at_least(1, nvars=nvars)
     mus = enumerate_strict_partitions(max_size)
     maxlen = max((len(m) for m in mus), default=0)
     if nvars < maxlen:
@@ -257,8 +263,7 @@ def check_overlap_matrix(max_part: int = 7) -> VerificationReport:
     A case is one product entry: (MN or NM, row index, column index)."""
     if max_part > 8:
         raise ParameterError("max_part is capped at 8")
-    if max_part < 0:
-        raise ParameterError(f"max_part must be at least 0, got {max_part}")
+    _at_least(0, max_part=max_part)
     # one block per length: the strict partitions with parts <= max_part
     position: dict[str, tuple[int, int]] = {}
     products: dict[tuple[int, str], tuple[list, list]] = {}
@@ -321,8 +326,8 @@ def check_coproducts(
     max_size: int = 4, nx: int = 2, ny: int = 2, max_deg: int = 6
 ) -> VerificationReport:
     """Two-alphabet evaluation equals the coproduct sums, for all families."""
-    if max_deg < 0:
-        raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
+    _at_least(1, nx=nx, ny=ny)
+    _at_least(0, max_deg=max_deg)
     lams = enumerate_strict_partitions(max_size)
     cases = [(fam, str(lam)) for fam in ("GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ") for lam in lams]
     n = nx + ny
@@ -358,28 +363,50 @@ def _cached_kernel(nx: int, ny: int, max_deg: int) -> BetaPoly:
     )
 
 
+# tag: (big family, taken with its double slash, small family, the side the kernel multiplies, its
+# negated alphabet): the skew Cauchy identities GP//*gq and GQ//*gp, then the six omega-twisted ones
+_CAUCHY_FORMS = {
+    "skew-gq": ("GP", "gq", "right", ""),
+    "skew-gp": ("GQ", "gp", "right", ""),
+    "a": ("GP", "jq", "left", "y"),
+    "b": ("GQ", "jp", "left", "y"),
+    "c": ("JP", "gq", "left", "x"),
+    "d": ("JQ", "gp", "left", "x"),
+    "e": ("JP", "jq", "right", "xy"),
+    "f": ("JQ", "jp", "right", "xy"),
+}
+
+
 def check_cauchy_family(
     max_size: int = 2, nx: int = 2, ny: int = 2, max_deg: int = 4
 ) -> VerificationReport:
     """The Cauchy identity, the skew Cauchy identities, and their six
-    omega-twisted forms with negated alphabets."""
-    if max_deg < 0:
-        raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
+    omega-twisted forms with negated alphabets, compared at split views.
+
+    Each distinct value is read once through `evaluate` (so cut at max_deg),
+    checked to be symmetric, and kept as its view; a product big(x) small(y)
+    is the product of two views, and the twisted kernel, checked symmetric
+    once, enters through `genfun._times_view`.  On a FAIL both sides are
+    written out to their orbits in each block for the witness; a value that
+    is not symmetric fails each case that reads it, and the witness names it.
+    """
+    _at_least(1, nx=nx, ny=ny)
+    _at_least(0, max_deg=max_deg)
     kern = _cached_kernel(nx, ny, max_deg)
-    yvars = list(range(nx + 1, nx + ny + 1))
-    xvars = list(range(1, nx + 1))
-    # the kernel under each negated alphabet, built once for every case
-    negations = {"": [], "y": yvars, "x": xvars, "xy": xvars + yvars}
-    twisted = {name: kern.negate_vars(which) for name, which in negations.items()}
-    pairs = [
-        (str(mu), str(nu))
-        for mu in enumerate_strict_partitions(max_size)
-        for nu in enumerate_strict_partitions(max_size)
-    ]
-    cases: list[tuple] = [("kernel", "gp", ""), ("kernel", "gq", "")]
-    for mu_s, nu_s in pairs:
-        for tag in ("skew-gq", "skew-gp", "a", "b", "c", "d", "e", "f"):
-            cases.append((tag, mu_s, nu_s))
+    if not kern.is_symmetric():
+        raise KshiftError("the Cauchy kernel is not symmetric in x and in y")
+    xs, ys = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
+    twisted = {name: kern.negate_vars(which) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}
+    views: dict[tuple, dict | None] = {}
+
+    def view(value: tuple) -> dict | None:
+        if value not in views:  # value: (func, outer, inner, nvars, doubleslash)
+            p = evaluate(*value[:4], max_deg, doubleslash=value[4])
+            views[value] = _partition_terms(p) if p.is_symmetric() else None
+        return views[value]
+
+    strict = [str(mu) for mu in enumerate_strict_partitions(max_size)]
+    cases = [("kernel", "gp", ""), ("kernel", "gq", "")] + [(t, a, b) for a in strict for b in strict for t in _CAUCHY_FORMS]
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         tag, mu_s, nu_s = case
@@ -387,34 +414,27 @@ def check_cauchy_family(
             tag, mu_s = "skew-" + mu_s, ""
         mu = StrictPartition.parse(mu_s)
         nu = StrictPartition.parse(nu_s)
+        big, small, side, negated = _CAUCHY_FORMS[tag]
+        lams = [lam for lam in enumerate_strict_partitions(max_deg + mu.size) if contains(mu, lam) and contains(nu, lam)]
         kappas = [k for k in subshapes(mu) if contains(k, nu)]
-        # the skew Cauchy identities (GP//*gq and its GQ//*gp mirror) under the
-        # plain kernel, then the six omega-twisted ones with negated alphabets;
-        # the big family is always taken with its double slash
-        big, small, side, negated = {
-            "skew-gq": ("GP", "gq", "right", ""),
-            "skew-gp": ("GQ", "gp", "right", ""),
-            "a": ("GP", "jq", "left", "y"),
-            "b": ("GQ", "jp", "left", "y"),
-            "c": ("JP", "gq", "left", "x"),
-            "d": ("JQ", "gp", "left", "x"),
-            "e": ("JP", "jq", "right", "xy"),
-            "f": ("JQ", "jp", "right", "xy"),
-        }[tag]
-        lhs = BetaPoly.zero(nx + ny, max_deg, nx)
-        for lam in enumerate_strict_partitions(max_deg + mu.size):
-            if contains(mu, lam) and contains(nu, lam):
-                px = evaluate(big, lam, mu, nx, max_deg, doubleslash=True)
-                lhs = lhs + tensor_split(px, evaluate(small, lam, nu, ny, max_deg), max_deg)
-        rhs = BetaPoly.zero(nx + ny, max_deg, nx)
-        for kappa in kappas:
-            px = evaluate(big, nu, kappa, nx, max_deg, doubleslash=True)
-            rhs = rhs + tensor_split(px, evaluate(small, mu, kappa, ny, max_deg), max_deg)
-        if side == "left":
-            lhs = twisted[negated] * lhs
-        else:
-            rhs = twisted[negated] * rhs
-        return _compare(lhs, rhs)
+        sides = []  # each the sum of big(x) small(y) over its (big outer, inner, small outer, inner)
+        for terms in ([(lam, mu, lam, nu) for lam in lams], [(nu, k, mu, k) for k in kappas]):
+            total: dict = {}
+            for big_outer, big_inner, small_outer, small_inner in terms:
+                values = (big, big_outer, big_inner, nx, True), (small, small_outer, small_inner, ny, False)
+                vx, vy = map(view, values)
+                if vx is None or vy is None:
+                    func, outer, inner, nvars, ds = values[0] if vx is None else values[1]
+                    return False, {"asymmetric": f"{func} {outer}{'//' if ds else '/'}{inner} in {nvars} variables"}
+                for (ex, bx), a in vx.items():
+                    for (ey, by), c in vy.items():
+                        total[ex + ey, bx + by] = total.get((ex + ey, bx + by), 0) + a * c
+            sides.append({k: c for k, c in total.items() if c})
+        i = 0 if side == "left" else 1
+        sides[i] = _times_view(twisted[negated], sides[i])
+        if sides[0] == sides[1]:
+            return True, None
+        return _compare(*(_written(s, nx + ny, max_deg, nx) for s in sides))
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
     return _run_cases("cauchy", params, cases, worker)
@@ -520,8 +540,7 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
 def check_onerow_series(max_power: int = 4, nvars: int = 2, max_deg: int = 6) -> VerificationReport:
     if max_power > 6:
         raise ParameterError("max_power is capped at 6")
-    if max_power < 0:
-        raise ParameterError(f"max_power must be at least 0, got {max_power}")
+    _at_least(0, max_power=max_power)
     series = gq_onerow_series(nvars, max_power, max_deg)
     powers = {f"u^-{n}": n for n in range(max_power + 1)}
 

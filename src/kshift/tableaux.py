@@ -176,6 +176,16 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
 
 def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
            bar: bool = False, marked: frozenset[int] = frozenset()) -> dict[tuple[int, ...], int]:
+    """`_walk`, memoised on all seven arguments normalised, however a caller passes them.
+    Callers share the tally: none may mutate it.  The repeats come from neighbouring
+    cases, such as one mu's count-beta1 and expansion cases, so only the last 8 tallies
+    are kept: an unbounded memo held every tally of a conjecture sweep, never read again."""
+    return _walk(shape, max_value, bool(p_flavor), bool(rpp), deg_cap, bool(bar), frozenset(marked))
+
+
+@functools.lru_cache(maxsize=8)
+def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
+          bar: bool, marked: frozenset[int]) -> dict[tuple[int, ...], int]:
     """{`weight` exponent vector padded to max_value: how many tableaux have it}, for the
     fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.
 
@@ -409,25 +419,7 @@ def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, .
     return _tally(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
 
 
-# -- the one-row map and the prime-restricted family ---------------------------
-
-
-def in_restricted_p(t: Tableau, outer: StrictPartition, inner: StrictPartition) -> bool:
-    """Membership in SetShYT_P(outer : inner) of a valid set-valued Q-tableau t.
-
-    These are the Q-flavor tableaux that land in SetShYT_P(outer) after
-    unpriming the largest diagonal element in each row where outer and inner
-    agree.  On a valid Q-tableau that unpriming cannot break a row or column
-    rule, so the test reduces to the diagonal: no diagonal cell holds a primed
-    element, except that the largest element of such a marked cell may be
-    primed.  The caller must pass a valid tableau.
-    """
-    for (i, j), s in t.entries:
-        if i == j:
-            free = s[:-1] if outer.part(i) == inner.part(i) else s
-            if any(is_primed(c) for c in free):
-                return False
-    return True
+# -- the prime-restricted family -----------------------------------------------
 
 
 def iter_restricted_p(
@@ -439,8 +431,7 @@ def iter_restricted_p(
     """Enumerate SetShYT_P(outer : inner) in the order of the Q walk it lies in.
 
     One walk of straight(outer) under the P rule, with the diagonal cells of
-    the rows where outer and inner agree MARKED; `in_restricted_p` is the
-    same test made on a finished tableau.
+    the rows where outer and inner agree MARKED.
     """
     marked = marked_rows(outer, inner)
     shape = straight(outer)
@@ -455,29 +446,3 @@ def marked_rows(outer: StrictPartition, inner: StrictPartition) -> frozenset[int
     if not all(inner.part(i) <= outer.part(i) for i in range(1, len(outer) + 1)) or len(inner) != len(outer):
         raise InvalidShapeError(f"need inner <= outer of equal length: {outer}/{inner}")
     return frozenset(i for i in range(1, len(outer) + 1) if outer.part(i) == inner.part(i))
-
-
-def onerow_map(t: Tableau) -> tuple[str, Tableau]:
-    """The weight-preserving one-row bijection.
-
-    Fixed points are the tableaux already in SetShYT_P(n : n); any other
-    tableau maps into SetShYT_P((n+1)) by unpriming the smallest primed
-    element i' of the diagonal cell and splitting that cell at i.
-    """
-    shape = t.shape
-    if shape.inner.parts or len(shape.outer) != 1:
-        raise InvalidShapeError(f"one-row map needs a straight one-row shape, got {shape}")
-    n = shape.outer.parts[0]
-    if in_restricted_p(t, shape.outer, shape.outer):
-        return "fixed", t
-    ent = dict(t.entries)
-    s = ent[(1, 1)]
-    smallest_primed = next(c for c in s if is_primed(c))
-    i_code = smallest_primed + 1
-    lower = tuple(c for c in s if c < smallest_primed) + (i_code,)
-    upper = tuple(c for c in s if c > smallest_primed)
-    new_shape = straight(StrictPartition((n + 1,)))
-    new_entries = {(1, 1): lower, (1, 2): upper}
-    for j in range(2, n + 1):
-        new_entries[(1, j + 1)] = ent[(1, j)]
-    return "moved", Tableau(new_shape, tuple(sorted(new_entries.items())))

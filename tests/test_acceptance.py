@@ -38,7 +38,8 @@ from kshift.shapes import (
     straight,
     subshapes,
 )
-from kshift.tableaux import iter_restricted_p, iter_tableaux, onerow_map, weight
+from kshift.tableaux import iter_restricted_p, iter_tableaux, weight
+from test_tableaux import onerow_map
 
 
 def sp(*parts):

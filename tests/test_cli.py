@@ -182,6 +182,10 @@ def test_meaningless_flags_are_usage_errors(capsys, argv):
         ("verify", "--id", "coproducts", "--max-deg", "-1"),
         ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "2", "--deg-cap", "-1", "--count-only"),
         ("enumerate", "--family", "setshyt_q", "--outer", "2", "--max-value", "-1", "--count-only"),
+        ("verify", "--id", "cauchy", "--nx", "0"),
+        ("verify", "--id", "cauchy", "--ny", "0"),
+        ("verify", "--id", "coproducts", "--nx", "0"),
+        ("verify", "--id", "coproducts", "--ny", "0"),
     ],
 )
 def test_nonsense_sizes_are_usage_errors(capsys, argv):
@@ -196,6 +200,14 @@ def test_gq_to_gp_names_nvars(capsys):
     code = main(["verify", "--id", "gq-to-gp", "--max-size", "0", "--nvars", "0"])
     err = capsys.readouterr().err
     assert code == 2 and "nvars" in err and "max_value" not in err
+
+
+@pytest.mark.parametrize("check_id", ["cauchy", "coproducts"])
+@pytest.mark.parametrize("flag", ["nx", "ny"])
+def test_two_alphabet_checks_name_nx_and_ny(capsys, check_id, flag):
+    code = main(["verify", "--id", check_id, f"--{flag}", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{flag} must be at least 1, got 0" in err
 
 
 MAX_SIZE_CHECKS = ["gq-to-gp", "skew-expansions", "flip", "coproducts", "cauchy", "dual-expansions", "conjectures"]

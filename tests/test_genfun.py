@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import os
 from fractions import Fraction
 from math import factorial
 
@@ -512,26 +514,41 @@ def test_basis_views_are_the_partition_terms_of_the_written_out_elements():
 
 
 def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
-    # every engine value is a view by construction: no symmetry test runs on
-    # one, and the peel builds no closed-form basis element written out
-    from kshift.identities import check_cauchy_family
+    # every engine value is a view by construction: no symmetry test runs in
+    # genfun, and the peel builds no closed-form basis element written out; the
+    # check itself tests each distinct value it reads once, and the kernel once
+    from kshift import identities
+
+    real_is_symmetric = BetaPoly.is_symmetric
+    tested = []
 
     def is_symmetric(self):
-        raise AssertionError("is_symmetric ran on an engine value")
+        caller = inspect.currentframe().f_back.f_code.co_filename
+        if os.path.basename(caller) == "genfun.py":
+            raise AssertionError("is_symmetric ran on an engine value")
+        tested.append(caller)
+        return real_is_symmetric(self)
 
-    built = []
+    built, read = [], set()
     real = genfun.evaluate
 
     def evaluate_spy(func, *args, **kwargs):
         built.append(func)
         return real(func, *args, **kwargs)
 
+    def read_spy(func, outer, inner, nvars, max_deg, doubleslash=False):
+        read.add((func, tuple(outer), tuple(inner), nvars, max_deg, doubleslash))
+        return real(func, outer, inner, nvars, max_deg, doubleslash)
+
     monkeypatch.setattr(BetaPoly, "is_symmetric", is_symmetric)
     monkeypatch.setattr(genfun, "evaluate", evaluate_spy)
+    monkeypatch.setattr(identities, "evaluate", read_spy)
     monkeypatch.setattr(CACHE, "_mem", {})
     genfun._basis_view.cache_clear()
-    assert check_cauchy_family().ok
+    assert identities.check_cauchy_family().ok
     assert not set(built) & set(CLOSED_FORMS), built
+    assert len(read) == 268 and len(tested) == len(read) + 1
+    assert {os.path.basename(f) for f in tested} == {"identities.py"}
 
 
 def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):
@@ -593,6 +610,30 @@ def test_omega_matches_the_recombined_transpose_on_every_dual():
                         got = written(_omega(partition_terms(g), g.nvars, nvars, max_deg), nvars, max_deg)
                         assert got == want, (flavor, lam, mu, nvars, max_deg)
                         assert jp_jq("j" + flavor[1], lam, mu, nvars, max_deg) == want
+
+
+@st.composite
+def products_at_partitions(draw):
+    """A polynomial K in nx + ny variables, split after nx unless ny is 0, and the
+    view of a polynomial symmetric in each block, all cut at one max_deg."""
+    nx, ny, max_deg = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    n, split = nx + ny, nx if ny else None
+    terms = st.dictionaries(st.tuples(st.tuples(*[st.integers(0, max_deg)] * n), st.integers(0, 2)), st.integers(-3, 3), max_size=6)
+    kernel = BetaPoly(n, draw(terms), max_deg, split)
+    blockwise = lambda e: tuple(sorted(e[:nx], reverse=True)) + tuple(sorted(e[nx:], reverse=True))
+    view = {(blockwise(e), b): c for (e, b), c in draw(terms).items() if c}
+    return kernel, view
+
+
+@settings(max_examples=120, deadline=None)
+@given(products_at_partitions())
+def test_the_product_at_partitions_is_the_partition_part_of_the_product(product):
+    kernel, view = product
+    n, nx = kernel.nvars, kernel.split
+    if nx is None:  # one alphabet
+        assert genfun._times_view(kernel, view) == partition_terms(kernel * written(view, n, kernel.max_deg))
+    else:
+        assert genfun._times_view(kernel, view) == split_view(kernel * written_split(view, n, nx, kernel.max_deg), nx)
 
 
 @st.composite

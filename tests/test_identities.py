@@ -22,7 +22,8 @@ from kshift.identities import (
     run_check,
     run_manifest,
 )
-from kshift.polyring import BetaPoly
+from kshift.polyring import BetaPoly, tensor_split
+from kshift.shapes import StrictPartition, contains, enumerate_strict_partitions, subshapes
 
 
 def test_gq_to_gp_small_sweep():
@@ -43,6 +44,18 @@ def test_the_tableau_checks_count_without_listing(monkeypatch, check):
     monkeypatch.setattr(tableaux, "_fillings", fillings)
     monkeypatch.setattr(cache.CACHE, "_mem", {})
     assert check().ok
+
+
+def test_the_gq_to_gp_check_walks_each_tally_once(monkeypatch):
+    # the expansion cases and the count-beta1 case ask for the same GP/GQ tallies,
+    # passing the flags positionally or by keyword: 28 of the 90 requests repeat a key
+    from kshift import tableaux
+
+    tableaux._walk.cache_clear()
+    monkeypatch.setattr(cache.CACHE, "_mem", {})
+    assert check_gq_to_gp().ok
+    walks = tableaux._walk.cache_info()
+    assert (walks.misses, walks.hits) == (62, 28)
 
 
 def test_gq_to_gp_parameter_errors():
@@ -334,3 +347,94 @@ def test_one_sign_routine_serves_every_expansion_check(monkeypatch):
     assert gq.witness["case"] == "('1', 'count-beta1')"
     assert skew.witness["case"] == "('doubleslash', '1', '')"
     assert dual.witness["case"] == "('2', 'expansion')"
+
+
+# -- the Cauchy family against its written-out sweep --------------------------------
+
+
+def reference_cauchy(max_size=2, nx=2, ny=2, max_deg=4):
+    """The Cauchy sweep on written-out polynomials: each side a sum of
+    `tensor_split` products of values read through `identities.evaluate`, and
+    the twisted kernel multiplied in by `BetaPoly.__mul__`."""
+    kern = identities._cached_kernel(nx, ny, max_deg)
+    xvars, yvars = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
+    negations = {"": [], "y": yvars, "x": xvars, "xy": xvars + yvars}
+    twisted = {name: kern.negate_vars(which) for name, which in negations.items()}
+    pairs = [(str(mu), str(nu)) for mu in enumerate_strict_partitions(max_size) for nu in enumerate_strict_partitions(max_size)]
+    cases = [("kernel", "gp", ""), ("kernel", "gq", "")]
+    cases += [(tag, *pair) for pair in pairs for tag in ("skew-gq", "skew-gp", "a", "b", "c", "d", "e", "f")]
+
+    def worker(case):
+        tag, mu_s, nu_s = case
+        if tag == "kernel":
+            tag, mu_s = "skew-" + mu_s, ""
+        mu, nu = StrictPartition.parse(mu_s), StrictPartition.parse(nu_s)
+        big, small, side, negated = {
+            "skew-gq": ("GP", "gq", "right", ""),
+            "skew-gp": ("GQ", "gp", "right", ""),
+            "a": ("GP", "jq", "left", "y"),
+            "b": ("GQ", "jp", "left", "y"),
+            "c": ("JP", "gq", "left", "x"),
+            "d": ("JQ", "gp", "left", "x"),
+            "e": ("JP", "jq", "right", "xy"),
+            "f": ("JQ", "jp", "right", "xy"),
+        }[tag]
+        lhs = BetaPoly.zero(nx + ny, max_deg, nx)
+        for lam in enumerate_strict_partitions(max_deg + mu.size):
+            if contains(mu, lam) and contains(nu, lam):
+                px = identities.evaluate(big, lam, mu, nx, max_deg, doubleslash=True)
+                lhs = lhs + tensor_split(px, identities.evaluate(small, lam, nu, ny, max_deg), max_deg)
+        rhs = BetaPoly.zero(nx + ny, max_deg, nx)
+        for kappa in (k for k in subshapes(mu) if contains(k, nu)):
+            px = identities.evaluate(big, nu, kappa, nx, max_deg, doubleslash=True)
+            rhs = rhs + tensor_split(px, identities.evaluate(small, mu, kappa, ny, max_deg), max_deg)
+        if side == "left":
+            lhs = twisted[negated] * lhs
+        else:
+            rhs = twisted[negated] * rhs
+        return _compare(lhs, rhs)
+
+    params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
+    return _run_cases("cauchy", params, cases, worker)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 2), (2, 2, 2, 4), (1, 2, 3, 4)])
+def test_the_cauchy_check_matches_its_written_out_sweep(params):
+    assert check_cauchy_family(*params).to_json() == reference_cauchy(*params).to_json()
+
+
+def faulty_evaluate(monkeypatch, fault):
+    """Make identities.evaluate return fault(value, func, outer, inner, nvars, doubleslash)."""
+    real = identities.evaluate
+
+    def evaluate(func, outer, inner=(), nvars=3, max_deg=None, doubleslash=False):
+        value = real(func, outer, inner, nvars, max_deg, doubleslash)
+        return fault(value, func, tuple(outer), tuple(inner), nvars, doubleslash)
+
+    monkeypatch.setattr(identities, "evaluate", evaluate)
+
+
+def test_the_cauchy_check_and_its_written_out_sweep_fail_alike(monkeypatch):
+    # a symmetric fault, jq_(2) doubled: the same witness, byte for byte
+    faulty_evaluate(monkeypatch, lambda p, func, outer, inner, n, ds: p.scale(2) if (func, outer, inner) == ("jq", (2,), ()) else p)
+    new, ref = check_cauchy_family(), reference_cauchy()
+    assert new.status == ref.status == "FAIL" and new.witness["case"] == "('a', '', '')"
+    assert new.to_json() == ref.to_json()
+    monkeypatch.undo()
+    # an asymmetric fault: both FAIL
+    add_off_partition_term(monkeypatch)
+    new, ref = check_cauchy_family(), reference_cauchy()
+    assert new.status == ref.status == "FAIL"
+
+
+def add_off_partition_term(monkeypatch):
+    """Add a term off the partitions, x2^3, to the GP double-slash value GP_{1//} in 2 variables."""
+    stray = BetaPoly(2, {((0, 3), 0): 1}, 4)
+    faulty_evaluate(monkeypatch, lambda p, *value: p + stray if value == ("GP", (1,), (), 2, True) else p)
+
+
+def test_an_asymmetric_value_fails_the_cauchy_case_that_reads_it(monkeypatch):
+    # no NonSymmetricError (a usage error): the smallest case reading the value fails, naming it
+    add_off_partition_term(monkeypatch)
+    report = check_cauchy_family()
+    assert report.witness == {"case": "('a', '', '')", "asymmetric": "GP 1// in 2 variables"}

@@ -28,7 +28,6 @@ from kshift.tableaux import (
     iter_restricted_p,
     iter_tableaux,
     marked_rows,
-    onerow_map,
     weight,
 )
 
@@ -194,6 +193,53 @@ def test_bar_fixed_filling_weight_identity():
                 mono = exps + (0,) * (nvars - len(exps))
                 total = total + BetaPoly.monomial(nvars, mono)
             assert total == want
+
+
+# -- the one-row bijection of the paper, test-only -------------------------------
+
+
+def in_restricted_p(t: Tableau, outer: StrictPartition, inner: StrictPartition) -> bool:
+    """Membership in SetShYT_P(outer : inner) of a valid set-valued Q-tableau t.
+
+    These are the Q-flavor tableaux that land in SetShYT_P(outer) after
+    unpriming the largest diagonal element in each row where outer and inner
+    agree.  On a valid Q-tableau that unpriming cannot break a row or column
+    rule, so the test reduces to the diagonal: no diagonal cell holds a primed
+    element, except that the largest element of such a marked cell may be
+    primed.  The caller must pass a valid tableau.
+    """
+    for (i, j), s in t.entries:
+        if i == j:
+            free = s[:-1] if outer.part(i) == inner.part(i) else s
+            if any(is_primed(c) for c in free):
+                return False
+    return True
+
+
+def onerow_map(t: Tableau) -> tuple[str, Tableau]:
+    """The weight-preserving one-row bijection.
+
+    Fixed points are the tableaux already in SetShYT_P(n : n); any other
+    tableau maps into SetShYT_P((n+1)) by unpriming the smallest primed
+    element i' of the diagonal cell and splitting that cell at i.
+    """
+    shape = t.shape
+    if shape.inner.parts or len(shape.outer) != 1:
+        raise InvalidShapeError(f"one-row map needs a straight one-row shape, got {shape}")
+    n = shape.outer.parts[0]
+    if in_restricted_p(t, shape.outer, shape.outer):
+        return "fixed", t
+    ent = dict(t.entries)
+    s = ent[(1, 1)]
+    smallest_primed = next(c for c in s if is_primed(c))
+    i_code = smallest_primed + 1
+    lower = tuple(c for c in s if c < smallest_primed) + (i_code,)
+    upper = tuple(c for c in s if c > smallest_primed)
+    new_shape = straight(StrictPartition((n + 1,)))
+    new_entries = {(1, 1): lower, (1, 2): upper}
+    for j in range(2, n + 1):
+        new_entries[(1, j + 1)] = ent[(1, j)]
+    return "moved", Tableau(new_shape, tuple(sorted(new_entries.items())))
 
 
 def test_onerow_map_paper_example():
