@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, MemoryError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        print(f"resource error: {str(exc) or 'out of memory in ' + args.command}", file=sys.stderr)
         return 3
     except KshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

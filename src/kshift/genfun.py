@@ -94,7 +94,7 @@ def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaP
     K_{lam,nu} m_nu: its view holds the Kostka numbers, written out to their orbits."""
     lam = tuple(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x <= 0 for x in lam):
-        raise ValueError(f"not a partition: {lam}")
+        raise ParameterError(f"not a partition: {lam}")
     if len(lam) > nvars or (max_deg is not None and sum(lam) > max_deg):
         return BetaPoly.zero(nvars, max_deg)
 
@@ -258,30 +258,57 @@ def _kernel_weight(s: int, b: int) -> int:
     return (b == 0) + sum(comb(s, k) * (-1) ** b * comb(k + b - 1, b) for k in range(1, s + 1))
 
 
-@functools.cache
-def _kernel_view(parts: tuple[int, ...], ny: int) -> dict:
-    """The view of prod_i k_{parts_i}(y), the coefficient of x^parts in prod_j (1 - xbar*y_j)/(1 - x*y_j).
+_INDEX: dict[int, tuple[list, dict]] = {}
 
-    Per y_j the factor is (1 + (beta+y_j)x) / ((1 + beta*x)(1 - y_j*x)), so for
-    |e| + b = d the coefficient of beta^b y^e in k_d is `_kernel_weight(s, b)`,
-    s the number of nonzero parts of e.  With A the product of the earlier
-    slices, [y^lam](A k_d) = sum_{e <= lam} A[sort e] k_d[lam - e], each beta
-    power fixed by homogeneity in (y, beta)."""
-    if not parts:
-        return {((0,) * ny, 0): 1}
-    head, m, d = _kernel_view(parts[:-1], ny), sum(parts[:-1]), parts[-1]
-    view = {}
-    for n in range(m + d + 1):
+
+def _indexed(ny: int, top: int) -> tuple[list, dict]:
+    """[(lam, |lam|, its code)] for the partitions lam of at most ny parts, padded to ny, in order of size,
+    and {the code of each rearrangement of one: its place}: one pair per ny, grown in place to every size
+    <= top.  A code reads the parts (below 256) as bytes, so code(e - f) = code(e) - code(f) for f <= e."""
+    lams, slot = _INDEX.setdefault(ny, ([], {}))
+    for n in range(lams[-1][1] + 1 if lams else 0, top + 1):
         for lam in (p + (0,) * (ny - len(p)) for p in partitions_of(n) if len(p) <= ny):
-            total = 0
-            for e in itertools.product(*(range(x + 1) for x in lam)):
-                k = sum(e)
-                a = head.get((tuple(sorted(e, reverse=True)), m - k))
-                if a and n - k <= d:
-                    total += a * _kernel_weight(ny - list(map(sub, lam, e)).count(0), d - n + k)
-            if total:
-                view[lam, m + d - n] = total
-    return view
+            slot.update(dict.fromkeys((int.from_bytes(bytes(e), "little") for e in _rearrangements(lam)), len(lams)))
+            lams.append((lam, n, int.from_bytes(bytes(lam), "little")))
+    return lams, slot
+
+
+@functools.cache
+def _kernel_row(parts: tuple[int, ...], ny: int) -> list[int]:
+    """The view of prod_i k_{parts_i}(y), the coefficient of x^parts in prod_j (1 - xbar*y_j)/(1 - x*y_j),
+    as a list over `_indexed(ny, |parts|)`: it is homogeneous of degree |parts| in (y, beta).
+
+    Per y_j the factor is (1 + (beta+y_j)x) / ((1 + beta*x)(1 - y_j*x)), so for |f| + b = d
+    the coefficient of beta^b y^f in k_d is `_kernel_weight(s, b)`, s the number of nonzero
+    parts of f.  With A the product of the earlier slices, of degree m, [y^lam](A k_d) is
+    sum_f A[lam - f] k_d[f] over f <= lam, n - m <= |f| <= d, n = |lam|: `_below` lists the f
+    once, and A's place of each lam - f is read off the index by its code, so nothing is sorted."""
+    lams, slot = _indexed(ny, sum(parts))
+    if not parts:
+        return [1]
+    m, d, head, row = sum(parts[:-1]), parts[-1], _kernel_row(parts[:-1], ny), []
+    weights = [[_kernel_weight(s, d - r) for s in range(ny + 1)] for r in range(d + 1)]
+    for lam, n, code in itertools.takewhile(lambda entry: entry[1] <= m + d, lams):
+        total = 0
+        for r in range(max(0, n - m), min(d, n) + 1):
+            for f, s in _below(tuple(map(min, lam, itertools.repeat(r))), r):
+                total += head[slot[code - f]] * weights[r][s]
+        row.append(total)
+    return row
+
+
+@functools.cache
+def _below(caps: tuple[int, ...], r: int) -> tuple[tuple[int, int], ...]:
+    """(the code of f, its number of nonzero parts) for each f <= caps with |f| = r; each pair is one
+    object wherever it recurs (`_prepended`), which keeps the memo small."""
+    if not caps:
+        return ((0, 0),) if r == 0 else ()
+    return tuple(_prepended(x, f, s) for x in range(min(caps[0], r) + 1) for f, s in _below(caps[1:], r - x))
+
+
+@functools.cache
+def _prepended(x: int, f: int, s: int) -> tuple[int, int]:
+    return x + (f << 8), s + (x > 0)
 
 
 def _encode_table(table: dict[StrictPartition, dict]) -> dict:
@@ -312,7 +339,7 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
 def _dual_views(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
     """The one kept table of (flavor, ny), extended to every |mu| <= S."""
     if flavor not in ("gp", "gq"):
-        raise ValueError(f"flavor must be gp or gq, got {flavor!r}")
+        raise KshiftError(f"flavor must be gp or gq, got {flavor!r}")
     candidates = enumerate_strict_partitions(S)
     key = ["dual_table", flavor, ny]
     table = CACHE.get_or_compute(key, lambda: _solve_duals(flavor, {}, candidates, ny), _encode_table, _decode_table)
@@ -322,22 +349,27 @@ def _dual_views(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
 
 
 def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny: int) -> dict:
-    """Add to table the view of each candidate it lacks, given all the earlier ones."""
+    """Add to table the view of each candidate it lacks, given all the earlier ones.  Each
+    entry is solved as a list over `_indexed`, as the kernel rows are, so subtracting n
+    times an earlier one is one pass over its list, with no key built or looked up."""
     p_basis = flavor == "gq"  # gq is dual to GP, gp to GQ
+    lams = _indexed(ny, candidates[-1].size)[0]
+    ends = {n: i + 1 for i, (_, n, _) in enumerate(lams)}  # the places of every size <= n
+    row = lambda mu: [table[mu].get((lam, mu.size - n), 0) for lam, n, _ in lams[: ends[mu.size]]]
+    rows = {mu: row(mu) for mu in table}
     for i, mu in enumerate(candidates):
         if mu in table:
             continue
-        acc = dict(_kernel_view(mu.parts, ny))
+        acc = _kernel_row(mu.parts, ny)[:]
         for prev in candidates[:i]:
             n = content_count(p_basis, prev.parts, mu.parts)
             if n:
-                for (e, b), v in table[prev].items():
-                    k = (e, b + mu.size - prev.size)
-                    acc[k] = acc.get(k, 0) - n * v
+                acc[: len(rows[prev])] = map(sub, acc, map(n.__mul__, rows[prev]))
         lead, expected = content_count(p_basis, mu.parts, mu.parts), (1 if p_basis else 2) ** len(mu)
         if lead != expected:
             raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
-        table[mu] = _divided(acc, expected)
+        table[mu] = _divided({(lam, mu.size - n): c for (lam, n, _), c in zip(lams, acc)}, expected)
+        rows[mu] = row(mu)
     return table
 
 
@@ -395,14 +427,6 @@ class BasisExpansion:
     @property
     def residual_zero(self) -> bool:
         return self.residual is None or self.residual.is_zero()
-
-    def recombine(self) -> BetaPoly:
-        total = BetaPoly.zero(self.nvars, self.max_deg)
-        for index, c in self.coeffs.items():
-            total = total + evaluate(self.basis, index, (), self.nvars, self.max_deg).scale_by(c)
-        if self.residual is not None:
-            total = total + self.residual
-        return total
 
     def to_json_obj(self) -> dict:
         items = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
@@ -568,7 +592,7 @@ def evaluate(
     GP/GQ/JP/JQ.
     """
     if func not in FUNCS:
-        raise ValueError(f"unknown function {func!r}; expected one of {FUNCS}")
+        raise ParameterError(f"unknown function {func!r}; expected one of {FUNCS}")
     if nvars < 1:
         raise ParameterError(f"the number of variables must be at least 1, got {nvars}")
     if max_deg is not None and max_deg < 0:
@@ -624,7 +648,7 @@ def structure_constants(
         p = gp_gq_doubleslash(basis, lam, mu, nvars, degree_cap)
         shift = lambda nu: mu.size + nu.size - lam.size
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise KshiftError(f"unknown kind {kind!r}")
     exp = expand_in_basis(p, basis)
     if not exp.residual_zero:
         raise KshiftError(f"structure expansion has residual below the cap: {kind}")
@@ -696,7 +720,7 @@ def symmetrization_eval(
         )
         norm = factorial(r)
     else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise KshiftError(f"unknown flavor {flavor!r}")
     exps = lam + (0,) * (nvars - len(lam))
     total = Fraction(0)
     for perm in perms:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .errors import InvalidShapeError, ParameterError
@@ -186,7 +187,7 @@ def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap:
 @functools.lru_cache(maxsize=8)
 def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
           bar: bool, marked: frozenset[int]) -> dict[tuple[int, ...], int]:
-    """{`weight` exponent vector padded to max_value: how many tableaux have it}, for the
+    """{exponent vector x^T padded to max_value: how many tableaux T have it}, for the
     fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.
 
     A tableau cell adds its elements.  A cell of a reverse plane partition or a
@@ -345,33 +346,12 @@ def iter_tableaux(family: str, shape: SkewShape, max_value: int, deg_cap: int | 
     yield from _iter_bar(tableaux) if fam.startswith("shbt") else tableaux
 
 
-def _codes(fam: str, t) -> list[int]:
-    """A code per element (set-valued and single-valued tableaux), line (reverse plane partitions:
-    a column of unprimed or a row of primed v) or block (bar tableaux) of t, in the checked family fam."""
-    if fam.startswith("shbt"):
-        ent = dict(t.filling.entries)
-        return [ent[block[0]][0] for block in t.blocks]
-    if fam.startswith("shrpp"):
-        return [code for code, _ in {(code, i if code & 1 else j) for (i, j), (code,) in t.entries}]
-    return [code for _, s in t.entries for code in s]
-
-
-def weight(family: str, t) -> tuple[tuple[int, ...], int]:
-    """The (exponent vector, size statistic |T|) of a tableau: each of its `_codes` adds 1 at its
-    value, indexed by value 1..v_max for the largest value v_max occurring; |T| is their number."""
-    codes = _codes(_check_family(family), t)
-    exps = [0] * ((max(codes, default=0) + 1) >> 1)
-    for code in codes:
-        exps[(code - 1) >> 1] += 1
-    return tuple(exps), len(codes)
-
-
 def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int | None) -> BetaPoly:
     """The weighted sum over the family as a truncated polynomial: each tableau T
     weighs beta^(|T| - |shape|) x^T if set-valued or single-valued, and
-    (-beta)^(|shape| - |T|) x^T if a reverse plane partition or a bar tableau,
-    x^T and |T| as in `weight`.  No tableau is listed: `_tally` counts them
-    by x^T, and each exponent vector gives one term.
+    (-beta)^(|shape| - |T|) x^T if a reverse plane partition or a bar tableau, x^T
+    and |T| counting T's elements, lines or blocks by value as `_walk` does.  No
+    tableau is listed: `_tally` counts them by x^T, one term per exponent vector.
     """
     fam = _check_family(family)
     shape.require_valid()
@@ -393,30 +373,46 @@ def content_count(p_flavor: bool, outer: tuple[int, ...], content: tuple[int, ..
     parts) hold value v content[v-1] times.
 
     Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
-    By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike)
-    the c = content[-1] elements of the last value fill outer/kappa, kappa in
-    doubleslash_inners(mu), and the others fill mu, |outer| - c <= |mu| <= |content| - c;
-    a kappa with |outer| - |kappa| > c leaves a cell empty, so it is skipped unwalked.
-    Every key is a tuple of parts, so no shape is built or hashed per term.
+    By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike) the c =
+    content[-1] elements of the last value fill outer/mu (`_last_value`), the others mu.
     """
     if not content:
         return int(not outer)
-    c = content[-1]
-    lo, hi = sum(outer) - c, sum(content) - c
-    return sum(
-        content_count(p_flavor, mu.parts, content[:-1]) * _one_value_count(p_flavor, outer, kappa.parts).get((c,), 0)
-        for mu in subshapes(StrictPartition(outer)) if lo <= mu.size <= hi
-        for kappa in doubleslash_inners(mu) if kappa.size >= lo
-    )
+    hi, c = sum(content) - content[-1], content[-1]
+    return sum(content_count(p_flavor, mu, content[:-1]) * n for mu, size, n in _last_value(p_flavor, outer).get(c, ()) if size <= hi)
 
 
 @functools.cache
-def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The one-value fillings of outer/inner by their number of elements c: at key
-    (c,), [x^c] of the one-variable GP/GQ of outer/inner with beta set to 1.  One
-    uncapped `_tally` counts them without listing: a cell holds at most 1' and 1,
-    so the count is finite."""
-    return _tally(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
+def _last_value(p_flavor: bool, outer: tuple[int, ...]) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
+    """{c: (mu, |mu|, n) for each mu inside outer that c elements of one value, the largest,
+    complete in n > 0 ways}: they fill outer/kappa, kappa in doubleslash_inners(mu)."""
+    shapes, out = subshapes(StrictPartition(outer)), {}
+    ways = {kappa.parts: w for kappa in shapes if (w := _one_value_count(p_flavor, outer, kappa.parts))}
+    for mu in shapes:
+        at: dict[int, int] = {}
+        for c, n in (cn for kappa in doubleslash_inners(mu) for cn in ways.get(kappa.parts, {}).items()):
+            at[c] = at.get(c, 0) + n
+        for c, n in at.items():
+            out.setdefault(c, []).append((mu.parts, mu.size, n))
+    return out
+
+
+def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[int, int]:
+    """The one-value fillings of outer/inner by their number of elements c: at c,
+    [x^c] of the one-variable GP/GQ of outer/inner with beta set to 1.
+
+    A cell holds a nonempty subset of {1', 1}.  A cell with a left neighbour holds
+    1 alone, so a cell above it has nothing left to hold: then the count is zero,
+    which is when a row above reaches past the first cell of the row below.  Else
+    a first cell of its row with a cell above holds 1' alone, and a diagonal one
+    for P holds 1 alone.  The F other first cells are free: k of them hold both,
+    the rest either one, so the count at c = cells + k is C(F, k) 2^(F-k)."""
+    rows, free = [*zip(outer, inner + (0,) * (len(outer) - len(inner))), (0, 0)], 0
+    for (o, k), (o_up, k_up) in zip(rows, rows[1:]):
+        if k_up < o_up and k < o_up:
+            return {}
+        free += k < o and not (k_up < o_up and k == o_up) and not (p_flavor and k == 0)
+    return {sum(outer) - sum(inner) + j: comb(free, j) << (free - j) for j in range(free + 1)}
 
 
 # -- the prime-restricted family -----------------------------------------------

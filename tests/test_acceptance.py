@@ -38,8 +38,9 @@ from kshift.shapes import (
     straight,
     subshapes,
 )
-from kshift.tableaux import iter_restricted_p, iter_tableaux, weight
-from test_tableaux import onerow_map
+from kshift.tableaux import iter_restricted_p, iter_tableaux
+from test_genfun import recombine
+from test_tableaux import onerow_map, weight
 
 
 def sp(*parts):
@@ -164,9 +165,9 @@ def test_criterion_10_property_suites():
         "GP", straight(sp(2, 1)), 3, 7
     ).scale(-2)
     exp = expand_in_basis(combo, "GP")
-    ok &= exp.residual_zero and exp.recombine() == combo
+    ok &= exp.residual_zero and recombine(exp) == combo
     exp2 = expand_in_basis(dual_gp_gq("gq", sp(3, 1), 3), "gp")
-    ok &= exp2.residual_zero and exp2.recombine() == dual_gp_gq("gq", sp(3, 1), 3)
+    ok &= exp2.residual_zero and recombine(exp2) == dual_gp_gq("gq", sp(3, 1), 3)
     # nonnegativity of the a-constants for |mu|,|nu| <= 4
     shapes4 = enumerate_strict_partitions(4)
     for mu in shapes4:

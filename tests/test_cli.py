@@ -196,6 +196,20 @@ def test_nonsense_sizes_are_usage_errors(capsys, argv):
     assert f"got {nonsense[-1]}" in captured.err  # the message names the value given, not a derived one
 
 
+def test_a_bad_schur_index_is_a_usage_error(capsys):
+    code = main(["compute", "--func", "schur", "--outer", "1,2"])
+    assert code == 2 and "not a partition: (1, 2)" in capsys.readouterr().err
+
+
+def test_a_bare_memory_error_is_a_resource_error_with_a_message(capsys, monkeypatch):
+    def exhausted(args, settings):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_compute", exhausted)
+    code = main(["compute", "--func", "GQ", "--outer", "1"])
+    assert code == 3 and capsys.readouterr().err.strip() == "resource error: out of memory in compute"
+
+
 def test_gq_to_gp_names_nvars(capsys):
     code = main(["verify", "--id", "gq-to-gp", "--max-size", "0", "--nvars", "0"])
     err = capsys.readouterr().err

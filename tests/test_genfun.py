@@ -180,6 +180,15 @@ def test_dual_recover_beta_rescaling():
 # -- expansion engine ---------------------------------------------------------------
 
 
+def recombine(exp):
+    """The sum of an expansion's coefficients times its basis elements, plus its residual:
+    the input again when the peel is right."""
+    total = BetaPoly.zero(exp.nvars, exp.max_deg)
+    for index, c in exp.coeffs.items():
+        total = total + evaluate(exp.basis, index, (), exp.nvars, exp.max_deg).scale_by(c)
+    return total if exp.residual is None else total + exp.residual
+
+
 def test_expand_gq_in_gp_paper_examples():
     gq32 = gp_gq("GQ", straight(sp(3, 2)), 3, 8)
     exp = expand_in_basis(gq32, "GP")
@@ -200,13 +209,13 @@ def test_expand_round_trip():
     exp = expand_in_basis(gp21, "GP")
     assert beta_coeffs(exp) == {(2, 1): {0: 1}}
     assert exp.residual_zero
-    assert exp.recombine() == gp21
+    assert recombine(exp) == gp21
     # a combination recombines to itself through expansion
     combo = gp_gq("GP", straight(sp(2)), 3, 6).times_beta(1) + gp_gq(
         "GP", straight(sp(3, 1)), 3, 6
     ).scale(3)
     exp2 = expand_in_basis(combo, "GP")
-    assert exp2.residual_zero and exp2.recombine() == combo
+    assert exp2.residual_zero and recombine(exp2) == combo
 
 
 def test_expand_rejects_nonsymmetric():
@@ -225,7 +234,7 @@ def test_expand_reports_residual():
     p = schur((1, 1), 2)
     exp = expand_in_basis(p, "P")
     assert not exp.residual_zero
-    assert exp.recombine() == p
+    assert recombine(exp) == p
 
 
 # -- dual functions -----------------------------------------------------------------
@@ -310,12 +319,45 @@ def test_dual_table_matches_the_whole_polynomial_solve(flavor):
             assert {mu: written(view, ny) for mu, view in table.items()} == {mu: want[mu] for mu in table}, (S, ny)
 
 
+def kernel_view(parts, ny):
+    """The kernel row of prod_i k_{parts_i}(y) as a view: its place in `_indexed` names
+    the y-partition, and homogeneity of degree |parts| the beta power."""
+    lams, _ = genfun._indexed(ny, sum(parts))
+    return {(lam, sum(parts) - n): c for (lam, n, _), c in zip(lams, genfun._kernel_row(parts, ny)) if c}
+
+
+def reference_kernel_view(parts, ny):
+    """The kernel view by the written-out recursion: [y^lam](A k_d) = sum over every
+    e <= lam of A[sort e] k_d[lam - e], each e sorted to read A."""
+    if not parts:
+        return {((0,) * ny, 0): 1}
+    head, m, d = reference_kernel_view(parts[:-1], ny), sum(parts[:-1]), parts[-1]
+    view = {}
+    for n in range(m + d + 1):
+        for lam in (p + (0,) * (ny - len(p)) for p in partitions_of(n) if len(p) <= ny):
+            total = 0
+            for e in itertools.product(*(range(x + 1) for x in lam)):
+                k = sum(e)
+                a = head.get((tuple(sorted(e, reverse=True)), m - k))
+                if a and n - k <= d:
+                    total += a * genfun._kernel_weight(ny - [x - y for x, y in zip(lam, e)].count(0), d - n + k)
+            if total:
+                view[lam, m + d - n] = total
+    return view
+
+
+def test_kernel_rows_match_the_sorting_recursion():
+    for ny, S in [(ny, 8) for ny in range(1, 7)] + [(4, 10)]:
+        for mu in enumerate_strict_partitions(S):
+            assert kernel_view(mu.parts, ny) == reference_kernel_view(mu.parts, ny), (mu, ny)
+
+
 def test_kernel_slices_are_the_kernel_coefficients():
     # the view of k_d(y), written out to its orbits, is the coefficient of
     # x1^d in the one-x Cauchy kernel
     for ny in range(1, 5):
         for d, want in enumerate(kernel_slices(6, ny)):
-            assert BetaPoly(ny, genfun._orbits(genfun._kernel_view((d,), ny), ny)) == want, (d, ny)
+            assert BetaPoly(ny, genfun._orbits(kernel_view((d,), ny), ny)) == want, (d, ny)
 
 
 def test_kernel_views_are_the_partition_terms_of_kernel_products():
@@ -324,12 +366,12 @@ def test_kernel_views_are_the_partition_terms_of_kernel_products():
     for ny in range(1, 9):
         slices = kernel_slices(6, ny)
         for d, whole in enumerate(slices):
-            assert genfun._kernel_view((d,), ny) == partition_terms(whole), (d, ny)
+            assert kernel_view((d,), ny) == partition_terms(whole), (d, ny)
         for mu in enumerate_strict_partitions(6):
             whole = BetaPoly.const(ny, 1)
             for part in mu.parts:
                 whole = whole * slices[part]
-            assert genfun._kernel_view(mu.parts, ny) == partition_terms(whole), (mu, ny)
+            assert kernel_view(mu.parts, ny) == partition_terms(whole), (mu, ny)
 
 
 def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
@@ -595,7 +637,7 @@ def _recombined_transpose(g, nvars, max_deg):
     exp = expand_in_basis(g, "schur")
     assert exp.residual_zero
     coeffs = {transpose_partition(idx): c for idx, c in exp.coeffs.items()}
-    return BasisExpansion("schur", nvars, max_deg, coeffs).recombine()
+    return recombine(BasisExpansion("schur", nvars, max_deg, coeffs))
 
 
 def test_omega_matches_the_recombined_transpose_on_every_dual():
@@ -650,10 +692,10 @@ def schur_combinations(draw):
 @given(schur_combinations(), st.none() | st.integers(0, 4))
 def test_omega_on_schur_combinations(combo, cut):
     nvars, coeffs = combo
-    p = BasisExpansion("schur", nvars, None, coeffs).recombine()
+    p = recombine(BasisExpansion("schur", nvars, None, coeffs))
     assert omega(omega(p)) == p
     transposed = {transpose_partition(lam): c for lam, c in coeffs.items()}
-    assert omega(p, cut) == BasisExpansion("schur", nvars, cut, transposed).recombine()
+    assert omega(p, cut) == recombine(BasisExpansion("schur", nvars, cut, transposed))
 
 
 def test_jp_jq_examples():
@@ -714,8 +756,25 @@ def test_evaluate_rejects_meaningless_arguments():
     for f in ("GP", "GQ", "JP", "JQ"):
         with pytest.raises(ParameterError):
             evaluate(f, (2, 1), (), 2, None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         evaluate("HP", (2, 1), (), 2, 4)
+
+
+def test_input_faults_are_parameter_errors_and_bugs_are_kshift_errors():
+    # a caller's bad Schur index is a parameter error (exit 2), as a bad function name is above
+    with pytest.raises(ParameterError, match="not a partition"):
+        evaluate("schur", (1, 2), (), 2)
+    # the engine passes only known flavors and kinds: anything else is a bug (exit 1),
+    # neither a parameter error nor a plain ValueError
+    pt = RationalPoint(Fraction(1), (Fraction(1, 2), Fraction(1, 3)))
+    for call in (
+        lambda: genfun._dual_views("gx", 2, 2),
+        lambda: structure_constants("c", sp(1), sp(1), 3),
+        lambda: symmetrization_eval("GX", (1,), 2, pt),
+    ):
+        with pytest.raises(KshiftError) as info:
+            call()
+        assert type(info.value) is KshiftError
 
 
 # -- structure constants -----------------------------------------------------------------

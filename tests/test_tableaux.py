@@ -18,7 +18,7 @@ from kshift.tableaux import (
     FAMILIES,
     BarTableau,
     Tableau,
-    _codes,
+    _check_family,
     _one_value_count,
     _tally,
     code_value,
@@ -28,8 +28,28 @@ from kshift.tableaux import (
     iter_restricted_p,
     iter_tableaux,
     marked_rows,
-    weight,
 )
+
+
+def _codes(fam, t):
+    """A code per element (set-valued and single-valued tableaux), line (reverse plane partitions:
+    a column of unprimed or a row of primed v) or block (bar tableaux) of t, in the checked family fam."""
+    if fam.startswith("shbt"):
+        ent = dict(t.filling.entries)
+        return [ent[block[0]][0] for block in t.blocks]
+    if fam.startswith("shrpp"):
+        return [code for code, _ in {(code, i if code & 1 else j) for (i, j), (code,) in t.entries}]
+    return [code for _, s in t.entries for code in s]
+
+
+def weight(family, t):
+    """The (exponent vector, size statistic |T|) of a listed tableau: each of its `_codes` adds 1 at
+    its value, indexed by value 1..v_max for the largest value v_max occurring; |T| is their number."""
+    codes = _codes(_check_family(family), t)
+    exps = [0] * ((max(codes, default=0) + 1) >> 1)
+    for code in codes:
+        exps[(code - 1) >> 1] += 1
+    return tuple(exps), len(codes)
 
 
 def sp(*parts):
@@ -373,7 +393,22 @@ def test_one_value_count_is_the_one_variable_coefficient(p_flavor):
             poly = genfun_from_tableaux(family, shape, 1, shape.size + 3)
             for c in range(shape.size + 4):
                 want = poly.terms.get(((c,), c - shape.size), 0)
-                assert _one_value_count(p_flavor, lam.parts, kappa.parts).get((c,), 0) == want, (shape, c)
+                assert _one_value_count(p_flavor, lam.parts, kappa.parts).get(c, 0) == want, (shape, c)
+
+
+def reference_one_value_count(p_flavor, outer, inner):
+    """The one-value fillings of outer/inner by their number of elements, counted by one
+    uncapped `_tally` walk: a cell holds at most 1' and 1, so the count is finite."""
+    tally = _tally(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
+    return {c: n for (c,), n in tally.items()}
+
+
+@pytest.mark.parametrize("p_flavor", [True, False])
+def test_one_value_count_closed_form_matches_the_tally(p_flavor):
+    for lam in enumerate_strict_partitions(9):
+        for kappa in subshapes(lam):
+            want = reference_one_value_count(p_flavor, lam.parts, kappa.parts)
+            assert _one_value_count(p_flavor, lam.parts, kappa.parts) == want, (lam, kappa)
 
 
 # -- brute-force oracle: every candidate filling, filtered by the rules ------
