@@ -180,8 +180,9 @@ def _written(view: dict, nvars: int, max_deg: int | None = None, split: int | No
 
 
 def _partition_terms(p: BetaPoly) -> dict:
-    """The terms of a one-alphabet polynomial at partition exponents: its view if it is symmetric."""
-    return {(e, b): c for (e, b), c in p.terms.items() if e == tuple(sorted(e, reverse=True))}
+    """The terms of a polynomial at partition exponents, in each block when split: its view if it is symmetric."""
+    s, n = p.split or p.nvars, p.nvars
+    return {(e, b): c for (e, b), c in p.terms.items() if e[:s] == tuple(sorted(e[:s], reverse=True)) and (s == n or e[s:] == tuple(sorted(e[s:], reverse=True)))}
 
 
 def _view(p: BetaPoly) -> dict:

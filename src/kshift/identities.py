@@ -4,9 +4,15 @@ Every check returns a VerificationReport.  Theorem checks use PASS/FAIL with a
 reproducible witness on failure; conjecture checks use MATCH/MISMATCH and keep
 per-shape findings, because a mismatch there is a finding to surface rather
 than a test failure.  All polynomial comparisons are exact, and every
-polynomial is read through `genfun.evaluate`.  One worker, `_expansion_case`,
-checks the GQ-to-GP theorem in its straight, skew and dual forms; the Cauchy
-identity is checked as the skew Cauchy identity at mu = nu = empty.
+polynomial is read through `genfun.evaluate`.  The theorem checks on symmetric
+functions (the expansions, flip, coproducts and Cauchy) read each value once
+through one reader per run (`_reader`), which tests it once for symmetry and
+keeps its view; they sum views, multiply an x-view by a y-view (`_products`)
+and compare views (`_same`), writing both sides out only for a FAIL witness.
+An asymmetric value fails each case that reads it, and the witness names it.
+One worker, `_expansion_case`, checks the GQ-to-GP theorem in its straight,
+skew and dual forms; the Cauchy identity is checked as the skew Cauchy
+identity at mu = nu = empty.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import KshiftError, ParameterError
-from .genfun import _ell_max, _partition_terms, _times_view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
-from .polyring import BetaPoly, RationalPoint, cauchy_kernel, tensor_split
+from .genfun import _ell_max, _partition_terms, _split_view, _times_view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
+from .polyring import BetaPoly, RationalPoint, cauchy_kernel
 from .shapes import (
     EMPTY,
     SkewShape,
@@ -74,8 +80,9 @@ class VerificationReport:
 
 
 def _compare(lhs: BetaPoly, rhs: BetaPoly) -> tuple[bool, dict | None]:
-    """Exact equality of two polynomials cut at the same truncation, and the
-    pair as the witness info when they differ.  Polynomials cut at different
+    """Exact equality of two written-out polynomials cut at the same truncation,
+    and the pair as the witness info when they differ; the view compare `_same`
+    writes its two sides out to this on a mismatch.  Polynomials cut at different
     degrees or alphabet splits cannot be compared: that is a KshiftError."""
     if (lhs.max_deg, lhs.split) != (rhs.max_deg, rhs.split):
         raise KshiftError(
@@ -85,6 +92,46 @@ def _compare(lhs: BetaPoly, rhs: BetaPoly) -> tuple[bool, dict | None]:
     if lhs == rhs:
         return True, None
     return False, {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
+
+
+class _Asymmetric(Exception):
+    """A value read by a theorem check is not symmetric: each case that reads it fails, naming it."""
+
+
+def _reader() -> Callable[..., dict]:
+    """The views of one check run: called as `evaluate` is, it reads each distinct value
+    once through `evaluate`, tests it once for symmetry and keeps its partition terms;
+    an asymmetric value raises `_Asymmetric` at every read."""
+    views: dict[tuple, dict | None] = {}
+
+    def view(func, outer, inner, nvars, max_deg, doubleslash=False) -> dict:
+        value = (func, outer, inner, nvars, max_deg, doubleslash)
+        if value not in views:
+            p = evaluate(func, outer, inner, nvars, max_deg, doubleslash=doubleslash)
+            views[value] = _partition_terms(p) if p.is_symmetric() else None
+        if views[value] is None:
+            raise _Asymmetric(f"{func} {outer}{'//' if doubleslash else '/'}{inner} in {nvars} variables")
+        return views[value]
+
+    return view
+
+
+def _same(lhs: dict, rhs: dict, nvars: int, max_deg: int | None, split: int | None = None) -> tuple[bool, dict | None]:
+    """The one compare of the theorem checks, of two views without zero terms; on a
+    mismatch both are written out (`_written`) for `_compare`'s witness."""
+    if lhs == rhs:
+        return True, None
+    return _compare(_written(lhs, nvars, max_deg, split), _written(rhs, nvars, max_deg, split))
+
+
+def _products(pairs) -> dict:
+    """The split view of the sum of px(x) py(y) over pairs of views (px, py), without zero terms."""
+    total: dict = {}
+    for vx, vy in pairs:
+        for (ex, bx), a in vx.items():
+            for (ey, by), c in vy.items():
+                total[ex + ey, bx + by] = total.get((ex + ey, bx + by), 0) + a * c
+    return {k: c for k, c in total.items() if c}
 
 
 def _run_cases(
@@ -106,7 +153,10 @@ def _run_cases(
     report = VerificationReport(check_id, params, verdicts[0], len(cases))
     witness_key = None
     for c in cases:
-        ok, info = worker(c)
+        try:
+            ok, info = worker(c)
+        except _Asymmetric as value:
+            ok, info = False, {"asymmetric": str(value)}
         if findings:
             report.findings.append({"case": str(c), "verdict": verdicts[0] if ok else verdicts[1]})
         if not ok and (witness_key is None or _case_size_key(c) < witness_key):
@@ -150,12 +200,12 @@ def _expansion_term(
 
 
 def _expansion_case(
-    dual: bool, outer: StrictPartition, inner: StrictPartition, nvars: int, max_deg: int | None
+    view: Callable[..., dict], dual: bool, outer: StrictPartition, inner: StrictPartition, nvars: int, max_deg: int | None
 ) -> tuple[bool, dict | None]:
-    """The GQ-to-GP theorem at one case: GQ_{mu//nu} (outer/inner = mu/nu)
-    against the sum of the `_expansion_term` terms times GP_{lam//kappa}, or
-    dually gq_{lam/kappa} (outer/inner = lam/kappa) against the sum of the same
-    terms times gp_{mu/nu}.  Both sides are scaled by 2^max(0, -min e), so
+    """The GQ-to-GP theorem at one case, on views from the check's reader: GQ_{mu//nu}
+    (outer/inner = mu/nu) against the sum of the `_expansion_term` terms times
+    GP_{lam//kappa}, or dually gq_{lam/kappa} (outer/inner = lam/kappa) against the sum
+    of the same terms times gp_{mu/nu}.  Both sides are scaled by 2^max(0, -min e), so
     every coefficient is an integer."""
     if dual:
         lam, kappa = outer, inner
@@ -165,7 +215,7 @@ def _expansion_case(
             for nu in subshapes(mu)
             if len(nu) == len(kappa) and contains(kappa, nu)
         ]
-        lhs = evaluate("gq", lam, kappa, nvars, max_deg)
+        lhs = view("gq", lam, kappa, nvars, max_deg)
     else:
         mu, nu = outer, inner
         quads = [
@@ -174,17 +224,15 @@ def _expansion_case(
             if len(kappa) == len(nu)
             for lam in vertical_strip_extensions(mu)
         ]
-        lhs = evaluate("GQ", mu, nu, nvars, max_deg, doubleslash=True)
+        lhs = view("GQ", mu, nu, nvars, max_deg, True)
     terms = [(_expansion_term(*q), q) for q in quads]
     scale = max(0, -min((e for (e, _, _), _ in terms), default=0))
-    rhs = BetaPoly.zero(nvars, max_deg)
-    for (e, sign, d), (lam, mu, nu, kappa) in terms:
-        if dual:
-            term = evaluate("gp", mu, nu, nvars, max_deg)
-        else:
-            term = evaluate("GP", lam, kappa, nvars, max_deg, doubleslash=True)
-        rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(d)
-    return _compare(lhs.scale(2**scale), rhs)
+    # each term a product with a view in no variables, the scalar sign 2^(e + scale) beta^d
+    rhs = _products(
+        ({((), d): sign * 2 ** (e + scale)}, view("gp", mu, nu, nvars, max_deg) if dual else view("GP", lam, kappa, nvars, max_deg, True))
+        for (e, sign, d), (lam, mu, nu, kappa) in terms
+    )
+    return _same({k: c * 2**scale for k, c in lhs.items()}, rhs, nvars, max_deg)
 
 
 def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> VerificationReport:
@@ -199,12 +247,13 @@ def check_gq_to_gp(max_size: int = 6, nvars: int = 3, max_deg: int = 9) -> Verif
         raise ParameterError("max_deg too small for the vertical-strip extensions")
     cases = [(str(mu), kind) for mu in mus for kind in ("expansion", "positivity", "count-beta1")]
     by_name = {str(m): m for m in mus}
+    view = _reader()
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         name, kind = case
         mu = by_name[name]
         if kind == "expansion":
-            return _expansion_case(False, mu, EMPTY, nvars, max_deg)
+            return _expansion_case(view, False, mu, EMPTY, nvars, max_deg)
         lams = vertical_strip_extensions(mu)
         minus = [lam for lam in lams if strip_sign(lam, mu) < 0]
         if kind == "positivity":
@@ -230,9 +279,10 @@ def check_skew_expansions(max_size: int = 5, nvars: int = 3, max_deg: int = 8) -
     dual gq-to-gp version (cases dual, lam, kappa)."""
     pairs = [(str(a), str(b)) for a in enumerate_strict_partitions(max_size) for b in subshapes(a)]
     cases = [(kind, *pair) for kind in ("doubleslash", "dual") for pair in pairs]
+    view = _reader()
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
-        return _expansion_case(case[0] == "dual", *map(StrictPartition.parse, case[1:]), nvars, max_deg)
+        return _expansion_case(view, case[0] == "dual", *map(StrictPartition.parse, case[1:]), nvars, max_deg)
 
     params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
     return _run_cases("skew-expansions", params, cases, worker)
@@ -297,16 +347,15 @@ def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8) -> Verificat
     for lam in enumerate_strict_partitions(max_size):
         for mu in subshapes(lam):
             cases.append((str(lam), str(mu)))
+    view = _reader()
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         lam = StrictPartition.parse(case[0])
         mu = StrictPartition.parse(case[1])
         other = flip(SkewShape(lam, mu))
         for flavor in ("GP", "GQ"):
-            ok, info = _compare(
-                evaluate(flavor, lam, mu, nvars, max_deg),
-                evaluate(flavor, other.outer, other.inner, nvars, max_deg),
-            )
+            sides = view(flavor, lam, mu, nvars, max_deg), view(flavor, other.outer, other.inner, nvars, max_deg)
+            ok, info = _same(*sides, nvars, max_deg)
             if not ok:
                 return False, {"flavor": flavor, "flipped": str(other), **info}
         return True, None
@@ -318,10 +367,6 @@ def check_flip(max_size: int = 6, nvars: int = 3, max_deg: int = 8) -> Verificat
 # -- coproduct identities --------------------------------------------------------
 
 
-def _split_truncate(p: BetaPoly, nx: int, max_deg: int) -> BetaPoly:
-    return BetaPoly(p.nvars, p.terms, max_deg, nx)
-
-
 def check_coproducts(
     max_size: int = 4, nx: int = 2, ny: int = 2, max_deg: int = 6
 ) -> VerificationReport:
@@ -331,23 +376,21 @@ def check_coproducts(
     lams = enumerate_strict_partitions(max_size)
     cases = [(fam, str(lam)) for fam in ("GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ") for lam in lams]
     n = nx + ny
+    view = _reader()
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         fam, lam_s = case
         lam = StrictPartition.parse(lam_s)
-        # the left side is evaluated in all n variables with room for both
-        # degrees, then cut; JP/JQ substitute only after the cut
+        # the left side is read in all n variables with room for both degrees,
+        # then cut in each block; JP/JQ substitute only after the cut
         base = {"JP": "GP", "JQ": "GQ"}.get(fam, fam)
-        lhs = _split_truncate(evaluate(base, lam, (), n, 2 * max_deg), nx, max_deg)
+        joint = _split_view(view(base, lam, EMPTY, n, 2 * max_deg), nx)
+        lhs = {(e, b): c for (e, b), c in joint.items() if max(sum(e[:nx]), sum(e[nx:])) <= max_deg}
         if base != fam:
-            lhs = lhs.substitute_geometric()
+            lhs = _partition_terms(_written(lhs, n, max_deg, nx).substitute_geometric())
         doubleslash = fam in ("GP", "GQ", "JP", "JQ")
-        rhs = BetaPoly.zero(n, max_deg, nx)
-        for nu in subshapes(lam):
-            px = evaluate(fam, nu, (), nx, max_deg)
-            py = evaluate(fam, lam, nu, ny, max_deg, doubleslash)
-            rhs = rhs + tensor_split(px, py, max_deg)
-        return _compare(lhs, rhs)
+        rhs = _products((view(fam, nu, EMPTY, nx, max_deg), view(fam, lam, nu, ny, max_deg, doubleslash)) for nu in subshapes(lam))
+        return _same(lhs, rhs, n, max_deg, nx)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
     return _run_cases("coproducts", params, cases, worker)
@@ -383,12 +426,9 @@ def check_cauchy_family(
     """The Cauchy identity, the skew Cauchy identities, and their six
     omega-twisted forms with negated alphabets, compared at split views.
 
-    Each distinct value is read once through `evaluate` (so cut at max_deg),
-    checked to be symmetric, and kept as its view; a product big(x) small(y)
-    is the product of two views, and the twisted kernel, checked symmetric
-    once, enters through `genfun._times_view`.  On a FAIL both sides are
-    written out to their orbits in each block for the witness; a value that
-    is not symmetric fails each case that reads it, and the witness names it.
+    Each value comes from the run's reader, cut at max_deg; a side is the sum of
+    big(x) small(y) as `_products` of views, and the twisted kernel, checked
+    symmetric once, enters through `genfun._times_view`.
     """
     _at_least(1, nx=nx, ny=ny)
     _at_least(0, max_deg=max_deg)
@@ -397,13 +437,7 @@ def check_cauchy_family(
         raise KshiftError("the Cauchy kernel is not symmetric in x and in y")
     xs, ys = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
     twisted = {name: kern.negate_vars(which) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}
-    views: dict[tuple, dict | None] = {}
-
-    def view(value: tuple) -> dict | None:
-        if value not in views:  # value: (func, outer, inner, nvars, doubleslash)
-            p = evaluate(*value[:4], max_deg, doubleslash=value[4])
-            views[value] = _partition_terms(p) if p.is_symmetric() else None
-        return views[value]
+    view = _reader()
 
     strict = [str(mu) for mu in enumerate_strict_partitions(max_size)]
     cases = [("kernel", "gp", ""), ("kernel", "gq", "")] + [(t, a, b) for a in strict for b in strict for t in _CAUCHY_FORMS]
@@ -417,24 +451,14 @@ def check_cauchy_family(
         big, small, side, negated = _CAUCHY_FORMS[tag]
         lams = [lam for lam in enumerate_strict_partitions(max_deg + mu.size) if contains(mu, lam) and contains(nu, lam)]
         kappas = [k for k in subshapes(mu) if contains(k, nu)]
-        sides = []  # each the sum of big(x) small(y) over its (big outer, inner, small outer, inner)
-        for terms in ([(lam, mu, lam, nu) for lam in lams], [(nu, k, mu, k) for k in kappas]):
-            total: dict = {}
-            for big_outer, big_inner, small_outer, small_inner in terms:
-                values = (big, big_outer, big_inner, nx, True), (small, small_outer, small_inner, ny, False)
-                vx, vy = map(view, values)
-                if vx is None or vy is None:
-                    func, outer, inner, nvars, ds = values[0] if vx is None else values[1]
-                    return False, {"asymmetric": f"{func} {outer}{'//' if ds else '/'}{inner} in {nvars} variables"}
-                for (ex, bx), a in vx.items():
-                    for (ey, by), c in vy.items():
-                        total[ex + ey, bx + by] = total.get((ex + ey, bx + by), 0) + a * c
-            sides.append({k: c for k, c in total.items() if c})
+        # each side the sum of big(x) small(y) over its (big outer, inner, small outer, inner)
+        sides = [
+            _products((view(big, bo, bi, nx, max_deg, True), view(small, so, si, ny, max_deg)) for bo, bi, so, si in terms)
+            for terms in ([(lam, mu, lam, nu) for lam in lams], [(nu, k, mu, k) for k in kappas])
+        ]
         i = 0 if side == "left" else 1
         sides[i] = _times_view(twisted[negated], sides[i])
-        if sides[0] == sides[1]:
-            return True, None
-        return _compare(*(_written(s, nx + ny, max_deg, nx) for s in sides))
+        return _same(*sides, nx + ny, max_deg, nx)
 
     params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
     return _run_cases("cauchy", params, cases, worker)
@@ -448,11 +472,12 @@ def check_dual_expansions(max_size: int = 6, ny: int | None = None) -> Verificat
     if ny is None:
         ny = max(1, _ell_max(max_size))
     cases = [(str(lam), kind) for lam in lams for kind in ("expansion", "positivity")]
+    view = _reader()
 
     def worker(case: tuple) -> tuple[bool, dict | None]:
         lam = StrictPartition.parse(case[0])
         if case[1] == "expansion":
-            return _expansion_case(True, lam, EMPTY, ny, None)
+            return _expansion_case(view, True, lam, EMPTY, ny, None)
         positive = all(strip_sign(lam, mu) > 0 for mu in vertical_strip_subsets(lam))
         m = len(lam)
         resid = tuple(

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import NvarsMismatchError, UnboundedTruncationError
+from .errors import KshiftError, NvarsMismatchError, UnboundedTruncationError
 
 TermKey = tuple[tuple[int, ...], int]
 
@@ -84,18 +84,6 @@ class BetaPoly:
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(nvars, {(exps, 0): 1}, max_deg, split)
 
-    @classmethod
-    def monomial(
-        cls,
-        nvars: int,
-        exps: Iterable[int],
-        beta_exp: int = 0,
-        coeff: int = 1,
-        max_deg: int | None = None,
-        split: int | None = None,
-    ) -> "BetaPoly":
-        return cls(nvars, {(tuple(exps), beta_exp): coeff}, max_deg, split)
-
     def _like(self, terms: Mapping[TermKey, int]) -> "BetaPoly":
         """A polynomial like self from terms known to fit its truncation."""
         return _fitted(self.nvars, terms, self.max_deg, self.split)
@@ -150,7 +138,7 @@ class BetaPoly:
 
     def __pow__(self, n: int) -> "BetaPoly":
         if n < 0:
-            raise ValueError("negative power")
+            raise KshiftError("negative power")
         result = BetaPoly.const(self.nvars, 1, self.max_deg, self.split)
         base = self
         while n:
@@ -194,11 +182,6 @@ class BetaPoly:
 
     def __hash__(self) -> int:
         return hash((self.nvars, self.split, self.max_deg, tuple(sorted(self.terms.items()))))
-
-    def coeff(self, exps: Iterable[int]) -> "BetaPoly":
-        """The Z[beta] coefficient of the monomial x^exps, in 0 variables."""
-        exps = tuple(exps)
-        return BetaPoly(0, {((), b): c for (e, b), c in self.terms.items() if e == exps})
 
     def coeff_list(self) -> list[int]:
         """Coefficients [c0, c1, ...] of a 0-variable polynomial up to its top beta power."""
@@ -311,10 +294,6 @@ class BetaPoly:
             (tuple(t["exps"]), t["beta"]): int(t["coeff"]) for t in obj["terms"]
         }
         return cls(obj["vars"], terms, obj.get("max_deg"), obj.get("split"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BetaPoly":
-        return cls.from_json_obj(json.loads(text))
 
     def render(self, beta_symbol: str = "b", var_prefix: str = "x") -> str:
         """Human-readable text, e.g. "2*x1 + b*x1^2"."""

@@ -319,7 +319,7 @@ def _iter_bar(fillings: Iterator[Tableau]) -> Iterator[BarTableau]:
 def _check_family(family: str) -> str:
     fam = family.lower().replace("-", "_")
     if fam not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return fam
 
 

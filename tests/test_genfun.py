@@ -51,6 +51,7 @@ from kshift.shapes import (
     straight,
     subshapes,
 )
+from test_polyring import coeff
 
 
 def sp(*parts):
@@ -301,9 +302,9 @@ def whole_polynomial_duals(flavor, S, ny):
             target = target * slices[part]
         monomial = mu.parts + (0,) * (nx - len(mu))
         for prev, dual in solved.items():
-            target = target - dual.scale_by(polys[prev].coeff(monomial))
+            target = target - dual.scale_by(coeff(polys[prev], monomial))
         lead = 2 ** len(mu) if flavor == "gp" else 1
-        assert polys[mu].coeff(monomial) == BetaPoly.const(0, lead)
+        assert coeff(polys[mu], monomial) == BetaPoly.const(0, lead)
         solved[mu] = divide_exact(target, lead)
     return solved
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -23,7 +24,16 @@ from kshift.identities import (
     run_manifest,
 )
 from kshift.polyring import BetaPoly, tensor_split
-from kshift.shapes import StrictPartition, contains, enumerate_strict_partitions, subshapes
+from kshift.shapes import (
+    SkewShape,
+    StrictPartition,
+    contains,
+    enumerate_strict_partitions,
+    flip,
+    subshapes,
+    vertical_strip_extensions,
+    vertical_strip_subsets,
+)
 
 
 def test_gq_to_gp_small_sweep():
@@ -427,10 +437,12 @@ def test_the_cauchy_check_and_its_written_out_sweep_fail_alike(monkeypatch):
     assert new.status == ref.status == "FAIL"
 
 
-def add_off_partition_term(monkeypatch):
-    """Add a term off the partitions, x2^3, to the GP double-slash value GP_{1//} in 2 variables."""
-    stray = BetaPoly(2, {((0, 3), 0): 1}, 4)
-    faulty_evaluate(monkeypatch, lambda p, *value: p + stray if value == ("GP", (1,), (), 2, True) else p)
+def add_off_partition_term(monkeypatch, value=("GP", (1,), (), 2, True), max_deg=4):
+    """Add a term off the partitions, x2^3, to one value read at max_deg through
+    identities.evaluate, by default the GP double-slash value GP_{1//} in 2 variables."""
+    nvars = value[3]
+    stray = BetaPoly(nvars, {((0, 3) + (0,) * (nvars - 2), 0): 1}, max_deg)
+    faulty_evaluate(monkeypatch, lambda p, *read: p + stray if read == value else p)
 
 
 def test_an_asymmetric_value_fails_the_cauchy_case_that_reads_it(monkeypatch):
@@ -438,3 +450,226 @@ def test_an_asymmetric_value_fails_the_cauchy_case_that_reads_it(monkeypatch):
     add_off_partition_term(monkeypatch)
     report = check_cauchy_family()
     assert report.witness == {"case": "('a', '', '')", "asymmetric": "GP 1// in 2 variables"}
+
+
+@pytest.mark.parametrize(
+    "check, params, value, max_deg, case",
+    [
+        (check_gq_to_gp, (2, 2, 4), ("GP", (1,), (), 2, True), 4, "('1', 'expansion')"),
+        (check_flip, (2, 2, 4), ("GP", (2,), (), 2, False), 4, "('2', '')"),
+        (check_coproducts, (1, 2, 2, 3), ("GP", (1,), (), 4, False), 6, "('GP', '1')"),
+    ],
+)
+def test_an_asymmetric_value_fails_the_smallest_case_that_reads_it(monkeypatch, check, params, value, max_deg, case):
+    # the coproduct case reads GP_1 in all 4 variables, at twice max_deg, for its left side
+    add_off_partition_term(monkeypatch, value, max_deg)
+    func, outer, inner, nvars, doubleslash = value
+    named = f"{func} {','.join(map(str, outer))}{'//' if doubleslash else '/'}{','.join(map(str, inner))} in {nvars} variables"
+    assert check(*params).witness == {"case": case, "asymmetric": named}
+
+
+def doubled(value):
+    """A symmetric fault for faulty_evaluate: the one value (func, outer, inner, nvars, doubleslash) doubled."""
+    return lambda p, *read: p.scale(2) if read == value else p
+
+
+# -- the expansion, flip and coproduct checks against their written-out workers -----
+
+
+def reference_expansion_case(dual, outer, inner, nvars, max_deg):
+    """The GQ-to-GP theorem at one case on written-out polynomials: GQ_{mu//nu}
+    against the sum of 2^e (-1)^s beta^d GP_{lam//kappa}, or dually gq_{lam/kappa}
+    against the same sum of gp_{mu/nu}, each term built by `scale`, `times_beta`
+    and `+` on values read through `identities.evaluate`."""
+    if dual:
+        lam, kappa = outer, inner
+        quads = [
+            (lam, mu, nu, kappa)
+            for mu in vertical_strip_subsets(lam)
+            for nu in subshapes(mu)
+            if len(nu) == len(kappa) and contains(kappa, nu)
+        ]
+        lhs = identities.evaluate("gq", lam, kappa, nvars, max_deg)
+    else:
+        mu, nu = outer, inner
+        quads = [
+            (lam, mu, nu, kappa)
+            for kappa in subshapes(nu)
+            if len(kappa) == len(nu)
+            for lam in vertical_strip_extensions(mu)
+        ]
+        lhs = identities.evaluate("GQ", mu, nu, nvars, max_deg, doubleslash=True)
+    terms = [(identities._expansion_term(*q), q) for q in quads]
+    scale = max(0, -min((e for (e, _, _), _ in terms), default=0))
+    rhs = BetaPoly.zero(nvars, max_deg)
+    for (e, sign, d), (lam, mu, nu, kappa) in terms:
+        if dual:
+            term = identities.evaluate("gp", mu, nu, nvars, max_deg)
+        else:
+            term = identities.evaluate("GP", lam, kappa, nvars, max_deg, doubleslash=True)
+        rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(d)
+    return _compare(lhs.scale(2**scale), rhs)
+
+
+def reference_report(monkeypatch, check, *params):
+    """The report of an expansion check with its expansion cases run by reference_expansion_case."""
+    with monkeypatch.context() as m:
+        # (dual, outer, inner, nvars, max_deg) are the worker's last five arguments
+        m.setattr(identities, "_expansion_case", lambda *args: reference_expansion_case(*args[-5:]))
+        return check(*params)
+
+
+def reference_flip(max_size=6, nvars=3, max_deg=8):
+    """The flip check on written-out GP/GQ values read through `identities.evaluate`."""
+    cases = []
+    for lam in enumerate_strict_partitions(max_size):
+        for mu in subshapes(lam):
+            cases.append((str(lam), str(mu)))
+
+    def worker(case):
+        lam = StrictPartition.parse(case[0])
+        mu = StrictPartition.parse(case[1])
+        other = flip(SkewShape(lam, mu))
+        for flavor in ("GP", "GQ"):
+            ok, info = _compare(
+                identities.evaluate(flavor, lam, mu, nvars, max_deg),
+                identities.evaluate(flavor, other.outer, other.inner, nvars, max_deg),
+            )
+            if not ok:
+                return False, {"flavor": flavor, "flipped": str(other), **info}
+        return True, None
+
+    params = {"max_size": max_size, "nvars": nvars, "max_deg": max_deg}
+    return _run_cases("flip", params, cases, worker)
+
+
+def reference_coproducts(max_size=4, nx=2, ny=2, max_deg=6):
+    """The coproduct check on written-out polynomials: the left side cut in each
+    block, the right side a sum of `tensor_split` products."""
+    lams = enumerate_strict_partitions(max_size)
+    cases = [(fam, str(lam)) for fam in ("GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ") for lam in lams]
+    n = nx + ny
+
+    def worker(case):
+        fam, lam_s = case
+        lam = StrictPartition.parse(lam_s)
+        base = {"JP": "GP", "JQ": "GQ"}.get(fam, fam)
+        p = identities.evaluate(base, lam, (), n, 2 * max_deg)
+        lhs = BetaPoly(p.nvars, p.terms, max_deg, nx)
+        if base != fam:
+            lhs = lhs.substitute_geometric()
+        doubleslash = fam in ("GP", "GQ", "JP", "JQ")
+        rhs = BetaPoly.zero(n, max_deg, nx)
+        for nu in subshapes(lam):
+            px = identities.evaluate(fam, nu, (), nx, max_deg)
+            py = identities.evaluate(fam, lam, nu, ny, max_deg, doubleslash)
+            rhs = rhs + tensor_split(px, py, max_deg)
+        return _compare(lhs, rhs)
+
+    params = {"max_size": max_size, "nx": nx, "ny": ny, "max_deg": max_deg}
+    return _run_cases("coproducts", params, cases, worker)
+
+
+EXPANSION_GRID = [
+    (check_gq_to_gp, (2, 2, 4)),
+    (check_gq_to_gp, (4, 3, 7)),
+    (check_gq_to_gp, (5, 4, 8)),
+    (check_skew_expansions, (2, 2, 4)),
+    (check_skew_expansions, (3, 3, 6)),
+    (check_skew_expansions, (4, 2, 7)),
+    (check_dual_expansions, (3,)),
+    (check_dual_expansions, (7,)),
+    (check_dual_expansions, (5, 3)),
+]
+
+
+@pytest.mark.parametrize("check, params", EXPANSION_GRID)
+def test_the_expansion_checks_match_their_written_out_worker(monkeypatch, check, params):
+    assert check(*params).to_json() == reference_report(monkeypatch, check, *params).to_json()
+
+
+@pytest.mark.parametrize("params", [(2, 2, 4), (4, 3, 6), (5, 2, 6)])
+def test_the_flip_check_matches_its_written_out_sweep(params):
+    assert check_flip(*params).to_json() == reference_flip(*params).to_json()
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 2), (2, 1, 2, 4), (3, 2, 2, 5), (2, 2, 1, 6)])
+def test_the_coproduct_check_matches_its_written_out_sweep(params):
+    assert check_coproducts(*params).to_json() == reference_coproducts(*params).to_json()
+
+
+@pytest.mark.parametrize(
+    "check, params, value, case",
+    [
+        (check_gq_to_gp, (3, 3, 6), ("GP", (2,), (), 3, True), "('1', 'expansion')"),
+        (check_skew_expansions, (3, 2, 5), ("GQ", (2,), (1,), 2, True), "('doubleslash', '2', '1')"),
+        (check_skew_expansions, (3, 2, 5), ("gp", (2, 1), (1,), 2, False), "('dual', '2,1', '1')"),
+        (check_dual_expansions, (4,), ("gp", (2,), (), 2, False), "('2', 'expansion')"),
+    ],
+)
+def test_the_expansion_checks_and_their_worker_fail_alike(monkeypatch, check, params, value, case):
+    # a symmetric fault, one value doubled: the same witness, byte for byte
+    faulty_evaluate(monkeypatch, doubled(value))
+    new, ref = check(*params), reference_report(monkeypatch, check, *params)
+    assert new.status == ref.status == "FAIL" and new.witness["case"] == case
+    assert new.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize(
+    "check, params, value, max_deg",
+    [
+        (check_gq_to_gp, (2, 2, 4), ("GP", (1,), (), 2, True), 4),
+        (check_skew_expansions, (2, 2, 4), ("GP", (1,), (), 2, True), 4),
+        (check_dual_expansions, (3,), ("gp", (1,), (), 2, False), None),
+    ],
+)
+def test_the_expansion_checks_and_their_worker_fail_on_an_asymmetric_value(monkeypatch, check, params, value, max_deg):
+    add_off_partition_term(monkeypatch, value, max_deg)
+    new, ref = check(*params), reference_report(monkeypatch, check, *params)
+    assert new.status == ref.status == "FAIL"
+
+
+def test_the_flip_check_and_its_written_out_sweep_fail_alike(monkeypatch):
+    faulty_evaluate(monkeypatch, doubled(("GQ", (2, 1), (1,), 2, False)))
+    new, ref = check_flip(4, 2, 5), reference_flip(4, 2, 5)
+    assert new.status == ref.status == "FAIL" and new.witness["flavor"] == "GQ"
+    assert new.to_json() == ref.to_json()
+    monkeypatch.undo()
+    # GP_{2/} flips to GP_{21/1}, which the fault leaves as it is
+    add_off_partition_term(monkeypatch, ("GP", (2,), (), 2, False))
+    new, ref = check_flip(2, 2, 4), reference_flip(2, 2, 4)
+    assert new.status == ref.status == "FAIL"
+
+
+def test_the_coproduct_check_and_its_written_out_sweep_fail_alike(monkeypatch):
+    # the doubled value is read on the right side of two JQ cases
+    faulty_evaluate(monkeypatch, doubled(("JQ", (1,), (), 2, False)))
+    new, ref = check_coproducts(2, 2, 2, 4), reference_coproducts(2, 2, 2, 4)
+    assert new.status == ref.status == "FAIL" and new.witness["case"] == "('JQ', '1')"
+    assert new.to_json() == ref.to_json()
+    monkeypatch.undo()
+    add_off_partition_term(monkeypatch, ("GP", (1,), (), 4, False), 6)
+    new, ref = check_coproducts(1, 2, 2, 3), reference_coproducts(1, 2, 2, 3)
+    assert new.status == ref.status == "FAIL"
+
+
+# the sha256 of each registered check's report at its defaults: a change that keeps
+# every report byte-identical keeps these
+DEFAULT_REPORTS = {
+    "gq-to-gp": "2409b2120fa12612de3e37893aeb8e55f65d5cbbd379f1ece23842f6e0e7f149",
+    "skew-expansions": "d204495c4605491a74c9963959bd971d690f7b6f675e4bbc1f85696d9ad5efa3",
+    "overlap-matrix": "6f725a65517bc0ea8eedf98ddf67e72592ea74f7065c855079fd42fa53be3959",
+    "flip": "5d6134128a46c45f23d6e6e639416c22bdead54faeb0c26038ce674a39a216f2",
+    "coproducts": "d547b59d445d4a776eccb39d1a5fe1dcf4e1a95b160b39c2bbf36d601b6e9936",
+    "cauchy": "280a54e35287185cfd4ed9d79f6202051608807afa34a880d95abf57feaa080b",
+    "dual-expansions": "f7bba331e96db6d08cf3cb92a698af34efaf63798ee5356cece7e5c36dcde82a",
+    "symmetrization": "8fb3c8ad54d825f35439f7ecf807f188f6dc4fd7652d7a1d0157f9bce7e5b0d9",
+    "onerow-series": "0916859ad3dfb0e9a074f99bf63ee9efe42ab188877381a0bc05b71331a46ea1",
+    "conjectures": "941c70ac75e98e92ff62a445df865352e8c857604db337446f9889663ba35c50",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(DEFAULT_REPORTS))
+def test_the_default_reports_are_pinned(check_id):
+    assert set(DEFAULT_REPORTS) == set(CHECKS)
+    assert hashlib.sha256(run_check(check_id).to_json().encode()).hexdigest() == DEFAULT_REPORTS[check_id]

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from kshift.errors import InvalidShapeError
+from kshift.errors import InvalidShapeError, ParameterError
 from kshift.polyring import BetaPoly
 from kshift.shapes import (
     EMPTY,
@@ -211,7 +211,7 @@ def test_bar_fixed_filling_weight_identity():
                     continue
                 exps, _ = weight("shbt_q", t)
                 mono = exps + (0,) * (nvars - len(exps))
-                total = total + BetaPoly.monomial(nvars, mono)
+                total = total + BetaPoly(nvars, {(mono, 0): 1})
             assert total == want
 
 
@@ -563,3 +563,12 @@ def test_content_count_is_the_generating_function_coefficient(p_flavor):
         for content in contents:
             want = poly.terms.get((content, sum(content) - nu.size), 0)
             assert content_count(p_flavor, nu.parts, content) == want, (nu, content)
+
+
+def test_an_unknown_family_is_a_parameter_error():
+    # the family name comes from the user, so it is a usage error, not a plain ValueError
+    shape = SkewShape(StrictPartition((1,)), StrictPartition(()))
+    with pytest.raises(ParameterError):
+        genfun_from_tableaux("nope", shape, 1, None)
+    with pytest.raises(ParameterError):
+        list(iter_tableaux("shyt", shape, 1))
