@@ -20,9 +20,9 @@ The engine holds a symmetric polynomial by its view, its terms at partition
 exponents padded to the number of variables (in each block, for one symmetric in
 x and in y apart): every rearrangement repeats them.  The dual and skew-dual
 tables store views, the one peel loop and omega map views to views, and only the
-edge writes a value out to its orbits: `dual_gp_gq`, `dual_skew` and `jp_jq`, as
-`evaluate` returns them.  `is_symmetric` runs only on a caller's polynomial.  A
-product of a written-out polynomial K and a view L is read at partitions too, with
+edge writes a value out to its orbits, once and at its cut (`_written`), as `evaluate`
+returns it.  Only `BetaPoly.view` reads a polynomial back, testing symmetry as it sorts:
+a caller's polynomial, and a value a check reads.  A product of a written-out polynomial K and a view L is read at partitions too, with
 [x^lam](K L) = sum_e K_e L[sort(lam - e)], blockwise when split (`_times_view`): the
 Cauchy check multiplies its twisted kernels so.  The Schur world is on Kostka
 numbers, counted by the horizontal-strip rule: s_lam has the view K_{lam,nu}, and
@@ -48,7 +48,7 @@ from .errors import (
     ResourceLimitError,
     SingularPointError,
 )
-from .polyring import BetaPoly, RationalPoint
+from .polyring import BetaPoly, RationalPoint, _fitted
 from .shapes import (
     EMPTY,
     SkewShape,
@@ -95,15 +95,7 @@ def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaP
     lam = tuple(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x <= 0 for x in lam):
         raise ParameterError(f"not a partition: {lam}")
-    if len(lam) > nvars or (max_deg is not None and sum(lam) > max_deg):
-        return BetaPoly.zero(nvars, max_deg)
-
-    def compute() -> BetaPoly:
-        return _written(_basis_view("schur", lam, nvars, None), nvars)
-
-    key = ["schur", list(lam), nvars]
-    poly = CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
-    return poly.truncated(max_deg)
+    return _written(_basis_view("schur", lam, nvars, max_deg), nvars, max_deg)
 
 
 # -- tableau-defined families -------------------------------------------------
@@ -171,25 +163,24 @@ def _orbits(view: dict, nx: int) -> dict:
 
 
 def _written(view: dict, nvars: int, max_deg: int | None = None, split: int | None = None) -> BetaPoly:
-    """The polynomial in nvars variables whose view this is, written out to its orbits
-    (in each block when split after the first `split` variables)."""
-    terms = _orbits(view, nvars if split is None else split)
+    """The polynomial in nvars variables whose view this is, cut at max_deg before it is written
+    out to its orbits (in each block when split after the first `split` variables)."""
+    nx = nvars if split is None else split
+    if max_deg is not None:
+        view = {(e, b): c for (e, b), c in view.items() if sum(e[:nx]) <= max_deg and sum(e[nx:]) <= max_deg}
+    terms = _orbits(view, nx)
     if split is not None:
         terms = {(e[:split] + f, b): c for (e, b), c in terms.items() for f in _rearrangements(e[split:])}
-    return BetaPoly(nvars, terms, max_deg, split)
+    return _fitted(nvars, terms, max_deg, split)
 
 
-def _partition_terms(p: BetaPoly) -> dict:
-    """The terms of a polynomial at partition exponents, in each block when split: its view if it is symmetric."""
-    s, n = p.split or p.nvars, p.nvars
-    return {(e, b): c for (e, b), c in p.terms.items() if e[:s] == tuple(sorted(e[:s], reverse=True)) and (s == n or e[s:] == tuple(sorted(e[s:], reverse=True)))}
-
-
-def _view(p: BetaPoly) -> dict:
-    """A caller's one-alphabet polynomial by its view, once it is seen to be symmetric."""
-    if not p.is_symmetric():
-        raise NonSymmetricError("input polynomial is not symmetric")
-    return _partition_terms(p)
+def _view(p: BetaPoly, internal: bool = False) -> dict:
+    """p by its view (`BetaPoly.view`), once it is seen to be symmetric.  One that is not is a
+    usage error for a caller's polynomial, and an internal KshiftError for a computed one."""
+    view = p.view()
+    if view is None:
+        raise KshiftError("a computed polynomial is not symmetric") if internal else NonSymmetricError("input polynomial is not symmetric")
+    return view
 
 
 def _split_view(view: dict, nx: int) -> dict:
@@ -374,9 +365,9 @@ def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny
     return table
 
 
-def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int) -> BetaPoly:
-    """The dual function gp_lam or gq_lam as an exact polynomial in y."""
-    return _written(_dual_views(flavor, lam.size, nvars_y)[lam], nvars_y)
+def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int, max_deg: int | None = None) -> BetaPoly:
+    """The dual function gp_lam or gq_lam as an exact polynomial in y, cut at max_deg."""
+    return _written(_dual_views(flavor, lam.size, nvars_y)[lam], nvars_y, max_deg)
 
 
 # -- the expansion engine ------------------------------------------------------
@@ -401,7 +392,7 @@ def _basis_view(basis: str, index: tuple[int, ...], nx: int, max_deg: int | None
     gp/gq come from the dual tables, schur from Kostka numbers, and P/Q (and
     GP/GQ at a finite max_deg) from content counts: [x^nu] GP_lam is
     beta^(|nu|-|lam|) content_count(lam, nu).  Any other basis is read off the
-    partition terms of `evaluate`."""
+    view of `evaluate`."""
     size, pad = sum(index), lambda nu: nu + (0,) * (nx - len(nu))
     if basis in ("gp", "gq"):
         view = _dual_views(basis, size, nx)[StrictPartition(index)]
@@ -411,7 +402,7 @@ def _basis_view(basis: str, index: tuple[int, ...], nx: int, max_deg: int | None
         nus = (nu for d in range(size, (size if basis in ("P", "Q") else max_deg) + 1) for nu in partitions_of(d))
         view = {(pad(nu), sum(nu) - size): content_count(basis[-1] == "P", index, nu) for nu in nus if len(nu) <= nx}
     else:
-        view = _partition_terms(evaluate(basis, index, (), nx, max_deg))
+        view = _view(evaluate(basis, index, (), nx, max_deg), internal=True)
     return {(e, b): c for (e, b), c in view.items() if c and (max_deg is None or sum(e) <= max_deg)}
 
 
@@ -512,11 +503,10 @@ def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPa
     return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
 
 
-def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int) -> BetaPoly:
-    """The skew dual function; zero exactly when mu is not contained in lam."""
-    if not contains(mu, lam):
-        return BetaPoly.zero(ny, None)
-    return _written(dual_skew_table(flavor, lam, ny).get(mu, {}), ny)
+def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int, max_deg: int | None = None) -> BetaPoly:
+    """The skew dual function cut at max_deg; zero exactly when mu is not contained in lam."""
+    table = dual_skew_table(flavor, lam, ny) if contains(mu, lam) else {}
+    return _written(table.get(mu, {}), ny, max_deg)
 
 
 def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
@@ -608,8 +598,7 @@ def evaluate(
     if func in ("P", "Q"):
         return classical_pq(func, SkewShape(lam, mu), nvars, max_deg)
     if func in ("gp", "gq"):
-        dual = dual_skew(func, lam, mu, nvars) if mu.parts else dual_gp_gq(func, lam, nvars)
-        return dual.truncated(max_deg)
+        return dual_skew(func, lam, mu, nvars, max_deg) if mu.parts else dual_gp_gq(func, lam, nvars, max_deg)
     if func in ("jp", "jq"):
         return jp_jq(func, lam, mu, nvars, max_deg)
     if max_deg is None:
@@ -744,44 +733,27 @@ def symmetrization_eval(
 
 
 def gq_onerow_series(nvars: int, max_power: int, max_deg: int) -> list[BetaPoly]:
-    """Coefficients of u^-n, 0 <= n <= max_power, of the one-row series.
+    """Coefficients of u^-n, 0 <= n <= max_power, of the one-row series, cut at max_deg.
 
     The series (1/(1+beta*u)) prod_j (1+(t+beta)x_j)/(1+(t+beta)xbar_j) with
     t = u^-1 rearranges, for its positive part, to
     1 + sum over nonempty subsets T of t (t+beta)^(|T|-1)
         prod_{j in T} (2x_j + beta x_j^2) / (1 - x_j t),
-    which is expanded with exact polynomial arithmetic in t.
+    so [u^-n] is [n = 0] plus, over nonempty T, 0 <= a < |T|, S a subset of T and multisets
+    M of T with |M| = n-1-a, the terms C(|T|-1, a) 2^(|T|-|S|) beta^(|T|-1-a+|S|) x_T x_S x_M,
+    each formed only if its x-degree |T| + |S| + |M| is at most max_deg.
     """
-    N = max_power
-    zero = BetaPoly.zero(nvars, max_deg)
-    one = BetaPoly.const(nvars, 1, max_deg)
-    total = [zero] * (N + 1)
-    total[0] = one
-    if N == 0:
-        return total
-
-    def series_mul(a: list[BetaPoly], b: list[BetaPoly]) -> list[BetaPoly]:
-        out = [zero] * (N + 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if i + j > N or bj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    t_plus_beta = [one.times_beta(1), one] + [zero] * (N - 1)
-    for size in range(1, nvars + 1):
-        for subset in itertools.combinations(range(1, nvars + 1), size):
-            acc = [zero, one] + [zero] * (N - 1)  # the series "t"
-            for _ in range(size - 1):
-                acc = series_mul(acc, t_plus_beta)
-            for j in subset:
-                xj = BetaPoly.variable(j, nvars, max_deg)
-                factor = xj.scale(2) + (xj * xj).times_beta(1)
-                geom = [xj**k for k in range(N + 1)]
-                acc = series_mul(acc, [g * factor for g in geom])
-            for n in range(N + 1):
-                total[n] = total[n] + acc[n]
-    return total
+    series = [{((0,) * nvars, 0): 1}] + [{} for _ in range(max_power)]
+    for t in range(1, min(nvars, max_deg) + 1):
+        for T in itertools.combinations(range(nvars), t):
+            for s in range(min(t, max_deg - t) + 1):
+                for S in itertools.combinations(T, s):
+                    for n, a in itertools.product(range(1, max_power + 1), range(t)):
+                        if 0 <= n - 1 - a <= max_deg - t - s:
+                            for M in itertools.combinations_with_replacement(T, n - 1 - a):
+                                e = [0] * nvars
+                                for j in T + S + M:
+                                    e[j] += 1
+                                key = (tuple(e), t - 1 - a + s)
+                                series[n][key] = series[n].get(key, 0) + comb(t - 1, a) * 2 ** (t - s)
+    return [BetaPoly(nvars, terms, max_deg) for terms in series]

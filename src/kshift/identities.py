@@ -6,9 +6,10 @@ per-shape findings, because a mismatch there is a finding to surface rather
 than a test failure.  All polynomial comparisons are exact, and every
 polynomial is read through `genfun.evaluate`.  The theorem checks on symmetric
 functions (the expansions, flip, coproducts and Cauchy) read each value once
-through one reader per run (`_reader`), which tests it once for symmetry and
-keeps its view; they sum views, multiply an x-view by a y-view (`_products`)
-and compare views (`_same`), writing both sides out only for a FAIL witness.
+through one reader per run (`_reader`), which keeps its `BetaPoly.view`, the
+symmetry test and the sort in one pass; they sum views, multiply an x-view by a
+y-view (`_products`) and compare views (`_same`), writing both sides out only for
+a FAIL witness.
 An asymmetric value fails each case that reads it, and the witness names it.
 One worker, `_expansion_case`, checks the GQ-to-GP theorem in its straight,
 skew and dual forms; the Cauchy identity is checked as the skew Cauchy
@@ -28,7 +29,7 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import KshiftError, ParameterError
-from .genfun import _ell_max, _partition_terms, _split_view, _times_view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
+from .genfun import _ell_max, _split_view, _times_view, _view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel
 from .shapes import (
     EMPTY,
@@ -100,15 +101,14 @@ class _Asymmetric(Exception):
 
 def _reader() -> Callable[..., dict]:
     """The views of one check run: called as `evaluate` is, it reads each distinct value
-    once through `evaluate`, tests it once for symmetry and keeps its partition terms;
-    an asymmetric value raises `_Asymmetric` at every read."""
+    once through `evaluate`, written out at its cut, and keeps its `BetaPoly.view`, which
+    tests symmetry as it sorts; an asymmetric value raises `_Asymmetric` at every read."""
     views: dict[tuple, dict | None] = {}
 
     def view(func, outer, inner, nvars, max_deg, doubleslash=False) -> dict:
         value = (func, outer, inner, nvars, max_deg, doubleslash)
         if value not in views:
-            p = evaluate(func, outer, inner, nvars, max_deg, doubleslash=doubleslash)
-            views[value] = _partition_terms(p) if p.is_symmetric() else None
+            views[value] = evaluate(func, outer, inner, nvars, max_deg, doubleslash=doubleslash).view()
         if views[value] is None:
             raise _Asymmetric(f"{func} {outer}{'//' if doubleslash else '/'}{inner} in {nvars} variables")
         return views[value]
@@ -387,7 +387,7 @@ def check_coproducts(
         joint = _split_view(view(base, lam, EMPTY, n, 2 * max_deg), nx)
         lhs = {(e, b): c for (e, b), c in joint.items() if max(sum(e[:nx]), sum(e[nx:])) <= max_deg}
         if base != fam:
-            lhs = _partition_terms(_written(lhs, n, max_deg, nx).substitute_geometric())
+            lhs = _view(_written(lhs, n, max_deg, nx).substitute_geometric(), internal=True)
         doubleslash = fam in ("GP", "GQ", "JP", "JQ")
         rhs = _products((view(fam, nu, EMPTY, nx, max_deg), view(fam, lam, nu, ny, max_deg, doubleslash)) for nu in subshapes(lam))
         return _same(lhs, rhs, n, max_deg, nx)
@@ -433,7 +433,7 @@ def check_cauchy_family(
     _at_least(1, nx=nx, ny=ny)
     _at_least(0, max_deg=max_deg)
     kern = _cached_kernel(nx, ny, max_deg)
-    if not kern.is_symmetric():
+    if kern.view() is None:
         raise KshiftError("the Cauchy kernel is not symmetric in x and in y")
     xs, ys = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
     twisted = {name: kern.negate_vars(which) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}

@@ -11,10 +11,10 @@ A truncated product never forms a term pair that the truncation drops.
 visits only the buckets that still fit; `tensor_split` drops each factor's
 terms past max_deg before pairing.  Either way no degree is tested twice.
 
-An element of Z[beta] is a polynomial in 0 variables with max_deg None: the
-coefficient `coeff` returns, the factor `scale_by` takes, and every
-coefficient of a basis expansion.  Equality compares the number of
-variables, the split, the truncation and the terms.
+An element of Z[beta] (every coefficient of a basis expansion) is a polynomial
+in 0 variables with max_deg None.  Equality compares the number of variables,
+the split, the truncation and the terms.  `view` reads a symmetric polynomial
+by its terms at partition exponents, sorting each exponent once.
 """
 
 from __future__ import annotations
@@ -115,9 +115,6 @@ class BetaPoly:
     def __sub__(self, other: "BetaPoly") -> "BetaPoly":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "BetaPoly":
-        return self._like({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: "BetaPoly") -> "BetaPoly":
         md = self._check_compatible(other)
         buckets: dict[tuple[int, ...], list] = {}  # one bucket when nothing is dropped
@@ -149,22 +146,8 @@ class BetaPoly:
                 base = base * base
         return result
 
-    def scale(self, c: int) -> "BetaPoly":
-        return self._like({k: v * c for k, v in self.terms.items()})
-
     def times_beta(self, k: int = 1, coeff: int = 1) -> "BetaPoly":
         return self._like({(e, b + k): c * coeff for (e, b), c in self.terms.items()})
-
-    def scale_by(self, s: "BetaPoly") -> "BetaPoly":
-        """The product with s, an element of Z[beta] (a 0-variable polynomial)."""
-        if s.nvars:
-            raise NvarsMismatchError(f"scale_by needs a 0-variable factor, got {s.nvars} vars")
-        out: dict[TermKey, int] = {}
-        for (e, b), c in self.terms.items():
-            for (_e, k), v in s.terms.items():
-                key = (e, b + k)
-                out[key] = out.get(key, 0) + c * v
-        return self._like(out)
 
     # -- views and structure -----------------------------------------------
 
@@ -196,19 +179,25 @@ class BetaPoly:
     def truncated(self, max_deg: int | None) -> "BetaPoly":
         return BetaPoly(self.nvars, self.terms, max_deg, self.split)
 
-    def beta_zero(self) -> "BetaPoly":
-        """The specialization beta = 0."""
-        return self._like({(e, b): c for (e, b), c in self.terms.items() if b == 0})
-
-    def is_symmetric(self) -> bool:
-        """Invariance under permuting the variables (within each block if split):
-        every term has its orbit's sorted term's coefficient and no orbit lacks a term."""
+    def view(self) -> dict[TermKey, int] | None:
+        """The terms at partition exponents (in each block if split), or None unless the polynomial is
+        invariant under permuting the variables (within each block): each exponent is sorted once,
+        and every term must have its partition term's coefficient and no orbit may lack a term."""
         s, terms = self.split, self.terms
         blocks = [slice(None)] if s is None else [slice(None, s), slice(s, None)]
-        keys = [(tuple(sorted(e)) if s is None else tuple(sorted(e[:s])) + tuple(sorted(e[s:])), b) for e, b in terms]
+        if s is None:
+            keys = [(tuple(sorted(e, reverse=True)), b) for e, b in terms]
+        else:
+            keys = [(tuple(sorted(e[:s], reverse=True)) + tuple(sorted(e[s:], reverse=True)), b) for e, b in terms]
         if list(map(terms.get, keys)) != list(terms.values()):
-            return False
-        return all(n == math.prod(_rearrangements(e[sl]) for sl in blocks) for (e, _b), n in Counter(keys).items())
+            return None
+        orbits = Counter(keys)
+        if any(n != math.prod(_rearrangements(e[sl]) for sl in blocks) for (e, _b), n in orbits.items()):
+            return None
+        return {k: c for k, c in terms.items() if k in orbits}  # its own keys: no exponent is copied
+
+    def is_symmetric(self) -> bool:
+        return self.view() is not None
 
     # -- substitutions and evaluation ----------------------------------------
 

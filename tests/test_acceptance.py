@@ -40,6 +40,7 @@ from kshift.shapes import (
 )
 from kshift.tableaux import iter_restricted_p, iter_tableaux
 from test_genfun import recombine
+from test_polyring import beta_zero
 from test_tableaux import onerow_map, weight
 
 
@@ -80,7 +81,7 @@ def test_criterion_1_paper_expansions():
         ny = max(2, m)
         gq = dual_gp_gq("gq", delta(m), ny)
         gp = dual_gp_gq("gp", delta(m), ny)
-        ok &= gq == gp.scale(2**m)
+        ok &= gq == gp.times_beta(0, 2**m)
     elapsed = time.time() - start
     report(1, f"paper expansions reproduced exactly in {elapsed:.1f}s", ok and elapsed < 60)
 
@@ -107,9 +108,9 @@ def test_criterion_5_dual_examples():
     s2 = schur((2,), 3)
     s11 = schur((1, 1), 3)
     ok = dual_gp_gq("gp", sp(2, 1), 3) == s21 - s2.times_beta(1)
-    ok &= dual_gp_gq("gq", sp(2, 1), 3) == (s21 - s2.times_beta(1)).scale(4)
+    ok &= dual_gp_gq("gq", sp(2, 1), 3) == (s21 - s2.times_beta(1)).times_beta(0, 4)
     ok &= jp_jq("jp", sp(2, 1), EMPTY, 3) == s21 - s11.times_beta(1)
-    ok &= jp_jq("jq", sp(2, 1), EMPTY, 3) == (s21 - s11.times_beta(1)).scale(4)
+    ok &= jp_jq("jq", sp(2, 1), EMPTY, 3) == (s21 - s11.times_beta(1)).times_beta(0, 4)
     report(5, "gp/gq/jp/jq at (2,1) match their Schur forms", ok)
 
 
@@ -135,12 +136,12 @@ def test_criterion_9_beta_zero_degenerations():
         shape = straight(lam)
         p_ref = classical_pq("P", shape, 3)
         q_ref = classical_pq("Q", shape, 3)
-        ok &= gp_gq("GP", shape, 3, lam.size + 3).beta_zero() == p_ref.truncated(lam.size + 3)
-        ok &= gp_gq("GQ", shape, 3, lam.size + 3).beta_zero() == q_ref.truncated(lam.size + 3)
-        ok &= dual_gp_gq("gp", lam, 3).beta_zero() == p_ref
-        ok &= dual_gp_gq("gq", lam, 3).beta_zero() == q_ref
-        ok &= jp_jq("jp", lam, EMPTY, 3).beta_zero() == p_ref
-        ok &= jp_jq("jq", lam, EMPTY, 3).beta_zero() == q_ref
+        ok &= beta_zero(gp_gq("GP", shape, 3, lam.size + 3)) == p_ref.truncated(lam.size + 3)
+        ok &= beta_zero(gp_gq("GQ", shape, 3, lam.size + 3)) == q_ref.truncated(lam.size + 3)
+        ok &= beta_zero(dual_gp_gq("gp", lam, 3)) == p_ref
+        ok &= beta_zero(dual_gp_gq("gq", lam, 3)) == q_ref
+        ok &= beta_zero(jp_jq("jp", lam, EMPTY, 3)) == p_ref
+        ok &= beta_zero(jp_jq("jq", lam, EMPTY, 3)) == q_ref
     report(9, "beta=0 degenerations for |lambda| <= 5", ok)
 
 
@@ -163,7 +164,7 @@ def test_criterion_10_property_suites():
     # expansion round trips
     combo = gp_gq("GP", straight(sp(3, 1)), 3, 7).times_beta(1) + gp_gq(
         "GP", straight(sp(2, 1)), 3, 7
-    ).scale(-2)
+    ).times_beta(0, -2)
     exp = expand_in_basis(combo, "GP")
     ok &= exp.residual_zero and recombine(exp) == combo
     exp2 = expand_in_basis(dual_gp_gq("gq", sp(3, 1), 3), "gp")

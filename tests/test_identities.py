@@ -167,8 +167,8 @@ def test_failure_reporting_and_witness():
 def test_compare_needs_one_truncation():
     x = BetaPoly.variable(1, 2, 3)
     assert _compare(x, x) == (True, None)
-    ok, info = _compare(x, x.scale(2))
-    assert not ok and info == {"lhs": x.to_json_obj(), "rhs": x.scale(2).to_json_obj()}
+    ok, info = _compare(x, x.times_beta(0, 2))
+    assert not ok and info == {"lhs": x.to_json_obj(), "rhs": x.times_beta(0, 2).to_json_obj()}
     # equal terms cut at another degree or alphabet split are not comparable
     with pytest.raises(KshiftError):
         _compare(x, x.truncated(4))
@@ -334,7 +334,7 @@ def test_onerow_series_failure_names_the_smallest_power(monkeypatch):
 
     def wrong(nvars, max_power, max_deg):
         series = real(nvars, max_power, max_deg)
-        return series[:2] + [s.scale(3) for s in series[2:]]
+        return series[:2] + [s.times_beta(0, 3) for s in series[2:]]
 
     monkeypatch.setattr(identities, "gq_onerow_series", wrong)
     report = check_onerow_series(max_power=4, nvars=2, max_deg=6)
@@ -426,7 +426,7 @@ def faulty_evaluate(monkeypatch, fault):
 
 def test_the_cauchy_check_and_its_written_out_sweep_fail_alike(monkeypatch):
     # a symmetric fault, jq_(2) doubled: the same witness, byte for byte
-    faulty_evaluate(monkeypatch, lambda p, func, outer, inner, n, ds: p.scale(2) if (func, outer, inner) == ("jq", (2,), ()) else p)
+    faulty_evaluate(monkeypatch, lambda p, func, outer, inner, n, ds: p.times_beta(0, 2) if (func, outer, inner) == ("jq", (2,), ()) else p)
     new, ref = check_cauchy_family(), reference_cauchy()
     assert new.status == ref.status == "FAIL" and new.witness["case"] == "('a', '', '')"
     assert new.to_json() == ref.to_json()
@@ -470,7 +470,7 @@ def test_an_asymmetric_value_fails_the_smallest_case_that_reads_it(monkeypatch, 
 
 def doubled(value):
     """A symmetric fault for faulty_evaluate: the one value (func, outer, inner, nvars, doubleslash) doubled."""
-    return lambda p, *read: p.scale(2) if read == value else p
+    return lambda p, *read: p.times_beta(0, 2) if read == value else p
 
 
 # -- the expansion, flip and coproduct checks against their written-out workers -----
@@ -507,8 +507,8 @@ def reference_expansion_case(dual, outer, inner, nvars, max_deg):
             term = identities.evaluate("gp", mu, nu, nvars, max_deg)
         else:
             term = identities.evaluate("GP", lam, kappa, nvars, max_deg, doubleslash=True)
-        rhs = rhs + term.scale(sign * 2 ** (e + scale)).times_beta(d)
-    return _compare(lhs.scale(2**scale), rhs)
+        rhs = rhs + term.times_beta(0, sign * 2 ** (e + scale)).times_beta(d)
+    return _compare(lhs.times_beta(0, 2**scale), rhs)
 
 
 def reference_report(monkeypatch, check, *params):
@@ -651,6 +651,21 @@ def test_the_coproduct_check_and_its_written_out_sweep_fail_alike(monkeypatch):
     add_off_partition_term(monkeypatch, ("GP", (1,), (), 4, False), 6)
     new, ref = check_coproducts(1, 2, 2, 3), reference_coproducts(1, 2, 2, 3)
     assert new.status == ref.status == "FAIL"
+
+
+def test_an_asymmetric_substituted_coproduct_side_is_an_internal_error(monkeypatch):
+    # the JP/JQ left side is substituted after the block cut and read back to its view:
+    # a value the engine built that is not symmetric is a bug, not a usage error
+    real = BetaPoly.substitute_geometric
+
+    def lopsided(self):
+        p = real(self)
+        return BetaPoly(p.nvars, {**p.terms, ((1,) + (0,) * (p.nvars - 1), 7): 1}, p.max_deg, p.split)
+
+    monkeypatch.setattr(BetaPoly, "substitute_geometric", lopsided)
+    with pytest.raises(KshiftError) as err:
+        check_coproducts(1, 2, 2, 3)
+    assert type(err.value) is KshiftError and "not symmetric" in str(err.value)
 
 
 # the sha256 of each registered check's report at its defaults: a change that keeps

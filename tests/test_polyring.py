@@ -24,7 +24,7 @@ def test_mul_examples():
     assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     t = BetaPoly.variable(1, 1, 1)
     assert (t * t).is_zero()  # truncation at degree 1
-    assert var(1).times_beta(1) == var(1).scale_by(BetaPoly(0, {((), 1): 1}))
+    assert var(1).times_beta(1) == scale_by(var(1), BetaPoly(0, {((), 1): 1}))
 
 
 def test_equality_sees_the_split():
@@ -70,6 +70,21 @@ def coeff(p, exps):
     return BetaPoly(0, {((), b): c for (e, b), c in p.terms.items() if e == tuple(exps)})
 
 
+def scale_by(p, s):
+    """The product of p with s, an element of Z[beta] (a 0-variable polynomial)."""
+    assert s.nvars == 0
+    out = {}
+    for (e, b), c in p.terms.items():
+        for (_e, k), v in s.terms.items():
+            out[e, b + k] = out.get((e, b + k), 0) + c * v
+    return BetaPoly(p.nvars, out, p.max_deg, p.split)
+
+
+def beta_zero(p):
+    """The specialization beta = 0."""
+    return BetaPoly(p.nvars, {(e, b): c for (e, b), c in p.terms.items() if b == 0}, p.max_deg, p.split)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys, small_polys)
 def test_coefficients_are_zero_variable_polynomials(p, q):
@@ -81,7 +96,7 @@ def test_coefficients_are_zero_variable_polynomials(p, q):
         total = BetaPoly.zero(2, 6)
         for (_f, b), v in c.terms.items():
             total = total + q.times_beta(b, v)
-        assert q.scale_by(c) == total
+        assert scale_by(q, c) == total
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +214,7 @@ def test_substitute_geometric_examples():
 
 def test_substitute_geometric_beta_zero_is_identity():
     p = BetaPoly(3, {((1, 2, 0), 0): 3, ((0, 1, 1), 2): -2}, 5)
-    assert p.substitute_geometric().beta_zero() == p.beta_zero()
+    assert beta_zero(p.substitute_geometric()) == beta_zero(p)
 
 
 @st.composite
@@ -255,7 +270,7 @@ def test_cauchy_kernel_low_degrees():
 def test_cauchy_kernel_beta_zero_is_classical():
     nx = ny = 2
     D = 3
-    k0 = cauchy_kernel(nx, ny, D).beta_zero()
+    k0 = beta_zero(cauchy_kernel(nx, ny, D))
     n = nx + ny
     one = BetaPoly.const(n, 1, D, split=nx)
     expected = one
@@ -335,7 +350,13 @@ def nearly_symmetric_polys(draw):
 @settings(max_examples=200, deadline=None)
 @given(nearly_symmetric_polys() | st.integers(0, 4).flatmap(polys))
 def test_is_symmetric_matches_the_transposition_reference(p):
+    # one- and two-block polynomials: the view is None exactly when the reference
+    # says asymmetric, and otherwise it is the terms at partition exponents per block
     assert p.is_symmetric() == reference_is_symmetric(p)
+    s = p.nvars if p.split is None else p.split
+    down = lambda e: list(e) == sorted(e, reverse=True)
+    at_partitions = {(e, b): c for (e, b), c in p.terms.items() if down(e[:s]) and down(e[s:])}
+    assert p.view() == (at_partitions if reference_is_symmetric(p) else None)
 
 
 def test_sorted_terms_graded_lex():

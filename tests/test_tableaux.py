@@ -29,6 +29,7 @@ from kshift.tableaux import (
     iter_tableaux,
     marked_rows,
 )
+from test_polyring import beta_zero
 
 
 def _codes(fam, t):
@@ -173,7 +174,7 @@ def test_setvalued_beta_zero_is_single_valued():
     for lam in enumerate_strict_partitions(4):
         shape = straight(lam)
         for sv, single in (("setshyt_p", "shyt_p"), ("setshyt_q", "shyt_q")):
-            a = genfun_from_tableaux(sv, shape, 3, lam.size + 2).beta_zero()
+            a = beta_zero(genfun_from_tableaux(sv, shape, 3, lam.size + 2))
             b = genfun_from_tableaux(single, shape, 3, lam.size + 2)
             assert a == b
 
@@ -182,7 +183,7 @@ def test_q_is_power_of_two_times_p():
     for lam in enumerate_strict_partitions(4):
         p = genfun_from_tableaux("shyt_p", straight(lam), 3, None)
         q = genfun_from_tableaux("shyt_q", straight(lam), 3, None)
-        assert q == p.scale(2 ** len(lam))
+        assert q == p.times_beta(0, 2 ** len(lam))
 
 
 def test_bar_fixed_filling_weight_identity():
@@ -331,7 +332,7 @@ def test_restricted_gf_doubles_per_marked_row():
             key = (exps + (0,) * (nvars - len(exps)), size - lam.size)
             terms[key] = terms.get(key, 0) + 1
         got = BetaPoly(nvars, terms, None)
-        want = genfun_from_tableaux("setshyt_p", straight(lam), nvars, None).scale(2**marked)
+        want = genfun_from_tableaux("setshyt_p", straight(lam), nvars, None).times_beta(0, 2**marked)
         assert got == want
 
 
