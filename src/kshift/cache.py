@@ -14,7 +14,6 @@ complete document.  Results must be identical with the cache disabled.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -45,6 +44,7 @@ class MemoCache:
     def _path(self, key_str: str) -> str | None:
         if not self.directory:
             return None
+        import hashlib  # here, not at the top: only a disk cache needs it, and it is slow to import
         digest = hashlib.sha256(key_str.encode()).hexdigest()
         return os.path.join(self.directory, f"{digest}.json")
 

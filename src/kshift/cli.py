@@ -18,11 +18,9 @@ derived from the check signatures: one int flag per parameter.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import genfun, identities
 from .cache import CACHE
@@ -79,7 +77,7 @@ def _check_params() -> list[str]:
     """The parameter names of the registered checks, first appearance first."""
     names: dict[str, None] = {}
     for check in identities.CHECKS.values():
-        names.update(dict.fromkeys(inspect.signature(check).parameters))
+        names.update(dict.fromkeys(identities.check_params(check)))
     return list(names)
 
 
@@ -122,10 +120,13 @@ def _print_poly(poly: BetaPoly, fmt: str, value: Fraction | None) -> None:
 
 
 def cmd_compute(args, settings) -> int:
-    try:
-        beta = None if args.beta is None else Fraction(args.beta)
-    except ZeroDivisionError:
-        raise ParameterError(f"--beta needs a nonzero denominator, got {args.beta!r}") from None
+    beta = None
+    if args.beta is not None:
+        from fractions import Fraction  # only --beta builds a rational
+        try:
+            beta = Fraction(args.beta)
+        except ZeroDivisionError:
+            raise ParameterError(f"--beta needs a nonzero denominator, got {args.beta!r}") from None
     poly = _evaluate(args.func, args)
     _print_poly(poly, settings["format"], beta)
     return 0

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 from operator import sub
 
@@ -406,15 +404,14 @@ def _basis_view(basis: str, index: tuple[int, ...], nx: int, max_deg: int | None
     return {(e, b): c for (e, b), c in view.items() if c and (max_deg is None or sum(e) <= max_deg)}
 
 
-@dataclass
 class BasisExpansion:
     """Coefficients of an input against one family, plus the unexplained rest."""
 
-    basis: str
-    nvars: int
-    max_deg: int | None
-    coeffs: dict[tuple[int, ...], BetaPoly] = field(default_factory=dict)
-    residual: BetaPoly | None = None
+    def __init__(self, basis: str, nvars: int, max_deg: int | None,
+                 coeffs: dict[tuple[int, ...], BetaPoly] | None = None, residual: BetaPoly | None = None):
+        self.basis, self.nvars, self.max_deg = basis, nvars, max_deg
+        self.coeffs = {} if coeffs is None else coeffs
+        self.residual = residual
 
     @property
     def residual_zero(self) -> bool:
@@ -679,6 +676,7 @@ def symmetrization_eval(
     permuting only the first r coordinates with prefactor 1/r!, where r is the
     index of the last nonzero entry.
     """
+    from fractions import Fraction
     if nvars > 6:
         raise ResourceLimitError("symmetrization_eval is capped at 6 variables")
     if len(pt.coords) != nvars:

@@ -18,17 +18,14 @@ identity at mu = nu = empty.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .cache import CACHE
-from .errors import KshiftError, ParameterError
+from .errors import InvalidShapeError, KshiftError, ParameterError
 from .genfun import _ell_max, _split_view, _times_view, _view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel
 from .shapes import (
@@ -48,15 +45,11 @@ from .shapes import (
 from .tableaux import _tally, genfun_from_tableaux, marked_rows
 
 
-@dataclass
 class VerificationReport:
-    id: str
-    params: dict
-    status: str
-    cases: int
-    witness: dict | None = None
-    findings: list[dict] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    def __init__(self, id: str, params: dict, status: str, cases: int, witness: dict | None = None):
+        self.id, self.params, self.status, self.cases, self.witness = id, params, status, cases, witness
+        self.findings: list[dict] = []
+        self.notes: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -180,7 +173,7 @@ def _case_size_key(case: tuple) -> tuple:
     for field_text in case:
         try:
             key.append((0, StrictPartition.parse(field_text).sort_key()))
-        except ValueError:
+        except (InvalidShapeError, ValueError):  # a part that is no integer stays a ValueError
             key.append((1, field_text))
     return tuple(key)
 
@@ -495,6 +488,7 @@ def check_dual_expansions(max_size: int = 6, ny: int | None = None) -> Verificat
 
 
 def _random_point(rng: random.Random, nvars: int) -> RationalPoint:
+    from fractions import Fraction
     beta = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     coords = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars))
     return RationalPoint(beta, coords)
@@ -547,7 +541,7 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
             ok = got == want
             return ok, None if ok else {"point": str(pt), "formula": str(got), "tableaux": str(want)}
         b_val = symmetrization_eval("B", sp.parts, n, pt)
-        total = Fraction(0)
+        total = 0  # a Fraction after the first term: sp itself is always one of them
         for lam in vertical_strip_extensions(sp):
             e, sign, d = _expansion_term(lam, sp, EMPTY, EMPTY)
             total += sign * 2**e * pt.beta**d * symmetrization_eval("A", lam.parts, n, pt)
@@ -661,23 +655,33 @@ CHECKS: dict[str, Callable[..., VerificationReport]] = {
 }
 
 
+def check_params(check: Callable) -> dict[str, object]:
+    """{name: default} of a check's parameters, read from its code object.
+
+    A wrapper made with `functools.wraps` is read through to the function it
+    wraps.  Every registered check takes only positional-or-keyword
+    parameters, each with a default, so these are all of them.
+    """
+    while hasattr(check, "__wrapped__"):
+        check = check.__wrapped__
+    code, defaults = check.__code__, check.__defaults__ or ()
+    return dict(zip(code.co_varnames[code.co_argcount - len(defaults) : code.co_argcount], defaults))
+
+
 def run_check(check_id: str, /, **params) -> VerificationReport:
     """Run one registered check; parameters it cannot take are a ParameterError.
 
-    The parameters are checked against the signature before the call, so a
+    The parameters are checked against `check_params` before the call, so a
     TypeError raised inside a check surfaces as the internal error it is.
     """
     check = CHECKS.get(check_id)
     if check is None:
         raise ParameterError(f"unknown check id {check_id!r}; known: {sorted(CHECKS)}")
-    signature = inspect.signature(check)
-    try:
-        signature.bind(**params)
-    except TypeError as exc:
-        raise ParameterError(f"{check_id}: {exc}") from None
+    defaults = check_params(check)
     for name, value in params.items():
-        default = signature.parameters[name].default
-        if not (type(value) is int or (value is None and default is None)):
+        if name not in defaults:
+            raise ParameterError(f"{check_id}: got an unexpected keyword argument {name!r}")
+        if not (type(value) is int or (value is None and defaults[name] is None)):
             raise ParameterError(f"{check_id}: {name} must be an integer, got {value!r}")
     return check(**params)
 

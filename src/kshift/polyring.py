@@ -22,18 +22,15 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import KshiftError, NvarsMismatchError, UnboundedTruncationError
 
 TermKey = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(NamedTuple):
     """An exact evaluation point: a rational beta and rational coordinates."""
 
     beta: Fraction
@@ -196,9 +193,6 @@ class BetaPoly:
             return None
         return {k: c for k, c in terms.items() if k in orbits}  # its own keys: no exponent is copied
 
-    def is_symmetric(self) -> bool:
-        return self.view() is not None
-
     # -- substitutions and evaluation ----------------------------------------
 
     def negate_vars(self, which: Iterable[int]) -> "BetaPoly":
@@ -239,6 +233,7 @@ class BetaPoly:
             raise NvarsMismatchError(
                 f"point has {len(pt.coords)} coords, polynomial has {self.nvars} vars"
             )
+        from fractions import Fraction
         total = Fraction(0)
         for (e, b), c in self.terms.items():
             val = Fraction(c) * pt.beta**b
@@ -250,6 +245,7 @@ class BetaPoly:
 
     def specialize_beta(self, beta: Fraction) -> dict[tuple[int, ...], Fraction]:
         """Collapse beta to a rational; returns monomial -> rational coefficient."""
+        from fractions import Fraction
         out: dict[tuple[int, ...], Fraction] = {}
         for (e, b), c in self.terms.items():
             out[e] = out.get(e, Fraction(0)) + Fraction(c) * beta**b

@@ -9,28 +9,33 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidShapeError, ParameterError
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True, order=False)
 class StrictPartition:
-    """A strictly decreasing sequence of positive integers; () is empty."""
+    """A strictly decreasing sequence of positive integers; () is empty.  Hashed as (parts,)."""
 
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        p = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", p)
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        p = tuple(int(x) for x in parts)
         for i, x in enumerate(p):
             if x <= 0:
-                raise ValueError(f"parts must be positive: {p}")
+                raise InvalidShapeError(f"parts must be positive: {p}")
             if i + 1 < len(p) and p[i + 1] >= x:
-                raise ValueError(f"parts must strictly decrease: {p}")
+                raise InvalidShapeError(f"parts must strictly decrease: {p}")
+        self.parts = p
+
+    def __eq__(self, other) -> bool:
+        return self.parts == other.parts if other.__class__ is StrictPartition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"StrictPartition(parts={self.parts!r})"
 
     @classmethod
     def parse(cls, text: str) -> "StrictPartition":
@@ -72,11 +77,6 @@ class StrictPartition:
 EMPTY = StrictPartition(())
 
 
-def delta(m: int) -> StrictPartition:
-    """The staircase (m, m-1, ..., 2, 1)."""
-    return StrictPartition(tuple(range(m, 0, -1)))
-
-
 def contains(mu: StrictPartition, lam: StrictPartition) -> bool:
     """True iff mu_i <= lam_i for all i (missing parts read as 0)."""
     return len(mu) <= len(lam) and all(
@@ -84,17 +84,29 @@ def contains(mu: StrictPartition, lam: StrictPartition) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class SkewShape:
     """A pair outer/inner; valid iff inner is contained in outer.
 
     Invalid pairs are representable (their tableau sets are empty and the
     associated generating functions are zero); operations that need a genuine
-    diagram raise InvalidShapeError.
+    diagram raise InvalidShapeError.  Hashed as the tuple (outer, inner).
     """
 
-    outer: StrictPartition
-    inner: StrictPartition = EMPTY
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: StrictPartition, inner: StrictPartition = EMPTY) -> None:
+        self.outer, self.inner = outer, inner
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SkewShape:
+            return NotImplemented
+        return self.outer == other.outer and self.inner == other.inner
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.inner))
+
+    def __repr__(self) -> str:
+        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
@@ -131,8 +143,7 @@ def straight(lam: StrictPartition) -> SkewShape:
     return SkewShape(lam, EMPTY)
 
 
-@dataclass(frozen=True)
-class ShapeStats:
+class ShapeStats(NamedTuple):
     cols: int
     overlap: int
     is_vertical_strip: bool
@@ -243,7 +254,7 @@ def _shape_from_cells(cells: frozenset[Cell]) -> SkewShape:
         inner.pop()
     try:
         shape = SkewShape(StrictPartition(tuple(outer)), StrictPartition(tuple(inner)))
-    except ValueError as exc:
+    except InvalidShapeError as exc:
         raise InvalidShapeError(f"cell set is not a shifted skew diagram: {exc}")
     shape.require_valid()
     return shape

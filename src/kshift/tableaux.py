@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
@@ -57,8 +56,7 @@ def format_code(code: int) -> str:
     return f"{code_value(code)}'" if is_primed(code) else str(code_value(code))
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     """A filling of a shifted shape: (cell, codes) per cell, in reading order.
 
     `codes` is the sorted tuple of the cell's elements, a 1-tuple for
@@ -75,8 +73,7 @@ class Tableau:
         return "|".join(rows[i] for i in sorted(rows))
 
 
-@dataclass(frozen=True)
-class BarTableau:
+class BarTableau(NamedTuple):
     filling: Tableau
     blocks: tuple[tuple[Cell, ...], ...]
 

@@ -1,6 +1,10 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,31 @@ def test_verify_flags_are_the_check_parameters():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--id", "flip", "--jobs", "2"])
     assert info.value.code == 2
+
+
+FOOTPRINT = """
+import sys
+base = set(sys.modules)
+import kshift.cli
+imported = set(sys.modules) - base
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = kshift.cli.main(["compute", "--func", "JQ", "--outer", "3", "--vars", "3", "--max-deg", "5", "--format", "json"])
+print(json.dumps({"rc": rc, "import": sorted(imported), "compute": sorted(set(sys.modules) - base)}))
+"""
+
+
+def test_import_footprint():
+    # a fresh interpreter; what `site` loads at start-up is the baseline and does not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KSHIFT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["rc"] == 0
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "hashlib"} & set(got["import"])
+    # a compute without --beta and without a disk cache builds no rational and hashes no key
+    assert not {"fractions", "hashlib"} & set(got["compute"])
 
 
 def test_enumerate_examples(capsys):

@@ -45,7 +45,6 @@ from kshift.shapes import (
     SkewShape,
     StrictPartition,
     contains,
-    delta,
     doubleslash_inners,
     enumerate_strict_partitions,
     straight,

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -208,8 +210,10 @@ def test_run_check_and_registry():
     assert report.status == "PASS"
     with pytest.raises(ParameterError):
         run_check("no-such-check")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="bogus"):
         run_check("overlap-matrix", bogus=1)
+    with pytest.raises(ParameterError, match="bogus"):
+        run_check("cauchy", bogus=1)
     with pytest.raises(ParameterError):
         run_check("overlap-matrix", max_part="4")
     assert set(CHECKS) >= {
@@ -224,6 +228,26 @@ def test_run_check_and_registry():
         "onerow-series",
         "conjectures",
     }
+
+
+def test_check_params_reads_through_wraps_wrappers(monkeypatch):
+    # the bench tracer wraps every registered check this way before the CLI reads its flags
+    check = CHECKS["overlap-matrix"]
+    wrapper = functools.wraps(check)(lambda *args, **kwargs: check(*args, **kwargs))
+    twice = functools.wraps(wrapper)(lambda *args, **kwargs: wrapper(*args, **kwargs))
+    assert identities.check_params(twice) == identities.check_params(check) == {"max_part": 7}
+    monkeypatch.setitem(CHECKS, "overlap-matrix", twice)
+    assert run_check("overlap-matrix", max_part=3).status == "PASS"
+    with pytest.raises(ParameterError, match="bogus"):
+        run_check("overlap-matrix", bogus=1)
+
+
+def test_every_check_takes_only_positional_or_keyword_parameters_with_defaults():
+    # so the code object's positional names and __defaults__ are all of them
+    for check_id, check in CHECKS.items():
+        params = inspect.signature(check).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty for p in params), check_id
+        assert identities.check_params(check) == {p.name: p.default for p in params}, check_id
 
 
 def test_run_manifest():

@@ -7,7 +7,6 @@ from kshift.shapes import (
     SkewShape,
     StrictPartition,
     contains,
-    delta,
     doubleslash_inners,
     enumerate_strict_partitions,
     flip,
@@ -19,6 +18,11 @@ from kshift.shapes import (
     vertical_strip_extensions,
     vertical_strip_subsets,
 )
+
+
+def delta(m):
+    """The staircase (m, m-1, ..., 2, 1)."""
+    return StrictPartition(tuple(range(m, 0, -1)))
 
 
 def sp(*parts):
@@ -33,12 +37,25 @@ def test_contains_examples():
 
 
 def test_strict_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidShapeError, match="strictly decrease"):
         sp(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidShapeError, match="strictly decrease"):
         sp(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidShapeError, match="positive"):
         sp(0)
+
+
+def test_shapes_hash_and_compare_as_their_field_tuples():
+    # the hashes of the former dataclasses, so every set and dict order stays as it was
+    for parts in [(), (3,), (4, 2, 1)]:
+        assert hash(StrictPartition(parts)) == hash((parts,))
+        assert StrictPartition(parts) != parts and parts != StrictPartition(parts)
+        assert StrictPartition(list(parts)) == StrictPartition(parts)
+    outer, inner = sp(4, 2, 1), sp(2)
+    assert hash(SkewShape(outer, inner)) == hash((outer, inner))
+    assert SkewShape(outer, inner) == SkewShape(sp(4, 2, 1), sp(2)) != SkewShape(outer)
+    assert SkewShape(outer, inner) != (outer, inner)
+    assert repr(SkewShape(sp(1))) == "SkewShape(outer=StrictPartition(parts=(1,)), inner=StrictPartition(parts=()))"
 
 
 def test_parse_and_str_round_trip():
