@@ -248,18 +248,26 @@ def _kernel_weight(s: int, b: int) -> int:
     return (b == 0) + sum(comb(s, k) * (-1) ** b * comb(k + b - 1, b) for k in range(1, s + 1))
 
 
-_INDEX: dict[int, tuple[list, dict]] = {}
+class _Places(dict):
+    """{code: place} of the indexed partitions, and of a rearrangement once read: its bytes sorted down."""
+
+    def __missing__(self, code: int) -> int:
+        place = self[code] = self[int.from_bytes(sorted(code.to_bytes(code.bit_length() + 7 >> 3, "little"), reverse=True), "little")]
+        return place
 
 
-def _indexed(ny: int, top: int) -> tuple[list, dict]:
+_INDEX: dict[int, tuple[list, _Places]] = {}
+
+
+def _indexed(ny: int, top: int) -> tuple[list, _Places]:
     """[(lam, |lam|, its code)] for the partitions lam of at most ny parts, padded to ny, in order of size,
-    and {the code of each rearrangement of one: its place}: one pair per ny, grown in place to every size
-    <= top.  A code reads the parts (below 256) as bytes, so code(e - f) = code(e) - code(f) for f <= e."""
-    lams, slot = _INDEX.setdefault(ny, ([], {}))
+    and their `_Places`: one pair per ny, grown in place to every size <= top.  A code reads the parts
+    (below 256) as bytes, so code(e - f) = code(e) - code(f) for f <= e."""
+    lams, slot = _INDEX.setdefault(ny, ([], _Places()))
     for n in range(lams[-1][1] + 1 if lams else 0, top + 1):
         for lam in (p + (0,) * (ny - len(p)) for p in partitions_of(n) if len(p) <= ny):
-            slot.update(dict.fromkeys((int.from_bytes(bytes(e), "little") for e in _rearrangements(lam)), len(lams)))
-            lams.append((lam, n, int.from_bytes(bytes(lam), "little")))
+            slot[code := int.from_bytes(bytes(lam), "little")] = len(lams)
+            lams.append((lam, n, code))
     return lams, slot
 
 
@@ -272,7 +280,7 @@ def _kernel_row(parts: tuple[int, ...], ny: int) -> list[int]:
     the coefficient of beta^b y^f in k_d is `_kernel_weight(s, b)`, s the number of nonzero
     parts of f.  With A the product of the earlier slices, of degree m, [y^lam](A k_d) is
     sum_f A[lam - f] k_d[f] over f <= lam, n - m <= |f| <= d, n = |lam|: `_below` lists the f
-    once, and A's place of each lam - f is read off the index by its code, so nothing is sorted."""
+    once, and A's place of each lam - f is read off `_Places` by its code, sorted once if at all."""
     lams, slot = _indexed(ny, sum(parts))
     if not parts:
         return [1]

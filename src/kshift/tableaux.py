@@ -90,14 +90,16 @@ class BarTableau(NamedTuple):
 # a shared column value primed; a cell holds a set of codes, one code at budget
 # 0) or the reverse plane partition rule, cells in reading order (rows from the
 # bottom, then columns).  A cell's options depend only on the largest codes of
-# its left and below neighbours, its diagonal rule and the budget left
+# its left and below neighbours, its diagonal rule and the budget
 # (`_cell_options`).  `_fillings` lists the fillings, for `iter_tableaux` and
-# `iter_restricted_p`.  `_tally` counts them by weight without listing any
-# (the transfer-matrix method), and every generating function and count of the
-# engine reads it: it merges the partial fillings that agree on what the rest
-# of the walk reads, so its cost grows with a row's states, not the fillings.
+# `iter_restricted_p`.  `_tally` counts them by weight without listing any (the
+# transfer-matrix method; every generating function and count reads it): it merges
+# the partial fillings that agree on the largest codes the rest of the walk reads,
+# and drops one once its x-degree passes the cap (a monotone bound, Stanley EC1
+# 4.7), so its cost grows with a row's states, not the fillings.
 
 FREE, P_DIAG, MARKED = 0, 1, 2  # diagonal rules: Q, no primed element, only the largest primed
+_OPTIONS: dict[tuple, dict[tuple, dict]] = {}  # `_walk`'s folded cell options, kept per process
 
 
 def _layout(shape: SkewShape, p_flavor: bool, marked: frozenset[int]):
@@ -172,30 +174,33 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
         del rec
 
 
-def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
+def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, cap: int | None,
            bar: bool = False, marked: frozenset[int] = frozenset()) -> dict[tuple[int, ...], int]:
-    """`_walk`, memoised on all seven arguments normalised, however a caller passes them.
-    Callers share the tally: none may mutate it.  The repeats come from neighbouring
-    cases, such as one mu's count-beta1 and expansion cases, so only the last 8 tallies
-    are kept: an unbounded memo held every tally of a conjecture sweep, never read again."""
-    return _walk(shape, max_value, bool(p_flavor), bool(rpp), deg_cap, bool(bar), frozenset(marked))
+    """`_walk`, memoised on all seven arguments normalised (the cap among them), however a
+    caller passes them.  Callers share the tally: none may mutate it.  The repeats come
+    from neighbouring cases, such as one mu's count-beta1 and expansion cases, so only the
+    last 8 tallies are kept: an unbounded memo held every tally of a sweep, never read again."""
+    return _walk(shape, max_value, bool(p_flavor), bool(rpp), cap, bool(bar), frozenset(marked))
 
 
 @functools.lru_cache(maxsize=8)
-def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: int | None,
+def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, cap: int | None,
           bar: bool, marked: frozenset[int]) -> dict[tuple[int, ...], int]:
     """{exponent vector x^T padded to max_value: how many tableaux T have it}, for the
     fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.
 
-    A tableau cell adds its elements.  A cell of a reverse plane partition or a
-    bar tableau adds one unless it continues a line: holds the code of the
-    neighbour the line runs through, the left one for a primed rpp or an
-    unprimed bar entry, else the one below.  A bar tableau may cut a line there
-    too, starting a bar that adds one.  A state is (0 for a missing neighbour,
-    the largest codes of the filled cells an unfilled one reads, the budget
-    left); it holds {weight packed into one integer: count}, so a cell adds its
-    integer to each key.  Only one layer of states is held, and an uncapped
-    cell's options are not stored (see `_fillings`).
+    A tableau cell adds its elements to the x-degree |T|.  A cell of a reverse plane
+    partition or a bar tableau adds one unless it continues a line: holds the code of
+    the neighbour the line runs through, the left one for a primed rpp or an unprimed
+    bar entry, else the one below.  A bar tableau may cut a line there too, starting a
+    bar that adds one.  The cap (None: none) bounds |T| - |shape| for tableaux, as
+    deg_cap does in `_fillings`, and |T| itself for rpp and bar tableaux.  A state is
+    (0 for a missing neighbour, the largest codes of the filled cells an unfilled one
+    reads); it holds {weight packed into one integer, |T| in the bits above the values:
+    count}, so a cell adds its integer to each key, and a weight past the cap drops out.
+    Only one layer of states is held.  The cells' options, capped or not, are kept
+    folded in `_OPTIONS`: {largest code, or 0 if no later cell reads it: {integer: how
+    many options give both}}.
     """
     cells, left, below, diag = _layout(shape, p_flavor, marked)
     n = len(cells)
@@ -203,7 +208,8 @@ def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: 
     for k in range(n):
         last_read[left[k]] = last_read[below[k]] = k
     w = (2 * n).bit_length()  # bits per value: a weight entry is at most 2n
-    unit = [0] + [1 << ((code - 1) >> 1) * w for code in range(1, 2 * max_value + 1)]
+    one = 1 << max_value * w  # each element, line or block adds one to |T| here, above the values
+    unit = [0] + [one + (1 << ((code - 1) >> 1) * w) for code in range(1, 2 * max_value + 1)]
 
     def deltas(codes: tuple[int, ...], top: int, lv: int, bv: int) -> tuple[int, ...]:
         if not (rpp or bar):
@@ -212,8 +218,10 @@ def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: 
             return (unit[top],)
         return (0, unit[top]) if bar else (0,)
 
-    table: dict[tuple, list] = {}
-    layer: dict[tuple, dict[int, int]] = {(0, deg_cap): {0: 1}}
+    budget = 0 if rpp or bar else cap  # the extra elements a cell may hold
+    most = 2 * max_value * n if cap is None else cap  # no filling passes 2 max_value n
+    table = _OPTIONS.setdefault((max_value, w, rpp, bar, budget), {})
+    layer: dict[tuple, dict[int, int]] = {(0,): {0: 1}}
     live: tuple[int, ...] = ()  # the cells whose codes a state holds, in order
     for k in range(n):
         pos = {m: p for p, m in enumerate(live, 1)}
@@ -221,29 +229,26 @@ def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_cap: 
         read_later = last_read[k] > k
         live = tuple(m for m in live if last_read[m] > k) + ((k,) if read_later else ())
         keep = [pos[m] for m in live if m != k]
+        limit = (most + 1 + (0 if rpp or bar else k + 1)) * one  # a weight past the cap is dropped
         nxt: dict[tuple, dict[int, int]] = {}
         for state, partial in layer.items():
-            lv, bv, budget = state[lp], state[bp], state[-1]
-            key = (lv, bv, diag[k], budget)
-            opts = table.get(key)
+            lv, bv = state[lp], state[bp]
+            opts = table.get((lv, bv, diag[k], read_later))
             if opts is None:
-                opts = (
-                    (delta, top, extras)
-                    for codes, top, extras in _cell_options(2 * max_value, rpp, *key)
-                    for delta in deltas(codes, top, lv, bv)
-                )
-                if budget is not None:
-                    opts = table[key] = list(opts)
-            carried = tuple(state[p] for p in keep)
-            for delta, top, extras in opts:
-                after = (0, *carried, *((top,) if read_later else ()), None if budget is None else budget - extras)
-                target = nxt.get(after)
-                if target is None:
-                    target = nxt[after] = {}
-                for packed, count in partial.items():
-                    packed += delta
-                    target[packed] = target.get(packed, 0) + count
-        layer = nxt
+                opts = table[lv, bv, diag[k], read_later] = {}
+                for codes, top, _ in _cell_options(2 * max_value, rpp, lv, bv, diag[k], budget):
+                    folded = opts.setdefault(top if read_later else 0, {})
+                    for delta in deltas(codes, top, lv, bv):
+                        folded[delta] = folded.get(delta, 0) + 1
+            carried = (0, *map(state.__getitem__, keep))
+            for top, folded in opts.items():
+                target = nxt.setdefault((*carried, top) if read_later else carried, {})
+                for delta, times in folded.items():
+                    for packed, count in partial.items():
+                        packed += delta
+                        if packed < limit:
+                            target[packed] = target.get(packed, 0) + count * times
+        layer = {state: partial for state, partial in nxt.items() if partial}
     mask, out = (1 << w) - 1, {}
     for partial in layer.values():
         for packed, count in partial.items():
@@ -348,17 +353,18 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
     weighs beta^(|T| - |shape|) x^T if set-valued or single-valued, and
     (-beta)^(|shape| - |T|) x^T if a reverse plane partition or a bar tableau, x^T
     and |T| counting T's elements, lines or blocks by value as `_walk` does.  No
-    tableau is listed: `_tally` counts them by x^T, one term per exponent vector.
+    tableau is listed: `_tally` counts them by x^T, one term per exponent vector, and
+    for every family it drops a partial filling once its x-degree passes max_deg.
     """
     fam = _check_family(family)
     shape.require_valid()
     ncells = shape.size
     rpp, bar = fam.startswith("shrpp"), fam.startswith("shbt")
-    deg_cap = (None if max_deg is None else max_deg - ncells) if fam.startswith("setshyt") else 0
-    if deg_cap is not None and deg_cap < 0:
+    cap = max_deg if rpp or bar else (None if max_deg is None else max_deg - ncells) if fam.startswith("setshyt") else 0
+    if cap is not None and cap < 0:
         return BetaPoly.zero(nvars, max_deg)
     terms, signed = {}, rpp or bar
-    for exps, n in _tally(shape, nvars, fam.endswith("_p"), rpp, deg_cap, bar).items():
+    for exps, n in _tally(shape, nvars, fam.endswith("_p"), rpp, cap, bar).items():
         k = ncells - sum(exps) if signed else sum(exps) - ncells
         terms[(exps, k)] = (-1) ** k * n if signed else n
     return BetaPoly(nvars, terms, max_deg)

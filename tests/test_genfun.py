@@ -374,6 +374,16 @@ def test_kernel_views_are_the_partition_terms_of_kernel_products():
             assert kernel_view(mu.parts, ny) == partition_terms(whole), (mu, ny)
 
 
+def test_the_partition_index_keeps_only_the_codes_the_kernel_rows_read(monkeypatch):
+    # a cold table at ny 10 indexes 139 partitions and the rearrangements its kernel
+    # rows meet, not all 184,756 rearrangements of those partitions
+    monkeypatch.setattr(genfun, "_INDEX", {})
+    monkeypatch.setattr(CACHE, "_mem", {})
+    genfun._kernel_row.cache_clear()
+    dual_table("gq", 10, 10)
+    assert len(genfun._INDEX[10][1]) < 5000
+
+
 def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
     sizes, nys = range(8), (1, 3)
     monkeypatch.setattr(CACHE, "enabled", False)  # every call builds from scratch

@@ -527,8 +527,28 @@ def test_weight_tally_counts_the_padded_weights(family):
                 want[key] = want.get(key, 0) + 1
             assert weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars) == want, (shape, nvars)
             rpp, bar = family.startswith("shrpp"), family.startswith("shbt")
-            got = _tally(shape, nvars, family.endswith("_p"), rpp, 0 if deg_cap is None else deg_cap, bar)
+            got = _tally(shape, nvars, family.endswith("_p"), rpp, 0 if family.startswith("shyt") else deg_cap, bar)
             assert got == want, (shape, nvars)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_capped_tally_is_its_reference(family):
+    # the cap drops a partial filling inside the walk once its x-degree passes it: a
+    # tableau tally at cap c counts the listed set-valued tableaux with at most c extra
+    # elements (a single-valued family is walked at cap 0 only), and a reverse plane
+    # partition or bar tableau tally the uncapped tally's terms of x-degree <= c
+    p_flavor, rpp, bar = family.endswith("_p"), family.startswith("shrpp"), family.startswith("shbt")
+    for lam in enumerate_strict_partitions(5):
+        for shape in (SkewShape(lam, kappa) for kappa in subshapes(lam)):
+            for nvars in (1, 2, 3):
+                whole = _tally(shape, nvars, p_flavor, rpp, None, bar) if rpp or bar else None
+                for cap in range(1 if family.startswith("shyt") else 7):
+                    if whole is not None:
+                        want = {e: n for e, n in whole.items() if sum(e) <= cap}
+                    else:
+                        deg_cap = None if family.startswith("shyt") else cap
+                        want = weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars)
+                    assert _tally(shape, nvars, p_flavor, rpp, cap, bar) == want, (shape, nvars, cap)
 
 
 def test_tally_counts_the_prime_restricted_family():
