@@ -3,10 +3,11 @@
 Keys are JSON-serializable lists whose first element names the kind of value.
 Every key string carries SCHEMA_VERSION, so files written under an older key
 layout or algorithm are never read: bump it when a value changes meaning.
-The memory map holds live values, immutable by convention (`dual_table`
-extends its table in place and stores it again).  The `dual_table` and
-`dual_skew_table` values are tables of views, terms at partition exponents
-only, not written-out polynomials.  JSON appears only at the disk boundary,
+The memory map holds live values, immutable by convention (the dual tables
+grow in place and are stored again).  A `dual_table` value (per flavor) and a
+`dual_skew_table` value (per flavor and lam) hold a table of views per alphabet,
+terms at partition exponents only: an entry known in n variables serves ny <= n
+by restriction, and the checks read these views (`genfun.evaluate_view`).  JSON appears only at the disk boundary,
 `get` and `put`: a value is encoded when written to disk and decoded after a
 disk read.  Disk writes replace the file atomically, so readers always see a
 complete document.  Results must be identical with the cache disabled.
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Callable
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class MemoCache:
@@ -68,6 +68,7 @@ class MemoCache:
         path = self._path(key_str)
         if path:
             os.makedirs(self.directory, exist_ok=True)
+            import tempfile  # here, not at the top: only a disk write needs it, and it is slow to import
             doc = json.dumps({"key": key_str, "value": value}, sort_keys=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:

@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .polyring import BetaPoly
-from .shapes import SkewShape, StrictPartition
+from .shapes import SkewShape, StrictPartition, parse_parts
 from .tableaux import iter_tableaux
 
 FORMATS = ("text", "json")
@@ -48,6 +48,8 @@ def _load_config(path: str | None) -> dict:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"config file {path} is not UTF-8 text") from None
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -82,10 +84,7 @@ def _check_params() -> list[str]:
 
 
 def _evaluate(func: str, args) -> BetaPoly:
-    def parts(text: str) -> tuple[int, ...]:
-        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
-
-    return genfun.evaluate(func, parts(args.outer), parts(args.inner), args.vars, args.max_deg, args.doubleslash)
+    return genfun.evaluate(func, parse_parts(args.outer), parse_parts(args.inner), args.vars, args.max_deg, args.doubleslash)
 
 
 def _print_poly(poly: BetaPoly, fmt: str, value: Fraction | None) -> None:
@@ -125,8 +124,8 @@ def cmd_compute(args, settings) -> int:
         from fractions import Fraction  # only --beta builds a rational
         try:
             beta = Fraction(args.beta)
-        except ZeroDivisionError:
-            raise ParameterError(f"--beta needs a nonzero denominator, got {args.beta!r}") from None
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"--beta needs a rational number with a nonzero denominator, got {args.beta!r}") from None
     poly = _evaluate(args.func, args)
     _print_poly(poly, settings["format"], beta)
     return 0
@@ -148,7 +147,10 @@ def cmd_expand(args, settings) -> int:
 def cmd_verify(args, settings) -> int:
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            records = json.load(fh)
+            try:
+                records = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ParameterError(f"manifest {args.manifest} is not JSON: {exc}") from None
         reports = identities.run_manifest(records)
     else:
         if not args.id:
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
             "enumerate": cmd_enumerate,
         }[args.command]
         return handler(args, settings)
-    except (OSError, ValueError, InvalidShapeError, ParameterError, NonSymmetricError) as exc:
+    except (OSError, InvalidShapeError, ParameterError, NonSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, MemoryError) as exc:

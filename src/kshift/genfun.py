@@ -21,8 +21,11 @@ exponents padded to the number of variables (in each block, for one symmetric in
 x and in y apart): every rearrangement repeats them.  The dual and skew-dual
 tables store views, the one peel loop and omega map views to views, and only the
 edge writes a value out to its orbits, once and at its cut (`_written`), as `evaluate`
-returns it.  Only `BetaPoly.view` reads a polynomial back, testing symmetry as it sorts:
-a caller's polynomial, and a value a check reads.  A product of a written-out polynomial K and a view L is read at partitions too, with
+returns it.  A dual solved (or skew table peeled) in n variables serves every ny <= n by
+restriction, and every ny once n is at least its degree (`_restricted`), so none is solved
+twice or in more variables than asked.  The checks read gp/gq/jp/jq as views (`evaluate_view`);
+only `BetaPoly.view` reads a polynomial back, testing symmetry as it sorts: a caller's
+polynomial, and a GP/GQ/JP/JQ, P/Q or schur value a check reads.  A product of a written-out polynomial K and a view L is read at partitions too, with
 [x^lam](K L) = sum_e K_e L[sort(lam - e)], blockwise when split (`_times_view`): the
 Cauchy check multiplies its twisted kernels so.  The Schur world is on Kostka
 numbers, counted by the horizontal-strip rule: s_lam has the view K_{lam,nu}, and
@@ -35,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb, factorial
-from operator import sub
+from operator import ge, sub
 
 from .cache import CACHE
 from .errors import (
@@ -115,12 +118,8 @@ def gp_gq(flavor: str, shape: SkewShape, nvars: int, max_deg: int) -> BetaPoly:
     fam = {"GP": "setshyt_p", "GQ": "setshyt_q"}[flavor]
     if not shape.valid:
         return BetaPoly.zero(nvars, max_deg)
-
-    def compute() -> BetaPoly:
-        return genfun_from_tableaux(fam, shape, nvars, max_deg)
-
     key = ["gpgq", flavor, str(shape), nvars, max_deg]
-    return CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
+    return CACHE.get_or_compute(key, lambda: genfun_from_tableaux(fam, shape, nvars, max_deg), BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 
 
 def gp_gq_doubleslash(
@@ -199,18 +198,22 @@ def _split_view(view: dict, nx: int) -> dict:
 def _product_plan(exps: frozenset, blocks: tuple[int, ...], max_deg: int) -> dict:
     """{remainder: the pairs (lam, e)} over the exponents e and every lam >= e that is a
     partition of degree <= max_deg in each block, padded to the block's length, where the
-    remainder is lam - e sorted in each block."""
+    remainder is lam - e sorted in each block, combined from each block's pairs (`_above`)."""
     cuts = list(itertools.accumulate(blocks, initial=0))
-    padded = [[p + (0,) * (n - len(p)) for d in range(max_deg + 1) for p in partitions_of(d) if len(p) <= n] for n in blocks]
     plan: dict[tuple[int, ...], list] = {}
-    for parts in itertools.product(*padded):
-        lam = sum(parts, ())
-        for e in exps:
-            r = tuple(map(sub, lam, e))
-            if min(r) >= 0:
-                rest = sum((tuple(sorted(r[i:j], reverse=True)) for i, j in zip(cuts, cuts[1:])), ())
-                plan.setdefault(rest, []).append((lam, e))
+    for e in exps:
+        for pairs in itertools.product(*(_above(e[i:j], max_deg) for i, j in zip(cuts, cuts[1:]))):
+            lams, rests = zip(*pairs)
+            plan.setdefault(sum(rests, ()), []).append((sum(lams, ()), e))
     return plan
+
+
+@functools.cache
+def _above(f: tuple[int, ...], max_deg: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(lam, lam - f sorted down) for each partition lam >= f of degree <= max_deg, padded to len(f)."""
+    n = len(f)
+    padded = (p + (0,) * (n - len(p)) for d in range(sum(f), max_deg + 1) for p in partitions_of(d) if len(p) <= n)
+    return tuple((lam, tuple(sorted(map(sub, lam, f), reverse=True))) for lam in padded if all(map(ge, lam, f)))
 
 
 def _times_view(poly: BetaPoly, view: dict) -> dict:
@@ -309,13 +312,21 @@ def _prepended(x: int, f: int, s: int) -> tuple[int, int]:
     return x + (f << 8), s + (x > 0)
 
 
-def _encode_table(table: dict[StrictPartition, dict]) -> dict:
-    """A table of views indexed by strict partitions, as a cache value."""
-    return {str(mu): [[list(e), b, str(c)] for (e, b), c in view.items()] for mu, view in table.items()}
+def _encode_tables(tables: dict[int, dict]) -> dict:
+    """Tables of views, one per alphabet and indexed by strict partitions, as a cache value."""
+    return {str(n): {str(mu): [[list(e), b, str(c)] for (e, b), c in view.items()] for mu, view in table.items()} for n, table in tables.items()}
 
 
-def _decode_table(obj: dict) -> dict[StrictPartition, dict]:
-    return {StrictPartition.parse(k): {(tuple(e), b): int(c) for e, b, c in v} for k, v in obj.items()}
+def _decode_tables(obj: dict) -> dict[int, dict]:
+    return {int(n): {StrictPartition.parse(k): {(tuple(e), b): int(c) for e, b, c in v} for k, v in t.items()} for n, t in obj.items()}
+
+
+def _restricted(view: dict, n: int, ny: int) -> dict:
+    """A view in n variables read in ny.  Setting y_{ny+1}, ..., y_n to 0, a ring map on symmetric functions
+    (Macdonald I.2), drops each exponent with more than ny nonzero parts; for ny > n it pads, exact for degree <= n."""
+    if ny >= n:
+        return {(e + (0,) * (ny - n), b): c for (e, b), c in view.items()}
+    return {(e[:ny], b): c for (e, b), c in view.items() if not e[ny]}
 
 
 def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
@@ -325,55 +336,63 @@ def dual_table(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
     (respectively GP/gq) give a triangular system, solved in candidate order on the
     y-symmetric views of prod_i k_{mu_i}(y) and of each entry, with [x^mu] GQ_nu =
     beta^(|mu|-|nu|) times `tableaux.content_count` (the GP/GQ coproduct).  The
-    values are exact and do not depend on S: one table per (flavor, ny) is kept,
-    extended in place for a larger S, and a smaller S is served as the prefix
-    enumerate_strict_partitions(S).  Entries are stored as views; `dual_gp_gq`
-    writes one out.
+    values are exact and do not depend on S, and one known in n variables serves every
+    ny <= n, and every ny once n >= |mu| (`_dual_views`); a smaller S is served as the
+    prefix enumerate_strict_partitions(S).  Entries are stored as views; `dual_gp_gq`
+    writes one out, and a check reads one through `evaluate_view`.
     """
     table = _dual_views(flavor, S, ny)
     return {mu: table[mu] for mu in enumerate_strict_partitions(S)}
 
 
 def _dual_views(flavor: str, S: int, ny: int) -> dict[StrictPartition, dict]:
-    """The one kept table of (flavor, ny), extended to every |mu| <= S."""
+    """The kept table of (flavor, ny), extended to every |mu| <= S.  One cache value per flavor holds
+    a table per alphabet asked for, and only an entry that no other alphabet's table covers is solved,
+    in ny variables and never in more (`_solve_duals`)."""
     if flavor not in ("gp", "gq"):
         raise KshiftError(f"flavor must be gp or gq, got {flavor!r}")
     candidates = enumerate_strict_partitions(S)
-    key = ["dual_table", flavor, ny]
-    table = CACHE.get_or_compute(key, lambda: _solve_duals(flavor, {}, candidates, ny), _encode_table, _decode_table)
+    key = ["dual_table", flavor]
+    tables = CACHE.get_or_compute(key, dict, _encode_tables, _decode_tables)
+    table = tables.setdefault(ny, {})
     if len(table) < len(candidates):
-        CACHE.store(key, _solve_duals(flavor, table, candidates, ny), _encode_table)
+        _solve_duals(flavor, tables, candidates, ny)
+        CACHE.store(key, tables, _encode_tables)
     return table
 
 
-def _solve_duals(flavor: str, table: dict, candidates: list[StrictPartition], ny: int) -> dict:
-    """Add to table the view of each candidate it lacks, given all the earlier ones.  Each
-    entry is solved as a list over `_indexed`, as the kernel rows are, so subtracting n
-    times an earlier one is one pass over its list, with no key built or looked up."""
-    p_basis = flavor == "gq"  # gq is dual to GP, gp to GQ
+def _solve_duals(flavor: str, tables: dict[int, dict], candidates: list[StrictPartition], ny: int) -> dict:
+    """Add to the table of ny each candidate it lacks, given all the earlier ones: restricted from
+    another alphabet's table that covers it, or else solved as a list over `_indexed`, as the kernel
+    rows are, so subtracting n times an earlier one is one pass over its list, with no key built."""
+    p_basis, table = flavor == "gq", tables[ny]  # gq is dual to GP, gp to GQ
     lams = _indexed(ny, candidates[-1].size)[0]
     ends = {n: i + 1 for i, (_, n, _) in enumerate(lams)}  # the places of every size <= n
-    row = lambda mu: [table[mu].get((lam, mu.size - n), 0) for lam, n, _ in lams[: ends[mu.size]]]
-    rows = {mu: row(mu) for mu in table}
+    rows: dict[StrictPartition, list] = {}
     for i, mu in enumerate(candidates):
+        covering = [n for n, known in tables.items() if mu in known and (n > ny or n >= mu.size)]
+        if mu not in table and covering:
+            table[mu] = _restricted(tables[covering[0]][mu], covering[0], ny)
         if mu in table:
             continue
         acc = _kernel_row(mu.parts, ny)[:]
         for prev in candidates[:i]:
             n = content_count(p_basis, prev.parts, mu.parts)
             if n:
+                if prev not in rows:
+                    rows[prev] = [table[prev].get((lam, prev.size - m), 0) for lam, m, _ in lams[: ends[prev.size]]]
                 acc[: len(rows[prev])] = map(sub, acc, map(n.__mul__, rows[prev]))
         lead, expected = content_count(p_basis, mu.parts, mu.parts), (1 if p_basis else 2) ** len(mu)
         if lead != expected:
             raise KshiftError(f"triangularity failure at {mu}: leading coefficient {lead}, expected {expected}")
         table[mu] = _divided({(lam, mu.size - n): c for (lam, n, _), c in zip(lams, acc)}, expected)
-        rows[mu] = row(mu)
     return table
 
 
-def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int, max_deg: int | None = None) -> BetaPoly:
-    """The dual function gp_lam or gq_lam as an exact polynomial in y, cut at max_deg."""
-    return _written(_dual_views(flavor, lam.size, nvars_y)[lam], nvars_y, max_deg)
+def dual_gp_gq(flavor: str, lam: StrictPartition, nvars_y: int, max_deg: int | None = None, mu: StrictPartition = EMPTY) -> BetaPoly:
+    """The dual function gp_lam or gq_lam, or the skew one gp_{lam/mu} (zero exactly when mu is not
+    contained in lam), as an exact polynomial in y, cut at max_deg."""
+    return _written(_family_view(flavor, lam, mu, nvars_y, max_deg), nvars_y, max_deg)
 
 
 # -- the expansion engine ------------------------------------------------------
@@ -494,39 +513,24 @@ def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPa
     Uses the two-alphabet identity g_lam(x,y) = sum_mu g_mu(x) g_{lam/mu}(y):
     the split view of the dual over nx+ny variables, built from its view in
     the dual table, is peeled over its x-block in the same dual basis, and each
-    coefficient is a y-view.
+    coefficient is a y-view.  One cache value per (flavor, lam) holds a table per
+    alphabet; one peeled in n variables serves every ny <= n, and every ny once
+    n >= |lam| (`_restricted`), so only an alphabet none covers is peeled.
     """
-    nx = max(1, len(lam))
-    key = ["dual_skew_table", flavor, str(lam), ny]
-
-    def compute() -> dict[StrictPartition, dict]:
-        coeffs, rest = _peel(_split_view(_dual_views(flavor, lam.size, nx + ny)[lam], nx), flavor, nx, None)
-        if rest:
-            raise KshiftError(f"split expansion has a nonzero residual in basis {flavor}")
-        return {StrictPartition(idx): c for idx, c in coeffs.items()}
-
-    return CACHE.get_or_compute(key, compute, _encode_table, _decode_table)
-
-
-def dual_skew(flavor: str, lam: StrictPartition, mu: StrictPartition, ny: int, max_deg: int | None = None) -> BetaPoly:
-    """The skew dual function cut at max_deg; zero exactly when mu is not contained in lam."""
-    table = dual_skew_table(flavor, lam, ny) if contains(mu, lam) else {}
-    return _written(table.get(mu, {}), ny, max_deg)
-
-
-def omega(p: BetaPoly, max_deg: int | None = None) -> BetaPoly:
-    """The Schur involution s_lam -> s_lam' on p, cut at max_deg (default p's).
-
-    Faithful when p.nvars >= the working degree bound, since a transposed
-    index of size <= max_deg has at most max_deg rows.
-    """
-    bound = max(p.x_degrees(), default=0) if p.max_deg is None else p.max_deg
-    if p.nvars < bound:
-        raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
-    if p.split is not None:
-        raise ParameterError("omega needs a one-alphabet polynomial")
-    max_deg = max_deg if max_deg is not None else p.max_deg
-    return _written(_omega(_view(p), p.nvars, p.nvars, max_deg), p.nvars, max_deg)
+    key = ["dual_skew_table", flavor, str(lam)]
+    tables = CACHE.get_or_compute(key, dict, _encode_tables, _decode_tables)
+    if ny not in tables:
+        n = next((n for n in tables if n > ny or n >= lam.size), None)
+        if n is not None:
+            tables[ny] = {mu: v for mu, v in ((mu, _restricted(v, n, ny)) for mu, v in tables[n].items()) if v}
+        else:
+            nx = max(1, len(lam))
+            coeffs, rest = _peel(_split_view(_dual_views(flavor, lam.size, nx + ny)[lam], nx), flavor, nx, None)
+            if rest:
+                raise KshiftError(f"split expansion has a nonzero residual in basis {flavor}")
+            tables[ny] = {StrictPartition(idx): c for idx, c in coeffs.items()}
+        CACHE.store(key, tables, _encode_tables)
+    return tables[ny]
 
 
 def _omega(view: dict, n: int, nvars: int, max_deg: int | None) -> dict:
@@ -544,26 +548,26 @@ def _omega(view: dict, n: int, nvars: int, max_deg: int | None) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def jp_jq(
-    flavor: str,
-    lam: StrictPartition,
-    mu: StrictPartition = EMPTY,
-    nvars: int = 3,
-    max_deg: int | None = None,
-) -> BetaPoly:
+def _family_view(func: str, lam: StrictPartition, mu: StrictPartition, nvars: int, max_deg: int | None) -> dict:
+    """The view of gp, gq, jp or jq of lam/mu in nvars variables, cut at max_deg: gp/gq from the
+    dual or skew-dual table, and jp/jq as omega of the matching dual's view, which is faithful in
+    |lam/mu| variables."""
+    if not contains(mu, lam):
+        return {}
+    if func in ("jp", "jq"):
+        n = max(1, lam.size - mu.size)
+        return _omega(_family_view("g" + func[1], lam, mu, n, None), n, nvars, max_deg)
+    view = dual_skew_table(func, lam, nvars).get(mu, {}) if mu.parts else _dual_views(func, lam.size, nvars)[lam]
+    return view if max_deg is None else {(e, b): c for (e, b), c in view.items() if sum(e) <= max_deg}
+
+
+def jp_jq(flavor: str, lam: StrictPartition, mu: StrictPartition = EMPTY, nvars: int = 3, max_deg: int | None = None) -> BetaPoly:
     """jp or jq of lam/mu: omega of the view of the matching dual function, which
     is faithful in |lam/mu| variables, written out once in nvars variables."""
-    dual_flavor = {"jp": "gp", "jq": "gq"}[flavor]
     if not contains(mu, lam):
         return BetaPoly.zero(nvars, max_deg)
-    key = ["jpjq", flavor, str(lam), str(mu), nvars, max_deg]
-
-    def compute() -> BetaPoly:
-        n = max(1, lam.size - mu.size)
-        g = dual_skew_table(dual_flavor, lam, n).get(mu, {}) if mu.parts else _dual_views(dual_flavor, lam.size, n)[lam]
-        return _written(_omega(g, n, nvars, max_deg), nvars, max_deg)
-
-    return CACHE.get_or_compute(key, compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
+    compute = lambda: _written(_family_view(flavor, lam, mu, nvars, max_deg), nvars, max_deg)
+    return CACHE.get_or_compute(["jpjq", flavor, str(lam), str(mu), nvars, max_deg], compute, BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 
 
 # -- the one entry point from a family name ------------------------------------
@@ -603,7 +607,7 @@ def evaluate(
     if func in ("P", "Q"):
         return classical_pq(func, SkewShape(lam, mu), nvars, max_deg)
     if func in ("gp", "gq"):
-        return dual_skew(func, lam, mu, nvars, max_deg) if mu.parts else dual_gp_gq(func, lam, nvars, max_deg)
+        return dual_gp_gq(func, lam, nvars, max_deg, mu)
     if func in ("jp", "jq"):
         return jp_jq(func, lam, mu, nvars, max_deg)
     if max_deg is None:
@@ -614,6 +618,15 @@ def evaluate(
     else:
         poly = gp_gq(base, SkewShape(lam, mu), nvars, max_deg)
     return poly if base == func else poly.substitute_geometric()
+
+
+def evaluate_view(func: str, outer, inner=(), nvars: int = 3, max_deg: int | None = None, doubleslash: bool = False) -> dict | None:
+    """The view of `evaluate`'s value, or None when that value is not symmetric: the theorem checks
+    read every value here.  gp/gq/jp/jq are read as views cut at max_deg (`_family_view`), never
+    written out; any other value, or a request `evaluate` refuses, goes through `evaluate`."""
+    if func in ("gp", "gq", "jp", "jq") and not doubleslash and nvars >= 1 and (max_deg or 0) >= 0:
+        return _family_view(func, StrictPartition(tuple(outer)), StrictPartition(tuple(inner)), nvars, max_deg)
+    return evaluate(func, outer, inner, nvars, max_deg, doubleslash).view()
 
 
 def structure_constants(

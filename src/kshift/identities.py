@@ -4,12 +4,12 @@ Every check returns a VerificationReport.  Theorem checks use PASS/FAIL with a
 reproducible witness on failure; conjecture checks use MATCH/MISMATCH and keep
 per-shape findings, because a mismatch there is a finding to surface rather
 than a test failure.  All polynomial comparisons are exact, and every
-polynomial is read through `genfun.evaluate`.  The theorem checks on symmetric
-functions (the expansions, flip, coproducts and Cauchy) read each value once
-through one reader per run (`_reader`), which keeps its `BetaPoly.view`, the
-symmetry test and the sort in one pass; they sum views, multiply an x-view by a
-y-view (`_products`) and compare views (`_same`), writing both sides out only for
-a FAIL witness.
+polynomial is read through `genfun.evaluate` or `genfun.evaluate_view`.  The theorem
+checks on symmetric functions (the expansions, flip, coproducts and Cauchy) read each
+value once through one reader per run (`_reader`): gp/gq/jp/jq as the engine's views,
+any other value by `BetaPoly.view`, the symmetry test and the sort in one pass; they
+sum views, multiply an x-view by a y-view (`_products`) and compare views (`_same`),
+writing both sides out only for a FAIL witness.
 An asymmetric value fails each case that reads it, and the witness names it.
 One worker, `_expansion_case`, checks the GQ-to-GP theorem in its straight,
 skew and dual forms; the Cauchy identity is checked as the skew Cauchy
@@ -26,7 +26,7 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import InvalidShapeError, KshiftError, ParameterError
-from .genfun import _ell_max, _split_view, _times_view, _view, _written, evaluate, gq_onerow_series, structure_constants, symmetrization_eval
+from .genfun import _ell_max, _split_view, _times_view, _view, _written, evaluate, evaluate_view, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel
 from .shapes import (
     EMPTY,
@@ -94,14 +94,14 @@ class _Asymmetric(Exception):
 
 def _reader() -> Callable[..., dict]:
     """The views of one check run: called as `evaluate` is, it reads each distinct value
-    once through `evaluate`, written out at its cut, and keeps its `BetaPoly.view`, which
-    tests symmetry as it sorts; an asymmetric value raises `_Asymmetric` at every read."""
+    once through `evaluate_view`, at its cut, whose views of written-out values test symmetry
+    as they sort; an asymmetric value raises `_Asymmetric` at every read."""
     views: dict[tuple, dict | None] = {}
 
     def view(func, outer, inner, nvars, max_deg, doubleslash=False) -> dict:
         value = (func, outer, inner, nvars, max_deg, doubleslash)
         if value not in views:
-            views[value] = evaluate(func, outer, inner, nvars, max_deg, doubleslash=doubleslash).view()
+            views[value] = evaluate_view(func, outer, inner, nvars, max_deg, doubleslash)
         if views[value] is None:
             raise _Asymmetric(f"{func} {outer}{'//' if doubleslash else '/'}{inner} in {nvars} variables")
         return views[value]
@@ -173,7 +173,7 @@ def _case_size_key(case: tuple) -> tuple:
     for field_text in case:
         try:
             key.append((0, StrictPartition.parse(field_text).sort_key()))
-        except (InvalidShapeError, ValueError):  # a part that is no integer stays a ValueError
+        except InvalidShapeError:
             key.append((1, field_text))
     return tuple(key)
 
@@ -703,7 +703,7 @@ def run_manifest(records: list) -> list[VerificationReport]:
             if not isinstance(params, dict):
                 raise ParameterError('"params" must be a JSON object')
             reports.append(run_check(check_id, **params))
-        except (KshiftError, ValueError) as exc:
+        except KshiftError as exc:
             label = "?" if check_id is None else str(check_id)
             reports.append(VerificationReport(label, params, "ERROR", 0, {"error": str(exc)}))
     return reports

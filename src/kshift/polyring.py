@@ -170,9 +170,6 @@ class BetaPoly:
         top = max((b for (_e, b) in self.terms), default=-1)
         return [self.terms.get(((), k), 0) for k in range(top + 1)]
 
-    def x_degrees(self) -> set[int]:
-        return {sum(e) for (e, _b) in self.terms}
-
     def truncated(self, max_deg: int | None) -> "BetaPoly":
         return BetaPoly(self.nvars, self.terms, max_deg, self.split)
 

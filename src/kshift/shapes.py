@@ -16,6 +16,14 @@ from .errors import InvalidShapeError, ParameterError
 Cell = tuple[int, int]
 
 
+def parse_parts(text: str) -> tuple[int, ...]:
+    """The parts of "4,2,1"; "" has none.  A part that is not an integer is an InvalidShapeError."""
+    try:
+        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise InvalidShapeError(f"parts must be integers: {text!r}") from None
+
+
 class StrictPartition:
     """A strictly decreasing sequence of positive integers; () is empty.  Hashed as (parts,)."""
 
@@ -40,10 +48,7 @@ class StrictPartition:
     @classmethod
     def parse(cls, text: str) -> "StrictPartition":
         """Parse the comma-separated form, e.g. "4,2,1"; "" is empty."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(t) for t in text.split(",")))
+        return cls(parse_parts(text))
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
@@ -233,7 +238,7 @@ def _shape_from_cells(cells: frozenset[Cell]) -> SkewShape:
     both partitions strict.
     """
     if not cells:
-        raise ValueError("cannot reconstruct an empty shape")
+        raise InvalidShapeError("cannot reconstruct an empty shape")
     top = max(i for i, _ in cells)
     outer = [0] * top
     inner = [0] * top

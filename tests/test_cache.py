@@ -72,29 +72,40 @@ def test_a_file_holding_no_json_object_is_a_miss(tmp_path):
 
 def test_a_value_that_does_not_decode_is_a_miss(tmp_path):
     # a junk polynomial, a term with no "coeff", and a list under a table key
-    poly, table = ["gpgq", "GQ", "1/", 1, 2], ["dual_table", "gq", 1]
+    poly, table = ["gpgq", "GQ", "1/", 1, 2], ["dual_table", "gq"]
     no_coeff = {"vars": 1, "terms": [{"exps": [1], "beta": 0}]}
     for key, value in ((poly, "junk"), (poly, no_coeff), (table, [1, 2])):
         MemoCache(str(tmp_path)).put(key, value)
-        decode = genfun._decode_table if key is table else BetaPoly.from_json_obj
+        decode = genfun._decode_tables if key is table else BetaPoly.from_json_obj
         assert MemoCache(str(tmp_path)).get_or_compute(key, lambda: "fresh", decode=decode) == "fresh", value
         assert MemoCache(str(tmp_path)).get(key) == "fresh", value  # the miss rewrote the entry
 
 
 def test_a_dual_table_in_the_previous_layout_is_never_read(tmp_path, monkeypatch):
-    # schema 2 stored each dual-table entry written out in full; schema 3 stores
-    # views, so a file in the old layout must be a miss, never decoded or served
-    key = ["dual_table", "gq", 2]
-    old_key = json.dumps([2, key], sort_keys=True, separators=(",", ":"))
-    old_path = tmp_path / f"{hashlib.sha256(old_key.encode()).hexdigest()}.json"
-    wrong = BetaPoly.const(2, 7).to_json_obj()
-    old_text = json.dumps({"key": old_key, "value": {"": wrong, "1": wrong, "2": wrong, "2,1": wrong}})
-    old_path.write_text(old_text, encoding="utf-8")
+    # schema 3 kept one table of views per (flavor, ny) and one skew table per
+    # (flavor, lam, ny); schema 4 keeps every alphabet's table in one value per
+    # flavor (per flavor and lam), so a file in the old layout must be a miss,
+    # never decoded or served
+    wrong = [[[7, 7], 0, "7"]]
+    old = {
+        ("dual_table", "gq", 2): {"": wrong, "1": wrong, "2": wrong, "2,1": wrong},
+        ("dual_skew_table", "gq", "2,1", 2): {"": wrong, "1": wrong, "2": wrong, "2,1": wrong},
+    }
+    texts = {}
+    for key, value in old.items():
+        old_key = json.dumps([3, list(key)], sort_keys=True, separators=(",", ":"))
+        path = tmp_path / f"{hashlib.sha256(old_key.encode()).hexdigest()}.json"
+        texts[path] = json.dumps({"key": old_key, "value": value})
+        path.write_text(texts[path], encoding="utf-8")
+    lam = StrictPartition((2, 1))
     monkeypatch.setattr(CACHE, "enabled", False)
-    fresh = genfun.dual_table("gq", 3, 2)
+    fresh, fresh_skew = genfun.dual_table("gq", 3, 2), genfun.dual_skew_table("gq", lam, 2)
     monkeypatch.setattr(CACHE, "enabled", True)
     monkeypatch.setattr(CACHE, "_mem", {})
     monkeypatch.setattr(CACHE, "directory", str(tmp_path))
     assert genfun.dual_table("gq", 3, 2) == fresh
-    assert old_path.read_text(encoding="utf-8") == old_text
-    assert MemoCache(str(tmp_path)).get(key) == genfun._encode_table(fresh)
+    assert genfun.dual_skew_table("gq", lam, 2) == fresh_skew
+    assert all(path.read_text(encoding="utf-8") == text for path, text in texts.items())
+    disk = MemoCache(str(tmp_path))
+    assert genfun._decode_tables(disk.get(["dual_table", "gq"]))[2] == fresh
+    assert disk.get(["dual_skew_table", "gq", "2,1"]) == genfun._encode_tables({2: fresh_skew})

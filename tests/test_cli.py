@@ -149,7 +149,7 @@ def test_import_footprint():
     done = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
     assert got["rc"] == 0
-    assert not {"dataclasses", "inspect", "fractions", "decimal", "hashlib"} & set(got["import"])
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "tempfile"} & set(got["import"])
     # a compute without --beta and without a disk cache builds no rational and hashes no key
     assert not {"fractions", "hashlib"} & set(got["compute"])
 
@@ -174,6 +174,34 @@ def test_usage_errors_exit_2(capsys):
     assert main(["enumerate", "--family", "nope", "--outer", "1", "--max-value", "1"]) == 2
     assert main(["verify"]) == 2  # neither --id nor --manifest
     assert main(["compute", "--func", "GQ", "--outer", "1", "--beta", "1/0"]) == 2  # a zero denominator
+    assert main(["compute", "--func", "GQ", "--outer", "1", "--beta", "one"]) == 2  # not a rational
+
+
+@pytest.mark.parametrize("outer, inner", [("a", ""), ("3,2", "1,x")])
+def test_a_part_that_is_not_an_integer_is_a_usage_error(capsys, outer, inner):
+    code = main(["compute", "--func", "GQ", "--outer", outer, "--inner", inner, "--vars", "2", "--max-deg", "5"])
+    assert code == 2 and "parts must be integers" in capsys.readouterr().err
+    assert main(["enumerate", "--family", "shyt-q", "--outer", "a", "--max-value", "1"]) == 2
+
+
+def test_unreadable_manifest_and_config_are_usage_errors(tmp_path, capsys):
+    manifest, config = tmp_path / "manifest.json", tmp_path / "kshift.conf"
+    manifest.write_text("[{", encoding="utf-8")
+    config.write_bytes(b"format=\xff\n")
+    assert main(["verify", "--manifest", str(manifest)]) == 2
+    assert main(["--config", str(config), "compute", "--func", "GP", "--outer", "1", "--vars", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "is not JSON" in err and "is not UTF-8 text" in err
+
+
+def test_a_value_error_inside_a_handler_is_not_a_usage_error(monkeypatch):
+    # a plain ValueError is an internal fault: it surfaces, never exit 2
+    def broken(args, settings):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_compute", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["compute", "--func", "GQ", "--outer", "1", "--vars", "1", "--max-deg", "2"])
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import inspect
 import itertools
+import json
 import os
+import random
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,6 @@ from kshift.genfun import (
     _peel,
     classical_pq,
     dual_gp_gq,
-    dual_skew,
     dual_skew_table,
     dual_table,
     evaluate,
@@ -32,7 +34,6 @@ from kshift.genfun import (
     gp_gq_doubleslash,
     gq_onerow_series,
     jp_jq,
-    omega,
     partitions_of,
     schur,
     structure_constants,
@@ -50,11 +51,17 @@ from kshift.shapes import (
     straight,
     subshapes,
 )
+from kshift.tableaux import content_count
 from test_polyring import beta_zero, coeff, scale_by
 
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
+
+
+def dual_skew(flavor, lam, mu, ny, max_deg=None):
+    """The skew dual gp_{lam/mu} (or gq) written out: `dual_gp_gq` at the inner shape mu."""
+    return dual_gp_gq(flavor, lam, ny, max_deg, mu)
 
 
 def divide_exact(p, d):
@@ -406,7 +413,116 @@ def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
     served(tmp_path / "disk", [7])  # a table read from disk, then extended
     served(tmp_path / "disk", sizes)  # every size a prefix of the table on disk
     for name in ("up", "down", "disk"):
-        assert len(list((tmp_path / name).glob("*.json"))) == 2 * len(nys)
+        # one file per flavor, holding one table per alphabet asked for
+        files = list((tmp_path / name).glob("*.json"))
+        assert len(files) == 2
+        assert all(set(genfun._decode_tables(json.loads(f.read_text())["value"])) == set(nys) for f in files)
+
+
+def per_alphabet_duals(flavor, S, ny):
+    """The per-alphabet solve the engine had before it restricted across alphabets: every
+    entry with |mu| <= S solved in ny variables, in candidate order, from the kernel rows
+    and all the earlier entries of the same alphabet."""
+    p_basis = flavor == "gq"
+    candidates = enumerate_strict_partitions(S)
+    lams = genfun._indexed(ny, S)[0]
+    table, rows = {}, {}
+    for i, mu in enumerate(candidates):
+        acc = genfun._kernel_row(mu.parts, ny)[:]
+        for prev in candidates[:i]:
+            n = content_count(p_basis, prev.parts, mu.parts)
+            if n:
+                acc[: len(rows[prev])] = map(sub, acc, map(n.__mul__, rows[prev]))
+        table[mu] = genfun._divided({(lam, mu.size - n): c for (lam, n, _), c in zip(lams, acc)}, 1 if p_basis else 2 ** len(mu))
+        rows[mu] = [table[mu].get((lam, mu.size - n), 0) for lam, n, _ in lams if n <= mu.size]
+    return table
+
+
+def per_alphabet_skew(flavor, lam, ny):
+    """The skew-dual table peeled in ny variables from the per-alphabet solve."""
+    nx = max(1, len(lam))
+    coeffs, rest = _peel(genfun._split_view(per_alphabet_duals(flavor, lam.size, nx + ny)[lam], nx), flavor, nx, None)
+    assert not rest
+    return {StrictPartition(index): c for index, c in coeffs.items()}
+
+
+def spy_solves(monkeypatch):
+    """[(flavor, mu, ny)] of each dual-table entry solved and [(flavor, lam, ny)] of each skew table peeled."""
+    solved, peeled = [], []
+    real_divided, real_peel = genfun._divided, genfun._peel
+
+    def divided(view, d):
+        frame = inspect.currentframe().f_back
+        if frame.f_code.co_name == "_solve_duals":
+            solved.append((frame.f_locals["flavor"], frame.f_locals["mu"], frame.f_locals["ny"]))
+        return real_divided(view, d)
+
+    def peel(view, basis, nx, max_deg):
+        frame = inspect.currentframe().f_back
+        if frame.f_code.co_name == "dual_skew_table":
+            peeled.append((basis, frame.f_locals["lam"], frame.f_locals["ny"]))
+        return real_peel(view, basis, nx, max_deg)
+
+    monkeypatch.setattr(genfun, "_divided", divided)
+    monkeypatch.setattr(genfun, "_peel", peel)
+    return solved, peeled
+
+
+def request_orders(requests, key=None):
+    """The requests in ascending, descending and one interleaved order (by key)."""
+    interleaved = sorted(requests, key=lambda r: (hash(r) * 2654435761) % 1000003)
+    return {"ascending": sorted(requests, key=key), "descending": sorted(requests, key=key, reverse=True), "interleaved": interleaved}
+
+
+def assert_covered_once(done, size):
+    """Each solve or peel is at an alphabet that no earlier one of the same entry covers:
+    an earlier one in n variables covers every ny <= n, and every ny once n >= its size."""
+    for i, (flavor, index, ny) in enumerate(done):
+        earlier = [n for f, j, n in done[:i] if (f, j) == (flavor, index)]
+        assert not [n for n in earlier if n >= ny or n >= size(index)], (flavor, index, ny, earlier)
+
+
+@pytest.mark.parametrize("flavor", ["gp", "gq"])
+def test_dual_tables_restricted_across_alphabets_are_the_per_alphabet_solve(monkeypatch, flavor):
+    want = {ny: per_alphabet_duals(flavor, 8, ny) for ny in range(1, 9)}
+    requests = [(ny, S) for ny in range(1, 9) for S in range(9)]
+    for name, order in request_orders(requests).items():
+        monkeypatch.setattr(CACHE, "_mem", {})
+        solved, _ = spy_solves(monkeypatch)
+        for ny, S in order:
+            table = dual_table(flavor, S, ny)
+            assert list(table) == enumerate_strict_partitions(S)
+            assert table == {mu: want[ny][mu] for mu in table}, (name, S, ny)
+        assert_covered_once(solved, lambda mu: mu.size)
+        if name == "descending":  # the first request of each entry covers every later one
+            assert len(solved) == len(set(solved)) == len(enumerate_strict_partitions(8)), name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("flavor", ["gp", "gq"])
+def test_skew_tables_restricted_across_alphabets_are_the_per_alphabet_peel(monkeypatch, flavor):
+    lams = [lam for lam in enumerate_strict_partitions(6) if lam.parts]
+    want = {(lam, ny): per_alphabet_skew(flavor, lam, ny) for lam in lams for ny in range(1, 9)}
+    for name, order in request_orders(list(want), key=lambda r: (r[1], r[0].sort_key())).items():
+        monkeypatch.setattr(CACHE, "_mem", {})
+        _, peeled = spy_solves(monkeypatch)
+        for lam, ny in order:
+            assert dual_skew_table(flavor, lam, ny) == want[lam, ny], (name, lam, ny)
+        assert_covered_once(peeled, lambda lam: lam.size)
+        monkeypatch.undo()
+
+
+def test_the_default_cauchy_check_solves_each_dual_entry_once(monkeypatch):
+    # 16 (flavor, ny) tables and 224 entry solves per process before restriction
+    from kshift import identities
+
+    monkeypatch.setattr(CACHE, "_mem", {})
+    genfun._basis_view.cache_clear()
+    solved, peeled = spy_solves(monkeypatch)
+    assert identities.check_cauchy_family().ok
+    assert len(solved) == len({(f, mu) for f, mu, _ in solved}) == 28
+    assert_covered_once(solved, lambda mu: mu.size)
+    assert_covered_once(peeled, lambda lam: lam.size)
 
 
 def test_dual_table_reads_no_whole_polynomial(monkeypatch):
@@ -566,23 +682,22 @@ def test_basis_views_are_the_partition_terms_of_the_written_out_elements():
 
 
 def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
-    # every engine value is a view by construction: no view is read back in
-    # genfun, and the peel builds no closed-form basis element written out; the
-    # check itself reads each distinct value it reads once, and the kernel once
+    # every engine value is a view by construction: gp/gq/jp/jq reach the check as
+    # views, never written out and read back, and the peel builds no closed-form
+    # basis element written out; only the GP/GQ/JP/JQ values the check reads pass
+    # through `evaluate` and `BetaPoly.view`, each distinct one once, and the kernel once
     from kshift import identities
 
     real_view = BetaPoly.view
     tested = []
 
     def view(self):
-        caller = inspect.currentframe().f_back.f_code.co_filename
-        if os.path.basename(caller) == "genfun.py":
-            raise AssertionError("an engine value was read back to its view")
-        tested.append(caller)
+        caller = inspect.currentframe().f_back.f_code
+        tested.append((os.path.basename(caller.co_filename), caller.co_name))
         return real_view(self)
 
     built, read = [], set()
-    real = genfun.evaluate
+    real, real_read = genfun.evaluate, identities.evaluate_view
 
     def evaluate_spy(func, *args, **kwargs):
         built.append(func)
@@ -590,17 +705,18 @@ def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
 
     def read_spy(func, outer, inner, nvars, max_deg, doubleslash=False):
         read.add((func, tuple(outer), tuple(inner), nvars, max_deg, doubleslash))
-        return real(func, outer, inner, nvars, max_deg, doubleslash)
+        return real_read(func, outer, inner, nvars, max_deg, doubleslash)
 
     monkeypatch.setattr(BetaPoly, "view", view)
     monkeypatch.setattr(genfun, "evaluate", evaluate_spy)
-    monkeypatch.setattr(identities, "evaluate", read_spy)
+    monkeypatch.setattr(identities, "evaluate_view", read_spy)
     monkeypatch.setattr(CACHE, "_mem", {})
     genfun._basis_view.cache_clear()
     assert identities.check_cauchy_family().ok
-    assert not set(built) & set(CLOSED_FORMS), built
-    assert len(read) == 268 and len(tested) == len(read) + 1
-    assert {os.path.basename(f) for f in tested} == {"identities.py"}
+    written_out = sorted(func for func, *_ in read if func in ("GP", "GQ", "JP", "JQ"))
+    assert len(read) == 268 and len(written_out) == 112
+    assert sorted(built) == written_out
+    assert sorted(tested) == [("genfun.py", "evaluate_view")] * len(written_out) + [("identities.py", "check_cauchy_family")]
 
 
 def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):
@@ -615,6 +731,19 @@ def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkey
 
 
 # -- omega and the j/J families --------------------------------------------------------
+
+
+def omega(p, max_deg=None):
+    """The Schur involution s_lam -> s_lam' on a written-out p, cut at max_deg (default p's),
+    through the engine's view-level `_omega`: faithful when p.nvars >= the degree bound, since
+    a transposed index of size <= max_deg has at most max_deg rows."""
+    bound = max((sum(e) for e, _b in p.terms), default=0) if p.max_deg is None else p.max_deg
+    if p.nvars < bound:
+        raise ParameterError(f"omega needs nvars >= degree bound ({p.nvars} < {bound})")
+    if p.split is not None:
+        raise ParameterError("omega needs a one-alphabet polynomial")
+    max_deg = max_deg if max_deg is not None else p.max_deg
+    return genfun._written(_omega(genfun._view(p), p.nvars, p.nvars, max_deg), p.nvars, max_deg)
 
 
 def test_omega_examples():
@@ -686,6 +815,33 @@ def test_the_product_at_partitions_is_the_partition_part_of_the_product(product)
         assert genfun._times_view(kernel, view) == partition_terms(kernel * written(view, n, kernel.max_deg))
     else:
         assert genfun._times_view(kernel, view) == split_view(kernel * written_split(view, n, nx, kernel.max_deg), nx)
+
+
+def reference_product_plan(exps, blocks, max_deg):
+    """The plan of `genfun._product_plan` by testing every (lam, e) pair: lam over every
+    product of block partitions of degree <= max_deg, each padded to its block's length."""
+    cuts = list(itertools.accumulate(blocks, initial=0))
+    padded = [[p + (0,) * (n - len(p)) for d in range(max_deg + 1) for p in partitions_of(d) if len(p) <= n] for n in blocks]
+    plan = {}
+    for parts in itertools.product(*padded):
+        lam = sum(parts, ())
+        for e in exps:
+            r = tuple(map(sub, lam, e))
+            if min(r) >= 0:
+                rest = sum((tuple(sorted(r[i:j], reverse=True)) for i, j in zip(cuts, cuts[1:])), ())
+                plan.setdefault(rest, []).append((lam, e))
+    return plan
+
+
+@pytest.mark.parametrize("blocks", [(n,) for n in (1, 2, 3)] + list(itertools.product((1, 2, 3), repeat=2)))
+def test_the_blockwise_product_plan_is_the_pairwise_plan(blocks):
+    # exponents in each block of degree <= max_deg (not only partitions), one seeded sample per max_deg
+    rng = random.Random(sum(blocks) * 10 + len(blocks))
+    for max_deg in range(7):
+        block_exps = [[e for e in itertools.product(range(max_deg + 1), repeat=n) if sum(e) <= max_deg] for n in blocks]
+        exps = frozenset(sum((rng.choice(b) for b in block_exps), ()) for _ in range(30)) | {(0,) * sum(blocks)}
+        got, want = genfun._product_plan(exps, blocks, max_deg), reference_product_plan(exps, blocks, max_deg)
+        assert {r: sorted(pairs) for r, pairs in got.items()} == {r: sorted(pairs) for r, pairs in want.items()}, (blocks, max_deg)
 
 
 @st.composite

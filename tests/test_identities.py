@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kshift import cache, identities
+from kshift import cache, genfun, identities
 from kshift.errors import KshiftError, ParameterError
 from kshift.identities import (
     CHECKS,
@@ -275,7 +275,7 @@ def test_run_check_lets_internal_type_errors_surface(monkeypatch):
     [
         {"params": {"max_part": 3}},  # no id
         {"id": "overlap-matrix", "params": [3]},  # params not an object
-        {"id": "flip", "params": {"max_size": -1}},  # the check raises ValueError
+        {"id": "flip", "params": {"max_size": -1}},  # the check raises ParameterError
         {"id": "overlap-matrix", "params": {"max_part": "3"}},  # not an integer
         "overlap-matrix",  # not a record
     ],
@@ -286,6 +286,21 @@ def test_run_manifest_bad_record_is_its_own_error(bad):
     assert [r.status for r in reports] == ["PASS", "ERROR", "PASS"]
     assert reports[1].cases == 0 and reports[1].witness["error"]
     json.loads(reports[1].to_json())
+
+
+def test_run_manifest_lets_internal_value_errors_surface(monkeypatch):
+    # only kshift errors make an ERROR report; a plain ValueError is a bug and surfaces
+    def broken(max_part=7):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(identities.CHECKS, "overlap-matrix", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run_manifest([{"id": "overlap-matrix", "params": {"max_part": 3}}])
+
+
+def test_case_fields_that_are_no_partition_sort_after_the_partitions():
+    key = identities._case_size_key
+    assert key(("2,1", "a,b", "expansion")) == ((0, StrictPartition.parse("2,1").sort_key()), (1, "a,b"), (1, "expansion"))
 
 
 def test_run_manifest_needs_a_list():
@@ -438,14 +453,24 @@ def test_the_cauchy_check_matches_its_written_out_sweep(params):
 
 
 def faulty_evaluate(monkeypatch, fault):
-    """Make identities.evaluate return fault(value, func, outer, inner, nvars, doubleslash)."""
-    real = identities.evaluate
+    """Inject fault(value, func, outer, inner, nvars, doubleslash), a written-out value to a
+    written-out value, at both seams: identities.evaluate, which the written-out references read,
+    returns the faulted value, and identities.evaluate_view, which the checks read, the view of the
+    faulted value (None when it is not symmetric) and the real view of any value the fault leaves."""
+    real, real_view = identities.evaluate, identities.evaluate_view
 
     def evaluate(func, outer, inner=(), nvars=3, max_deg=None, doubleslash=False):
         value = real(func, outer, inner, nvars, max_deg, doubleslash)
         return fault(value, func, tuple(outer), tuple(inner), nvars, doubleslash)
 
+    def evaluate_view(func, outer, inner=(), nvars=3, max_deg=None, doubleslash=False):
+        view = real_view(func, outer, inner, nvars, max_deg, doubleslash)
+        value = genfun._written(view, nvars, max_deg)
+        faulted = fault(value, func, tuple(outer), tuple(inner), nvars, doubleslash)
+        return view if faulted is value else faulted.view()
+
     monkeypatch.setattr(identities, "evaluate", evaluate)
+    monkeypatch.setattr(identities, "evaluate_view", evaluate_view)
 
 
 def test_the_cauchy_check_and_its_written_out_sweep_fail_alike(monkeypatch):
@@ -462,8 +487,8 @@ def test_the_cauchy_check_and_its_written_out_sweep_fail_alike(monkeypatch):
 
 
 def add_off_partition_term(monkeypatch, value=("GP", (1,), (), 2, True), max_deg=4):
-    """Add a term off the partitions, x2^3, to one value read at max_deg through
-    identities.evaluate, by default the GP double-slash value GP_{1//} in 2 variables."""
+    """Add a term off the partitions, x2^3, to one value read at max_deg through either seam
+    (`faulty_evaluate`), by default the GP double-slash value GP_{1//} in 2 variables."""
     nvars = value[3]
     stray = BetaPoly(nvars, {((0, 3) + (0,) * (nvars - 2), 0): 1}, max_deg)
     faulty_evaluate(monkeypatch, lambda p, *read: p + stray if read == value else p)

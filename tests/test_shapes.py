@@ -205,3 +205,17 @@ def test_skew_size_is_the_cell_count():
     for outer, inner in ((sp(1), sp(2)), (sp(3, 1), sp(3, 2)), (sp(4), sp(2, 1)), (sp(3), sp(2, 1))):
         with pytest.raises(InvalidShapeError):
             SkewShape(outer, inner).size
+
+
+def test_input_faults_are_shape_errors():
+    # a part that is not an integer, and an empty cell set: InvalidShapeError, not a plain ValueError
+    from kshift.shapes import _shape_from_cells, parse_parts
+
+    for text in ("a", "3,x", "2,,1"):
+        with pytest.raises(InvalidShapeError, match="parts must be integers"):
+            StrictPartition.parse(text)
+        with pytest.raises(InvalidShapeError):
+            parse_parts(text)
+    assert parse_parts(" ") == () and parse_parts("2, 2") == (2, 2)
+    with pytest.raises(InvalidShapeError, match="empty shape"):
+        _shape_from_cells(frozenset())
