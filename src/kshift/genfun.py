@@ -18,19 +18,16 @@ dominance; leading monomial coefficients are 1 for P/GP/gp/jp/schur and
 
 The engine holds a symmetric polynomial by its view, its terms at partition
 exponents padded to the number of variables (in each block, for one symmetric in
-x and in y apart): every rearrangement repeats them.  The dual and skew-dual
-tables store views, the one peel loop and omega map views to views, and only the
-edge writes a value out to its orbits, once and at its cut (`_written`), as `evaluate`
-returns it.  A dual solved (or skew table peeled) in n variables serves every ny <= n by
-restriction, and every ny once n is at least its degree (`_restricted`), so none is solved
-twice or in more variables than asked.  The checks read gp/gq/jp/jq as views (`evaluate_view`);
-only `BetaPoly.view` reads a polynomial back, testing symmetry as it sorts: a caller's
-polynomial, and a GP/GQ/JP/JQ, P/Q or schur value a check reads.  A product of a written-out polynomial K and a view L is read at partitions too, with
-[x^lam](K L) = sum_e K_e L[sort(lam - e)], blockwise when split (`_times_view`): the
-Cauchy check multiplies its twisted kernels so.  The Schur world is on Kostka
-numbers, counted by the horizontal-strip rule: s_lam has the view K_{lam,nu}, and
-omega(g) = sum c_lam s_lam' the view sum_lam c_lam K_{lam',nu}, with c_lam the
-Schur coefficients of g from the peel.
+x and in y apart): every rearrangement repeats them.  The dual and skew-dual tables
+store views, each entry solved (or peeled) once a process and read in other alphabets
+by restriction (`_restricted`), and GP/GQ are read off the tableau tallies at partitions
+(`_tally_view`).  omega, x -> x/(1 - beta x) and the product with a fixed kernel are
+linear over Z[beta] and the m_lam are a basis (Macdonald I.2), so each maps a view
+through its memoised images of the m_lam (`_mapped`): jp/jq, JP/JQ and the Cauchy
+check's products are views too (`evaluate_view`).  Only the edge writes a value out to
+its orbits, once and at its cut (`_written`), as `evaluate` returns it; only
+`BetaPoly.view` reads one back: a caller's polynomial, the kernel, a substituted
+coproduct side, P/Q, schur.  Kostka numbers give s_lam the view K_{lam,nu}.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb, factorial
-from operator import ge, sub
+from operator import ge, lt, sub
 
 from .cache import CACHE
 from .errors import (
@@ -60,7 +57,7 @@ from .shapes import (
     straight,
     strict_partitions_of,
 )
-from .tableaux import content_count, genfun_from_tableaux
+from .tableaux import _tally, content_count, genfun_from_tableaux
 
 # -- plain (not necessarily strict) partitions for the Schur world -----------
 
@@ -122,16 +119,11 @@ def gp_gq(flavor: str, shape: SkewShape, nvars: int, max_deg: int) -> BetaPoly:
     return CACHE.get_or_compute(key, lambda: genfun_from_tableaux(fam, shape, nvars, max_deg), BetaPoly.to_json_obj, BetaPoly.from_json_obj)
 
 
-def gp_gq_doubleslash(
-    flavor: str, lam: StrictPartition, mu: StrictPartition, nvars: int, max_deg: int
-) -> BetaPoly:
-    """The double-slash function: sum of beta^|mu/nu| GP_{lam/nu} over inners."""
-    if not contains(mu, lam):
-        return BetaPoly.zero(nvars, max_deg)
+def gp_gq_doubleslash(flavor: str, lam: StrictPartition, mu: StrictPartition, nvars: int, max_deg: int) -> BetaPoly:
+    """The double-slash function: sum of beta^|mu/nu| GP_{lam/nu} over inners (zero unless mu <= lam)."""
     total = BetaPoly.zero(nvars, max_deg)
-    for nu in doubleslash_inners(mu):
-        part = gp_gq(flavor, SkewShape(lam, nu), nvars, max_deg)
-        total = total + part.times_beta(mu.size - nu.size)
+    for nu in doubleslash_inners(mu) if contains(mu, lam) else ():
+        total = total + gp_gq(flavor, SkewShape(lam, nu), nvars, max_deg).times_beta(mu.size - nu.size)
     return total
 
 
@@ -216,25 +208,32 @@ def _above(f: tuple[int, ...], max_deg: int) -> tuple[tuple[tuple[int, ...], tup
     return tuple((lam, tuple(sorted(map(sub, lam, f), reverse=True))) for lam in padded if all(map(ge, lam, f)))
 
 
-def _times_view(poly: BetaPoly, view: dict) -> dict:
-    """The partition terms of poly * g, cut at poly's finite max_deg, for g symmetric in each block
-    of poly's alphabet and given by its view: [x^lam y^rho beta^B](poly g) is the sum over poly's
-    terms of poly_{e,b} g[sort(lam - e_x) + sort(rho - e_y), B - b], over pairs planned once per
-    exponent set, so sign twists of poly share them.  This is the view of poly * g when poly is
-    symmetric too, which the caller checks: no symmetry is tested here."""
+def _columns(poly: BetaPoly) -> dict:
+    """{rest: [(lam, b, c)]}: the terms c beta^b x^lam of poly m_rest at partitions lam of degree <= poly's
+    max_deg (in each block), over the pairs `_product_plan` lists once per exponent set of poly's sign twists."""
     blocks = (poly.nvars,) if poly.split is None else (poly.split, poly.nvars - poly.split)
     by_exp: dict[tuple[int, ...], list] = {}
-    g: dict[tuple[int, ...], list] = {}
-    for terms, grouped in ((poly.terms, by_exp), (view, g)):
-        for (e, b), c in terms.items():
-            grouped.setdefault(e, []).append((b, c))
-    plan, out = _product_plan(frozenset(by_exp), blocks, poly.max_deg), {}
-    for rest, at_rest in g.items():
-        for lam, e in plan.get(rest, ()):
-            for b1, c1 in by_exp[e]:
-                for b2, c2 in at_rest:
-                    out[lam, b1 + b2] = out.get((lam, b1 + b2), 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    for (e, b), c in poly.terms.items():
+        by_exp.setdefault(e, []).append((b, c))
+    plan = _product_plan(frozenset(by_exp), blocks, poly.max_deg)
+    return {rest: [(lam, b, c) for lam, e in pairs for b, c in by_exp[e]] for rest, pairs in plan.items()}
+
+
+def _times_view(columns: dict, view: dict) -> dict:
+    """The partition terms of poly g, cut at poly's max_deg, for g symmetric in each block and given by its view:
+    multiplying by poly is linear, so `_mapped` through poly's `_columns`, the images of the m_rest.  They are
+    the view of poly g when poly is symmetric too, which the caller checks: no symmetry is tested here."""
+    return _mapped(view, lambda rest: columns.get(rest, ()))
+
+
+def _mapped(view: dict, image) -> dict:
+    """The view of L(g), L linear over Z[beta], from g's view and image(e), the terms (f, k, a) of L(m_e) = sum a
+    beta^k m_f: the m_e are a basis (Macdonald I.2).  Each caller memoises its images, computed once a process."""
+    out: dict = {}
+    for (e, b), c in view.items():
+        for f, k, a in image(e):
+            out[f, b + k] = out.get((f, b + k), 0) + a * c
+    return {key: v for key, v in out.items() if v}
 
 
 def _divided(view: dict, d: int) -> dict:
@@ -534,18 +533,60 @@ def dual_skew_table(flavor: str, lam: StrictPartition, ny: int) -> dict[StrictPa
 
 
 def _omega(view: dict, n: int, nvars: int, max_deg: int | None) -> dict:
-    """The view of omega(g) in nvars variables, cut at max_deg, from the view of g
-    in its n variables, where it is faithful: g's Schur coefficients c_lam from the
-    peel, then [m_nu] = sum_lam c_lam K_{lam',nu}."""
-    coeffs, rest = _peel(view, "schur", n, None)
-    if rest:
+    """The view of omega(g) in nvars variables, cut at max_deg, from g's view in its n variables, where it is
+    faithful: omega is linear, so it is `_mapped` through its memoised image of each m_nu (`_omega_image`)."""
+    return _mapped(view, lambda nu: _omega_image(nu, nvars, max_deg))
+
+
+@functools.cache
+def _omega_image(nu: tuple[int, ...], nvars: int, max_deg: int | None) -> tuple:
+    """omega(m_nu) in nvars variables, cut at max_deg: m_nu's Schur coefficients c_lam from the peel in len(nu)
+    variables, then [m_kappa] = sum_lam c_lam K_{lam',kappa}, zero past max_deg since omega keeps degrees.  An nu
+    off the partitions, at any degree, is the peel's residual: a KshiftError, as no symmetric g's view has one."""
+    if any(map(lt, nu, nu[1:])):
         raise KshiftError("nonzero Schur residual")
+    if max_deg is not None and sum(nu) > max_deg:
+        return ()
+    coeffs, _ = _peel({(nu, 0): 1}, "schur", len(nu), None)
     out: dict = {}
     for lam, c in coeffs.items():
-        for (nu, _), k in _basis_view("schur", transpose_partition(lam), nvars, max_deg).items():
-            for (_e, b), v in c.items():
-                out[nu, b] = out.get((nu, b), 0) + k * v
-    return {key: v for key, v in out.items() if v}
+        for (kappa, _), k in _basis_view("schur", transpose_partition(lam), nvars, max_deg).items():
+            out[kappa] = out.get(kappa, 0) + k * c[(), 0]
+    return tuple((kappa, 0, a) for kappa, a in out.items() if a)
+
+
+@functools.cache
+def _geometric_image(e: tuple[int, ...], max_deg: int) -> tuple:
+    """m_e under x_i -> x_i/(1 - beta x_i), cut at max_deg: `substitute_geometric` of m_e written out, at partitions."""
+    image = _written({(e, 0): 1}, len(e), max_deg).substitute_geometric()
+    return tuple((f, k, a) for (f, k), a in image.terms.items() if not any(map(lt, f, f[1:])))
+
+
+def _tally_view(flavor: str, lam: StrictPartition, mu: StrictPartition, nvars: int, max_deg: int, doubleslash: bool) -> dict | None:
+    """The view of GP or GQ of lam/mu in nvars variables, cut at max_deg, or with doubleslash of lam//mu, the
+    sum of beta^|mu/nu| GP_{lam/nu} over the inners nu: a sum of `_shape_view`s, None if one is."""
+    out: dict = {}
+    for nu in (doubleslash_inners(mu) if contains(mu, lam) else ()) if doubleslash else (mu,):
+        view = _shape_view(flavor, SkewShape(lam, nu), nvars, max_deg)
+        if view is None:
+            return None
+        for (e, b), c in view.items():
+            out[e, b + mu.size - nu.size] = out.get((e, b + mu.size - nu.size), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@functools.cache
+def _shape_view(flavor: str, shape: SkewShape, nvars: int, max_deg: int) -> dict | None:
+    """The view of GP or GQ of a shape in nvars variables, cut at max_deg, kept per process: its tally's counts
+    at partitions e, [x^e beta^(|e| - |shape|)].  None unless each count is its sorted exponent's and no orbit lacks one."""
+    if not shape.valid or shape.size > max_deg:
+        return {}
+    tally = _tally(shape, nvars, flavor == "GP", False, max_deg - shape.size)
+    sorts = [tuple(sorted(e, reverse=True)) for e in tally]
+    lams = dict.fromkeys(sorts)
+    if list(map(tally.get, sorts)) != list(tally.values()) or len(tally) != sum(len(_rearrangements(e)) for e in lams):
+        return None
+    return {(e, sum(e) - shape.size): tally[e] for e in lams}
 
 
 def _family_view(func: str, lam: StrictPartition, mu: StrictPartition, nvars: int, max_deg: int | None) -> dict:
@@ -621,11 +662,15 @@ def evaluate(
 
 
 def evaluate_view(func: str, outer, inner=(), nvars: int = 3, max_deg: int | None = None, doubleslash: bool = False) -> dict | None:
-    """The view of `evaluate`'s value, or None when that value is not symmetric: the theorem checks
-    read every value here.  gp/gq/jp/jq are read as views cut at max_deg (`_family_view`), never
-    written out; any other value, or a request `evaluate` refuses, goes through `evaluate`."""
-    if func in ("gp", "gq", "jp", "jq") and not doubleslash and nvars >= 1 and (max_deg or 0) >= 0:
-        return _family_view(func, StrictPartition(tuple(outer)), StrictPartition(tuple(inner)), nvars, max_deg)
+    """The view of `evaluate`'s value, or None when it is not symmetric: the theorem checks read every value here.
+    gp/gq/jp/jq come from `_family_view`, GP/GQ off the tallies (`_tally_view`), and JP/JQ are GP/GQ under the linear
+    x -> x/(1 - beta x), `_mapped` through its memoised image of each m_e; P/Q, schur and refusals go via `evaluate`."""
+    if nvars >= 1 and (max_deg or 0) >= 0:
+        if func in ("gp", "gq", "jp", "jq") and not doubleslash:
+            return _family_view(func, StrictPartition(tuple(outer)), StrictPartition(tuple(inner)), nvars, max_deg)
+        if func in ("GP", "GQ", "JP", "JQ") and max_deg is not None:
+            view = _tally_view("G" + func[1], StrictPartition(tuple(outer)), StrictPartition(tuple(inner)), nvars, max_deg, doubleslash)
+            return view if view is None or func[0] == "G" else _mapped(view, lambda e: _geometric_image(e, max_deg))
     return evaluate(func, outer, inner, nvars, max_deg, doubleslash).view()
 
 
@@ -646,9 +691,7 @@ def structure_constants(
     if kind in ("a", "b"):
         basis = {"a": "GP", "b": "GQ"}[kind]
         mu, nu = first, second
-        p = gp_gq(basis, straight(mu), nvars, degree_cap) * gp_gq(
-            basis, straight(nu), nvars, degree_cap
-        )
+        p = gp_gq(basis, straight(mu), nvars, degree_cap) * gp_gq(basis, straight(nu), nvars, degree_cap)
         shift = lambda lam: lam.size - mu.size - nu.size
     elif kind in ("ahat", "bhat"):
         basis = {"ahat": "GQ", "bhat": "GP"}[kind]
@@ -667,9 +710,7 @@ def structure_constants(
             raise KshiftError(f"{kind}-coefficient at {sp} is not a single beta power: {c.coeff_list()}")
         [((_e, k), m)] = c.terms.items()
         if k != shift(sp):
-            raise KshiftError(
-                f"{kind}-coefficient at {sp} has beta power {k}, expected {shift(sp)}"
-            )
+            raise KshiftError(f"{kind}-coefficient at {sp} has beta power {k}, expected {shift(sp)}")
         table[sp] = m
     return table
 

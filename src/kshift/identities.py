@@ -6,11 +6,12 @@ per-shape findings, because a mismatch there is a finding to surface rather
 than a test failure.  All polynomial comparisons are exact, and every
 polynomial is read through `genfun.evaluate` or `genfun.evaluate_view`.  The theorem
 checks on symmetric functions (the expansions, flip, coproducts and Cauchy) read each
-value once through one reader per run (`_reader`): gp/gq/jp/jq as the engine's views,
-any other value by `BetaPoly.view`, the symmetry test and the sort in one pass; they
-sum views, multiply an x-view by a y-view (`_products`) and compare views (`_same`),
-writing both sides out only for a FAIL witness.
-An asymmetric value fails each case that reads it, and the witness names it.
+value once through one reader per run (`_reader`): GP/GQ/JP/JQ and gp/gq/jp/jq as the
+engine's views, P/Q by `BetaPoly.view`.  They sum views, multiply an x-view by a y-view
+(`_products`) and compare views (`_same`), writing both sides out only for a FAIL
+witness.  A product with a twisted Cauchy kernel is linear, and the m_lam are a basis, so
+it maps a view through the kernel's columns, its images of the m_lam, built once per twist
+(`genfun._times_view`).  An asymmetric value fails each case that reads it, naming it.
 One worker, `_expansion_case`, checks the GQ-to-GP theorem in its straight,
 skew and dual forms; the Cauchy identity is checked as the skew Cauchy
 identity at mu = nu = empty.
@@ -26,7 +27,7 @@ from typing import Callable
 
 from .cache import CACHE
 from .errors import InvalidShapeError, KshiftError, ParameterError
-from .genfun import _ell_max, _split_view, _times_view, _view, _written, evaluate, evaluate_view, gq_onerow_series, structure_constants, symmetrization_eval
+from .genfun import _columns, _ell_max, _split_view, _times_view, _view, _written, evaluate, evaluate_view, gq_onerow_series, structure_constants, symmetrization_eval
 from .polyring import BetaPoly, RationalPoint, cauchy_kernel
 from .shapes import (
     EMPTY,
@@ -79,10 +80,7 @@ def _compare(lhs: BetaPoly, rhs: BetaPoly) -> tuple[bool, dict | None]:
     writes its two sides out to this on a mismatch.  Polynomials cut at different
     degrees or alphabet splits cannot be compared: that is a KshiftError."""
     if (lhs.max_deg, lhs.split) != (rhs.max_deg, rhs.split):
-        raise KshiftError(
-            f"comparing max_deg={lhs.max_deg}, split={lhs.split} "
-            f"with max_deg={rhs.max_deg}, split={rhs.split}"
-        )
+        raise KshiftError(f"comparing max_deg={lhs.max_deg}, split={lhs.split} with max_deg={rhs.max_deg}, split={rhs.split}")
     if lhs == rhs:
         return True, None
     return False, {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
@@ -94,8 +92,8 @@ class _Asymmetric(Exception):
 
 def _reader() -> Callable[..., dict]:
     """The views of one check run: called as `evaluate` is, it reads each distinct value
-    once through `evaluate_view`, at its cut, whose views of written-out values test symmetry
-    as they sort; an asymmetric value raises `_Asymmetric` at every read."""
+    once through `evaluate_view`, at its cut, which tests symmetry on the tally or as it
+    sorts; an asymmetric value raises `_Asymmetric` at every read."""
     views: dict[tuple, dict | None] = {}
 
     def view(func, outer, inner, nvars, max_deg, doubleslash=False) -> dict:
@@ -420,8 +418,8 @@ def check_cauchy_family(
     omega-twisted forms with negated alphabets, compared at split views.
 
     Each value comes from the run's reader, cut at max_deg; a side is the sum of
-    big(x) small(y) as `_products` of views, and the twisted kernel, checked
-    symmetric once, enters through `genfun._times_view`.
+    big(x) small(y) as `_products` of views, and the kernel, checked symmetric once,
+    enters through `genfun._times_view` on each twist's `genfun._columns`.
     """
     _at_least(1, nx=nx, ny=ny)
     _at_least(0, max_deg=max_deg)
@@ -429,7 +427,7 @@ def check_cauchy_family(
     if kern.view() is None:
         raise KshiftError("the Cauchy kernel is not symmetric in x and in y")
     xs, ys = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
-    twisted = {name: kern.negate_vars(which) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}
+    twisted = {name: _columns(kern.negate_vars(which)) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}
     view = _reader()
 
     strict = [str(mu) for mu in enumerate_strict_partitions(max_size)]
@@ -615,6 +613,8 @@ def check_conjectures(
         lam = StrictPartition.parse(a_s)
         mu = StrictPartition.parse(b_s) if kind == "skew" else EMPTY
         shape = SkewShape(lam, mu)
+        # jp/jq first: their dual, solved in |lam/mu| variables, then serves gp/gq by restriction
+        values = {func: evaluate(func, lam, mu, nvars, max_deg) for func in ("jp", "jq", "gp", "gq")}
         # each tableau sum against the family it is conjectured to equal
         for name, tableau_family, func in (
             ("rpp-gp", "shrpp_p", "gp"),
@@ -623,7 +623,7 @@ def check_conjectures(
             ("bar-jq", "shbt_q", "jq"),
         ):
             lhs = genfun_from_tableaux(tableau_family, shape, nvars, max_deg)
-            ok, info = _compare(lhs, evaluate(func, lam, mu, nvars, max_deg))
+            ok, info = _compare(lhs, values[func])
             if not ok:
                 return False, {"formula": name, **info}
         return True, None

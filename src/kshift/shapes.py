@@ -25,7 +25,7 @@ def parse_parts(text: str) -> tuple[int, ...]:
 
 
 class StrictPartition:
-    """A strictly decreasing sequence of positive integers; () is empty.  Hashed as (parts,)."""
+    """A strictly decreasing sequence of positive integers; () is empty.  Hashed as (parts,), once."""
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
         p = tuple(int(x) for x in parts)
@@ -34,13 +34,13 @@ class StrictPartition:
                 raise InvalidShapeError(f"parts must be positive: {p}")
             if i + 1 < len(p) and p[i + 1] >= x:
                 raise InvalidShapeError(f"parts must strictly decrease: {p}")
-        self.parts = p
+        self.parts, self._hash = p, hash((p,))
 
     def __eq__(self, other) -> bool:
         return self.parts == other.parts if other.__class__ is StrictPartition else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.parts,))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"StrictPartition(parts={self.parts!r})"

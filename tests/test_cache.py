@@ -17,8 +17,35 @@ def test_a_memory_hit_returns_the_same_object():
 def test_keys_with_different_strings_never_share_a_memory_entry():
     cache = MemoCache()
     keys = (["kind", 1], ["kind", "1"], ["kind", None], ["kind", "None"], ["kind", [1, 2]], ["kind", "(1, 2)"], ["kind", 1, 2])
+    keys += (["kind", True], ["kind", "true"], ["kind", 1.0], ["kind", "1.0"], ["kind", [[1], 2]], ["kind", [1, [2]]], ["kind", [[1, 2]]])
     assert len({MemoCache.key_string(key) for key in keys}) == len(keys)
     assert [cache.get_or_compute(key, lambda i=i: i) for i, key in enumerate(keys)] == list(range(len(keys)))
+
+
+def test_keys_with_equal_strings_share_a_memory_entry():
+    cache = MemoCache()
+    assert MemoCache.key_string(["kind", (1, 2)]) == MemoCache.key_string(["kind", [1, 2]])
+    assert cache.get_or_compute(["kind", (1, 2)], lambda: "first") == cache.get_or_compute(["kind", [1, 2]], lambda: "again") == "first"
+
+
+def test_a_check_without_a_directory_encodes_no_key(monkeypatch):
+    # the memory map keys by a normal form: JSON is for the disk boundary only
+    from kshift import identities
+
+    def key_string(key):
+        raise AssertionError(f"a key was JSON-encoded with no cache directory: {key}")
+
+    monkeypatch.setattr(MemoCache, "key_string", staticmethod(key_string))
+    monkeypatch.setattr(CACHE, "directory", None)
+    monkeypatch.setattr(CACHE, "_mem", {})
+    assert identities.check_cauchy_family().ok
+    assert CACHE._mem
+
+
+def test_a_strict_partition_is_hashed_once_as_its_parts():
+    lam = StrictPartition((3, 1))
+    assert hash(lam) == hash(((3, 1),)) == lam._hash
+    assert {lam: 1}[StrictPartition.parse("3,1")] == 1
 
 
 def test_a_disk_value_is_decoded_once(tmp_path):

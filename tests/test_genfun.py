@@ -681,11 +681,17 @@ def test_basis_views_are_the_partition_terms_of_the_written_out_elements():
                     assert genfun._basis_view(basis, index, nx, max_deg) == want, (basis, index, nx, max_deg)
 
 
+def clear_view_memos():
+    """Forget the per-process views and monomial images, so the next read is cold."""
+    for memo in (genfun._basis_view, genfun._shape_view, genfun._omega_image, genfun._geometric_image):
+        memo.cache_clear()
+
+
 def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
-    # every engine value is a view by construction: gp/gq/jp/jq reach the check as
-    # views, never written out and read back, and the peel builds no closed-form
-    # basis element written out; only the GP/GQ/JP/JQ values the check reads pass
-    # through `evaluate` and `BetaPoly.view`, each distinct one once, and the kernel once
+    # every engine value is a view by construction: gp/gq/jp/jq and GP/GQ/JP/JQ reach the
+    # check as views, never written out and read back, and the peel builds no closed-form
+    # basis element written out; nothing passes through `evaluate`, and `BetaPoly.view`
+    # reads only the kernel, once
     from kshift import identities
 
     real_view = BetaPoly.view
@@ -711,12 +717,12 @@ def test_the_cauchy_check_reads_its_duals_at_partitions_only(monkeypatch):
     monkeypatch.setattr(genfun, "evaluate", evaluate_spy)
     monkeypatch.setattr(identities, "evaluate_view", read_spy)
     monkeypatch.setattr(CACHE, "_mem", {})
-    genfun._basis_view.cache_clear()
+    clear_view_memos()
     assert identities.check_cauchy_family().ok
-    written_out = sorted(func for func, *_ in read if func in ("GP", "GQ", "JP", "JQ"))
-    assert len(read) == 268 and len(written_out) == 112
-    assert sorted(built) == written_out
-    assert sorted(tested) == [("genfun.py", "evaluate_view")] * len(written_out) + [("identities.py", "check_cauchy_family")]
+    tallied = [func for func, *_ in read if func in ("GP", "GQ", "JP", "JQ")]
+    assert len(read) == 268 and len(tallied) == 112
+    assert built == []
+    assert tested == [("identities.py", "check_cauchy_family")]
 
 
 def test_structure_constant_that_is_not_a_beta_power_is_an_internal_error(monkeypatch):
@@ -764,11 +770,38 @@ def test_omega_needs_enough_variables():
         omega(schur((2, 1), 2))  # degree 3 needs at least 3 variables
 
 
+def test_a_term_off_the_partitions_under_omega_is_an_internal_error_at_any_degree():
+    # a term no symmetric polynomial's view holds, above or below the cut, is the
+    # Schur peel's residual: a KshiftError, as from the reference, however it is cut
+    g = partition_terms(evaluate("gq", (2, 1), (), 3))
+    for stray in ((0, 1, 0), (1, 2, 0), (2, 3, 1)):
+        for max_deg in (None, 1, 3):
+            for omega_of in (_omega, reference_omega):
+                with pytest.raises(KshiftError, match="nonzero Schur residual") as info:
+                    omega_of({**g, (stray, 0): 1}, 3, 3, max_deg)
+                assert type(info.value) is KshiftError
+
+
 def test_omega_keeps_its_error_kinds():
     with pytest.raises(NonSymmetricError):
         omega(BetaPoly.variable(1, 2))
     with pytest.raises(ParameterError):
         omega(tensor_split(schur((1,), 1), schur((1,), 1), None))  # two alphabets
+
+
+def reference_omega(view, n, nvars, max_deg):
+    """omega on a view as the engine applied it before its monomial images: g's Schur
+    coefficients c_lam from one peel of the whole view in its n variables, then
+    [m_nu] = sum_lam c_lam K_{lam',nu}; a residual is a KshiftError."""
+    coeffs, rest = _peel(view, "schur", n, None)
+    if rest:
+        raise KshiftError("nonzero Schur residual")
+    out = {}
+    for lam, c in coeffs.items():
+        for (nu, _), k in genfun._basis_view("schur", transpose_partition(lam), nvars, max_deg).items():
+            for (_e, b), v in c.items():
+                out[nu, b] = out.get((nu, b), 0) + k * v
+    return {key: v for key, v in out.items() if v}
 
 
 def _recombined_transpose(g, nvars, max_deg):
@@ -788,8 +821,9 @@ def test_omega_matches_the_recombined_transpose_on_every_dual():
                 for nvars in range(1, 5):
                     for max_deg in (None, max(size - 1, 0)):
                         want = _recombined_transpose(g, nvars, max_deg)
-                        got = written(_omega(partition_terms(g), g.nvars, nvars, max_deg), nvars, max_deg)
-                        assert got == want, (flavor, lam, mu, nvars, max_deg)
+                        view = _omega(partition_terms(g), g.nvars, nvars, max_deg)
+                        assert view == reference_omega(partition_terms(g), g.nvars, nvars, max_deg), (flavor, lam, mu, nvars, max_deg)
+                        assert written(view, nvars, max_deg) == want, (flavor, lam, mu, nvars, max_deg)
                         assert jp_jq("j" + flavor[1], lam, mu, nvars, max_deg) == want
 
 
@@ -811,10 +845,44 @@ def products_at_partitions(draw):
 def test_the_product_at_partitions_is_the_partition_part_of_the_product(product):
     kernel, view = product
     n, nx = kernel.nvars, kernel.split
+    got = genfun._times_view(genfun._columns(kernel), view)
+    assert got == reference_times_view(kernel, view)
     if nx is None:  # one alphabet
-        assert genfun._times_view(kernel, view) == partition_terms(kernel * written(view, n, kernel.max_deg))
+        assert got == partition_terms(kernel * written(view, n, kernel.max_deg))
     else:
-        assert genfun._times_view(kernel, view) == split_view(kernel * written_split(view, n, nx, kernel.max_deg), nx)
+        assert got == split_view(kernel * written_split(view, n, nx, kernel.max_deg), nx)
+
+
+def reference_times_view(poly, view):
+    """The product at partitions as the engine formed it before the kernel's columns: poly's
+    terms and the view's grouped by exponent on every call, then paired over the plan."""
+    blocks = (poly.nvars,) if poly.split is None else (poly.split, poly.nvars - poly.split)
+    by_exp, g = {}, {}
+    for terms, grouped in ((poly.terms, by_exp), (view, g)):
+        for (e, b), c in terms.items():
+            grouped.setdefault(e, []).append((b, c))
+    plan, out = genfun._product_plan(frozenset(by_exp), blocks, poly.max_deg), {}
+    for rest, at_rest in g.items():
+        for lam, e in plan.get(rest, ()):
+            for b1, c1 in by_exp[e]:
+                for b2, c2 in at_rest:
+                    out[lam, b1 + b2] = out.get((lam, b1 + b2), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def test_the_cauchy_kernel_columns_are_the_reference_product():
+    # each twist of each Cauchy kernel a check multiplies by, on the split views of GQ_lam(x) gp_lam(y) sums
+    for nx, ny, max_deg in ((1, 1, 2), (2, 2, 4), (2, 3, 3), (3, 3, 4)):
+        kern = cauchy_kernel(nx, ny, max_deg)
+        view = {}
+        for lam in enumerate_strict_partitions(max_deg):
+            gq_x, gp_y = evaluate("GQ", lam, (), nx, max_deg).view(), genfun.evaluate_view("gp", lam, (), ny, max_deg)
+            for (ex, bx), a in gq_x.items():
+                for (ey, by), c in gp_y.items():
+                    view[ex + ey, bx + by] = view.get((ex + ey, bx + by), 0) + a * c
+        for which in ([], list(range(1, nx + 1)), list(range(1, nx + ny + 1))):
+            twisted = kern.negate_vars(which)
+            assert genfun._times_view(genfun._columns(twisted), view) == reference_times_view(twisted, view), (nx, ny, which)
 
 
 def reference_product_plan(exps, blocks, max_deg):
@@ -911,6 +979,83 @@ def test_evaluate_doubleslash_JP_JQ_substitutes_each_term():
                         term = gp_gq(base, SkewShape(lam, nu), n, max_deg).substitute_geometric()
                         want = want + term.times_beta(mu.size - nu.size)
                     assert evaluate(f, lam, mu, n, max_deg, doubleslash=True) == want, (f, lam, mu, n)
+
+
+def test_gp_gq_jp_jq_views_are_the_written_out_values_read_back():
+    # every GP/GQ/JP/JQ view the checks read, straight, skew and double slash, off the
+    # tallies and the geometric images, against `evaluate`'s written-out value read back;
+    # each substitution only raises degrees, so the value at |lam| is the one at |lam| + 2 cut
+    for lam in enumerate_strict_partitions(6):
+        for mu in subshapes(lam):
+            for nvars, func, doubleslash in itertools.product(range(1, 5), ("GP", "GQ", "JP", "JQ"), (False, True)):
+                value = evaluate(func, lam, mu, nvars, lam.size + 2, doubleslash)
+                for max_deg in (lam.size, lam.size + 2):
+                    got = genfun.evaluate_view(func, lam, mu, nvars, max_deg, doubleslash)
+                    assert got == value.truncated(max_deg).view(), (func, lam, mu, nvars, max_deg, doubleslash)
+
+
+@st.composite
+def symmetric_views(draw):
+    """A view in nvars variables (terms at partition exponents) and a finite cut."""
+    nvars, max_deg = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    lams = [p + (0,) * (nvars - len(p)) for d in range(max_deg + 2) for p in partitions_of(d) if len(p) <= nvars]
+    terms = draw(st.dictionaries(st.tuples(st.sampled_from(lams), st.integers(0, 2)), st.integers(-3, 3), max_size=5))
+    return nvars, max_deg, {k: c for k, c in terms.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_views())
+def test_the_geometric_images_are_the_substitution_of_the_written_out_view(drawn):
+    nvars, max_deg, view = drawn
+    want = partition_terms(written(view, nvars, max_deg).substitute_geometric())
+    assert genfun._mapped(view, lambda e: genfun._geometric_image(e, max_deg)) == want
+
+
+@pytest.fixture
+def cold_views():
+    """Cold per-process views before the test and after it, so none it made outlives it."""
+    clear_view_memos()
+    yield
+    clear_view_memos()
+
+
+def test_an_asymmetric_tally_makes_every_view_that_reads_it_none(monkeypatch, cold_views):
+    # the tally of the shape 2,1/1 in 2 variables made asymmetric, for GP by a count moved
+    # off its orbit and for GQ by an orbit that lacks an exponent: the views of GP/GQ and
+    # JP/JQ at that shape and of each double slash summing it are None, as
+    # `evaluate(...).view()` is, and a view that reads no such tally is not
+    from kshift import tableaux
+
+    real, faulty = tableaux._tally, SkewShape(sp(2, 1), sp(1))
+
+    def lopsided(shape, nvars, p_flavor, *args, **kwargs):
+        tally = real(shape, nvars, p_flavor, *args, **kwargs)
+        if (shape, nvars) != (faulty, 2):
+            return tally
+        assert tally[2, 0] == tally[0, 2] > 0
+        return {**tally, (0, 2): tally[0, 2] + 1} if p_flavor else {e: n for e, n in tally.items() if e != (0, 2)}
+
+    monkeypatch.setattr(tableaux, "_tally", lopsided)
+    monkeypatch.setattr(genfun, "_tally", lopsided)
+    monkeypatch.setattr(CACHE, "_mem", {})
+    for func, outer, inner, doubleslash in itertools.product(("GP", "GQ", "JP", "JQ"), [(2, 1)], [(1,), (2,), ()], (False, True)):
+        want = evaluate(func, outer, inner, 2, 5, doubleslash).view()
+        assert genfun.evaluate_view(func, outer, inner, 2, 5, doubleslash) == want, (func, outer, inner, doubleslash)
+        assert (want is None) == (inner == (1,) or (inner, doubleslash) == ((2,), True)), (func, outer, inner, doubleslash)
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [("HP", (2, 1), (), 2, 4, False), ("GP", (2, 1), (), 0, 4, False), ("JQ", (2, 1), (), 2, -1, False),
+     ("GQ", (2, 1), (), 2, None, False), ("gp", (2, 1), (), 2, 4, True), ("GP", (1, 2), (), 2, 4, False),
+     ("JP", (2, 1), (1, 1), 2, 4, True), ("jq", (2,), (), 0, None, False), ("schur", (2, 1), (1,), 2, 4, False)],
+)
+def test_a_request_evaluate_refuses_is_refused_alike_through_its_view(request_):
+    with pytest.raises(KshiftError) as refused:
+        evaluate(*request_)
+    with pytest.raises(KshiftError) as refused_view:
+        genfun.evaluate_view(*request_)
+    assert (type(refused_view.value), str(refused_view.value)) == (type(refused.value), str(refused.value))
 
 
 def test_evaluate_rejects_meaningless_arguments():

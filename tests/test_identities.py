@@ -60,10 +60,12 @@ def test_the_tableau_checks_count_without_listing(monkeypatch, check):
 
 def test_the_gq_to_gp_check_walks_each_tally_once(monkeypatch):
     # the expansion cases and the count-beta1 case ask for the same GP/GQ tallies,
-    # passing the flags positionally or by keyword: 28 of the 90 requests repeat a key
+    # passing the flags positionally or by keyword: 28 of the 90 requests repeat a key;
+    # the GP/GQ views are read off the tallies and kept per process, so they start cold
     from kshift import tableaux
 
     tableaux._walk.cache_clear()
+    genfun._shape_view.cache_clear()
     monkeypatch.setattr(cache.CACHE, "_mem", {})
     assert check_gq_to_gp().ok
     walks = tableaux._walk.cache_info()
@@ -124,6 +126,18 @@ def test_symmetrization():
 def test_onerow_series_check():
     report = check_onerow_series(max_power=3, nvars=2, max_deg=5)
     assert report.status == "PASS"
+
+
+def test_the_conjecture_sweep_solves_each_dual_entry_once(monkeypatch):
+    # jp/jq are read first, so the entry each solves in |lam/mu| variables serves gp/gq in
+    # nvars by restriction: 50 solves for the 50 (flavor, mu) the sweep reads, not 72
+    from test_genfun import spy_solves
+
+    monkeypatch.setattr(cache.CACHE, "_mem", {})
+    solved, _ = spy_solves(monkeypatch)
+    report = check_conjectures(8, length_cap_size=4)
+    assert len(solved) == len({(f, mu) for f, mu, _ in solved}) == 50
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == "7bccc89e58f577ce71f3f0658cfe8b058b7a9ed215854bc8c9b3225b9fe527c6"
 
 
 def test_conjectures_small():
@@ -737,3 +751,19 @@ DEFAULT_REPORTS = {
 def test_the_default_reports_are_pinned(check_id):
     assert set(DEFAULT_REPORTS) == set(CHECKS)
     assert hashlib.sha256(run_check(check_id).to_json().encode()).hexdigest() == DEFAULT_REPORTS[check_id]
+
+
+# the sha256 of reports past the defaults that the paper-scale steps run, as the
+# engine gave them before the GP/GQ/JP/JQ views and the monomial images
+PINNED_REPORTS = [
+    (check_cauchy_family, {"max_size": 3}, "44eadb409eb4de89498eb5a1ed60469e3b85d88d8713c05eba7734261c6e68ac"),
+    (check_cauchy_family, {"nx": 3, "ny": 3, "max_size": 2}, "a2b169bdfacf45703907b6d5b4e75c7d8d5bf8c16fd05aebf6984e2e81d9bb56"),
+    (check_skew_expansions, {"max_size": 6}, "4e35c0d517d29818579524fad739007b1be0f298a890395ab6a84368fe3c4180"),
+    (check_flip, {"max_size": 7}, "4cdf9977043c98a7fda1dfaa747e7440a9c6e3dbfa0de5255035d5842ba62149"),
+    (check_coproducts, {"max_size": 5}, "d1610425abfbfeed853c6b96d249ac7dc7cd7ce370ed41e6b3aa4e17892b2a96"),
+]
+
+
+@pytest.mark.parametrize("check, params, digest", PINNED_REPORTS)
+def test_the_paper_step_reports_are_pinned(check, params, digest):
+    assert hashlib.sha256(check(**params).to_json().encode()).hexdigest() == digest
