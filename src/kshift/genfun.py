@@ -81,10 +81,15 @@ def _kostka(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
 
     The cells holding the last value form a horizontal strip lam/kappa, that is
     lam_{i+1} <= kappa_i <= lam_i with |lam/kappa| = nu_last."""
-    if not nu:
-        return int(not lam)
-    inners = itertools.product(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))))
-    return sum(_kostka(tuple(k for k in kappa if k), nu[:-1]) for kappa in inners if sum(lam) - sum(kappa) == nu[-1])
+    return sum(_kostka(kappa, nu[:-1]) for kappa in _strips(lam, nu[-1])) if nu else int(not lam)
+
+
+@functools.cache
+def _strips(lam: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Each kappa (no zero parts) with lam/kappa a horizontal strip of r cells; the rows below row 1 give 0..lam_2."""
+    top, below = (*lam, 0, 0)[:2]
+    ks = range(max(below, top - r), min(top, top + below - r) + 1)
+    return tuple(((k,) if k else ()) + rest for k in ks for rest in (_strips(lam[1:], r - top + k) if lam else ((),)))
 
 
 def schur(lam: tuple[int, ...], nvars: int, max_deg: int | None = None) -> BetaPoly:

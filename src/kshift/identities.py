@@ -428,7 +428,7 @@ def check_cauchy_family(
         raise KshiftError("the Cauchy kernel is not symmetric in x and in y")
     xs, ys = list(range(1, nx + 1)), list(range(nx + 1, nx + ny + 1))
     twisted = {name: _columns(kern.negate_vars(which)) for name, which in {"": [], "y": ys, "x": xs, "xy": xs + ys}.items()}
-    view = _reader()
+    view, outers = _reader(), {}  # outers: the lam containing mu and nu, listed once per (mu, nu)
 
     strict = [str(mu) for mu in enumerate_strict_partitions(max_size)]
     cases = [("kernel", "gp", ""), ("kernel", "gq", "")] + [(t, a, b) for a in strict for b in strict for t in _CAUCHY_FORMS]
@@ -440,12 +440,13 @@ def check_cauchy_family(
         mu = StrictPartition.parse(mu_s)
         nu = StrictPartition.parse(nu_s)
         big, small, side, negated = _CAUCHY_FORMS[tag]
-        lams = [lam for lam in enumerate_strict_partitions(max_deg + mu.size) if contains(mu, lam) and contains(nu, lam)]
+        if (mu, nu) not in outers:
+            outers[mu, nu] = [lam for lam in enumerate_strict_partitions(max_deg + mu.size) if contains(mu, lam) and contains(nu, lam)]
         kappas = [k for k in subshapes(mu) if contains(k, nu)]
         # each side the sum of big(x) small(y) over its (big outer, inner, small outer, inner)
         sides = [
             _products((view(big, bo, bi, nx, max_deg, True), view(small, so, si, ny, max_deg)) for bo, bi, so, si in terms)
-            for terms in ([(lam, mu, lam, nu) for lam in lams], [(nu, k, mu, k) for k in kappas])
+            for terms in ([(lam, mu, lam, nu) for lam in outers[mu, nu]], [(nu, k, mu, k) for k in kappas])
         ]
         i = 0 if side == "left" else 1
         sides[i] = _times_view(twisted[negated], sides[i])

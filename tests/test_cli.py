@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -137,21 +139,57 @@ imported = set(sys.modules) - base
 import contextlib, io, json
 with contextlib.redirect_stdout(io.StringIO()):
     rc = kshift.cli.main(["compute", "--func", "JQ", "--outer", "3", "--vars", "3", "--max-deg", "5", "--format", "json"])
-print(json.dumps({"rc": rc, "import": sorted(imported), "compute": sorted(set(sys.modules) - base)}))
+computed = sorted(set(sys.modules) - base)
+cached = ["compute", "--func", "jq", "--outer", "2,1", "--vars", "2", "--max-deg", "4", "--cache-dir", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [kshift.cli.main(cached), kshift.cache.CACHE.clear_memory(), kshift.cli.main(cached)]  # a write, then a read
+print(json.dumps({"rc": rc, "import": sorted(imported), "compute": computed, "cached_rcs": rcs, "cached": sorted(set(sys.modules) - base)}))
 """
 
 
-def test_import_footprint():
+def test_import_footprint(tmp_path):
     # a fresh interpreter; what `site` loads at start-up is the baseline and does not count
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if not k.startswith("KSHIFT_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path)], env=env, capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
     assert got["rc"] == 0
     assert not {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "tempfile"} & set(got["import"])
     # a compute without --beta and without a disk cache builds no rational and hashes no key
     assert not {"fractions", "hashlib"} & set(got["compute"])
+    # nor does one with a disk cache, writing or reading: its files are named without a hash
+    assert got["cached_rcs"] == [0, None, 0] and list(tmp_path.glob("*.json"))
+    assert "hashlib" not in got["cached"]
+
+
+def test_the_cli_cache_requests_replace_or_unlink_no_cache_file(tmp_path, monkeypatch, capsys):
+    # the seed-0 cli-cache round in-process, each request with a cold memory: a
+    # file is created once (renamed onto a name not taken yet) and then only
+    # appended to, and every output is the one the benchmark recorded
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    digests, jobs = workloads.load_digests(), workloads.cli_cache_requests(0)
+    for name in ("_mem", "_held"):
+        monkeypatch.setattr(cache.CACHE, name, {})
+    monkeypatch.setattr(cache.CACHE, "directory", None)
+    targeted = []
+    for name in ("replace", "unlink"):
+        def spy(*args, real=getattr(os, name)):
+            targeted.append((args[-1], os.path.exists(args[-1])))
+            return real(*args)
+
+        monkeypatch.setattr(os, name, spy)
+    outputs = []
+    for _ in ("cold", "warm"):
+        for job in jobs:
+            cache.CACHE.clear_memory()
+            code, out = run_cli(capsys, *job.argv, "--cache-dir", str(tmp_path))
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digests[job.key], job.key
+            outputs.append(out)
+    assert outputs[: len(jobs)] == outputs[len(jobs) :]
+    assert targeted and not [path for path, existed in targeted if existed]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_enumerate_examples(capsys):

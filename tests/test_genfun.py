@@ -1,6 +1,5 @@
 import inspect
 import itertools
-import json
 import os
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kshift import genfun
-from kshift.cache import CACHE
+from kshift.cache import CACHE, MemoCache
 from kshift.errors import (
     KshiftError,
     NonDivisibleError,
@@ -117,6 +116,29 @@ def test_kostka_of_one_to_the_n_is_the_hook_length_count():
                 for j in range(row):
                     hooks *= row - j + sum(1 for r in lam[i + 1 :] if r > j)
             assert _kostka(lam, (1,) * n) == factorial(n) // hooks, lam
+
+
+def reference_kostka(lam, nu):
+    """K_{lam,nu} as the engine had it before it listed only the strips of the right size: every
+    kappa with lam_{i+1} <= kappa_i <= lam_i, kept when |lam/kappa| = nu_last."""
+    if not nu:
+        return int(not lam)
+    inners = itertools.product(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))))
+    return sum(reference_kostka(tuple(k for k in kappa if k), nu[:-1]) for kappa in inners if sum(lam) - sum(kappa) == nu[-1])
+
+
+def compositions_of(n):
+    return [()] if n == 0 else [(first,) + rest for first in range(1, n + 1) for rest in compositions_of(n - first)]
+
+
+def test_kostka_over_strips_of_the_right_size_matches_the_reference():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for nu in partitions_of(n):
+                assert _kostka(lam, nu) == reference_kostka(lam, nu), (lam, nu)
+            for nu in compositions_of(n) if n <= 6 else ():  # in any order of its parts
+                assert _kostka(lam, nu) == reference_kostka(lam, nu), (lam, nu)
+    assert _kostka((2, 1), (4,)) == _kostka((3,), (1, 1, 1)) - 1 == 0 == _kostka((1,), ())
 
 
 def test_transpose_partition():
@@ -414,9 +436,10 @@ def test_dual_table_grows_one_entry_per_flavor_and_ny(tmp_path, monkeypatch):
     served(tmp_path / "disk", sizes)  # every size a prefix of the table on disk
     for name in ("up", "down", "disk"):
         # one file per flavor, holding one table per alphabet asked for
-        files = list((tmp_path / name).glob("*.json"))
-        assert len(files) == 2
-        assert all(set(genfun._decode_tables(json.loads(f.read_text())["value"])) == set(nys) for f in files)
+        disk, keys = MemoCache(str(tmp_path / name)), [["dual_table", f] for f in ("gp", "gq")]
+        files = set(map(str, (tmp_path / name).glob("*.json")))
+        assert len(files) == 2 and files == {disk._path(disk.key_string(key)) for key in keys}
+        assert all(set(genfun._decode_tables(disk.get(key))) == set(nys) for key in keys)
 
 
 def per_alphabet_duals(flavor, S, ny):
