@@ -619,6 +619,7 @@ def jp_jq(flavor: str, lam: StrictPartition, mu: StrictPartition = EMPTY, nvars:
 # -- the one entry point from a family name ------------------------------------
 
 FUNCS = ("P", "Q", "GP", "GQ", "gp", "gq", "jp", "jq", "JP", "JQ", "schur")
+MAX_TERMS = 10**7  # the exponent vectors `evaluate` may write out, fixed: past it a request is refused
 
 
 def evaluate(
@@ -635,7 +636,8 @@ def evaluate(
     take strict partitions.  A straight gp/gq is read from the dual table and
     a skew one from the skew-dual table; JP/JQ is GP/GQ, or its double slash,
     under the geometric substitution.  Double slash has a meaning only for
-    GP/GQ/JP/JQ.
+    GP/GQ/JP/JQ.  A value with more possible exponent vectors in its degree range than
+    MAX_TERMS is refused before any work, a ResourceLimitError.
     """
     if func not in FUNCS:
         raise ParameterError(f"unknown function {func!r}; expected one of {FUNCS}")
@@ -645,6 +647,12 @@ def evaluate(
         raise ParameterError(f"max_deg must be at least 0, got {max_deg}")
     if doubleslash and func not in ("GP", "GQ", "JP", "JQ"):
         raise ParameterError(f"the double-slash variant is defined only for GP/GQ/JP/JQ, not {func}")
+    size = sum(tuple(outer)) - sum(tuple(inner))
+    lo = 0 if func in ("gp", "gq", "jp", "jq") else max(0, size)
+    hi = size if max_deg is None or (func in ("P", "Q", "schur") and max_deg > size) else max_deg
+    if (estimate := comb(hi + nvars, nvars) - comb(lo - 1 + nvars, nvars) if hi >= lo else 0) > MAX_TERMS:
+        shape = "/".join(",".join(map(str, parts)) for parts in (outer, inner))
+        raise ResourceLimitError(f"{func} of {shape} in {nvars} variables to degree {max_deg}: {estimate} possible terms, above {MAX_TERMS}")
     if func == "schur":
         if tuple(inner):
             raise ParameterError("schur takes a plain partition, not a skew shape")

@@ -502,16 +502,17 @@ def _sample_regular_point(rng: random.Random, nvars: int, notes: dict) -> Ration
         notes["resampled"] = notes.get("resampled", 0) + 1
 
 
-def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
+def check_symmetrization(trials: int = 20, seed: int = 0, max_size: int | None = None) -> VerificationReport:
     """Symmetrized formulas against exact tableau polynomials at random
     rational points, plus the staircase-interval identity pointwise.
 
-    A case is (trial counted from 1, GP/GQ or staircase, index, n)."""
+    A case is (trial counted from 1, GP/GQ or staircase, index, n).  GP/GQ take five fixed
+    shapes in n = 2, 3, or with max_size every lam, 0 < |lam| <= max_size, in n = 2, 3, 4."""
     if trials < 1:
         raise ParameterError("need at least one trial")
     rng = random.Random(seed)
     notes: dict = {}
-    shapes_gp = [(1,), (2,), (2, 1), (3, 1), (3, 2)]
+    shapes_gp = [(1,), (2,), (2, 1), (3, 1), (3, 2)] if max_size is None else [p.parts for p in enumerate_strict_partitions(max_size)[1:]]
     staircases = [
         tuple(range(q, p - 1, -1))
         for q in range(1, 5)
@@ -524,7 +525,7 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
     for trial in map(str, range(1, trials + 1)):
         for n in ("2", "3", "4"):
             points[trial, n] = _sample_regular_point(rng, int(n), notes)
-        for n, lam, flavor in itertools.product(("2", "3"), shapes_gp, ("GP", "GQ")):
+        for n, lam, flavor in itertools.product(("2", "3") if max_size is None else ("2", "3", "4"), shapes_gp, ("GP", "GQ")):
             if len(lam) <= int(n):
                 cases.append((trial, flavor, str(StrictPartition(lam)), n))
         cases += [(trial, "staircase", str(StrictPartition(mu)), "4") for mu in staircases]
@@ -547,7 +548,8 @@ def check_symmetrization(trials: int = 20, seed: int = 0) -> VerificationReport:
         ok = b_val == total
         return ok, None if ok else {"point": str(pt), "B": str(b_val), "sumA": str(total)}
 
-    report = _run_cases("symmetrization", {"trials": trials, "seed": seed}, cases, worker)
+    params = {"trials": trials, "seed": seed} | ({} if max_size is None else {"max_size": max_size})
+    report = _run_cases("symmetrization", params, cases, worker)
     report.notes = notes
     return report
 

@@ -217,17 +217,9 @@ def doubleslash_inners(mu: StrictPartition) -> tuple[StrictPartition, ...]:
     rows = sorted(i for i, _ in removable_boxes(mu))
     out = []
     for k in range(len(rows) + 1):
-        for chosen in itertools.combinations(rows, k):
-            parts = list(mu.parts)
-            for i in chosen:
-                parts[i - 1] -= 1
-            while parts and parts[-1] == 0:
-                parts.pop()
-            if all(parts[i] > parts[i + 1] for i in range(len(parts) - 1)) and all(
-                x > 0 for x in parts
-            ):
-                out.append(StrictPartition(tuple(parts)))
-    return tuple(_graded_lex_sorted(set(out)))
+        for chosen in itertools.combinations(rows, k):  # removing removable boxes keeps the parts strict
+            out.append(StrictPartition(tuple(x - (i in chosen) for i, x in enumerate(mu.parts, 1) if x - (i in chosen))))
+    return tuple(_graded_lex_sorted(out))
 
 
 def _shape_from_cells(cells: frozenset[Cell]) -> SkewShape:

@@ -28,11 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
+from operator import gt
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidShapeError, ParameterError
 from .polyring import BetaPoly
-from .shapes import Cell, SkewShape, StrictPartition, doubleslash_inners, straight, subshapes
+from .shapes import EMPTY, Cell, SkewShape, StrictPartition, contains, doubleslash_inners, straight, subshapes
 
 FAMILIES = (
     "shyt_p",
@@ -84,22 +85,22 @@ class BarTableau(NamedTuple):
         return f"{self.filling.text()} bars={groups}"
 
 
-# -- the walk: listing and counting -------------------------------------------
+# -- listing and counting -----------------------------------------------------
 #
-# Every family is walked under the tableau rule (a shared row value is unprimed,
-# a shared column value primed; a cell holds a set of codes, one code at budget
-# 0) or the reverse plane partition rule, cells in reading order (rows from the
-# bottom, then columns).  A cell's options depend only on the largest codes of
-# its left and below neighbours, its diagonal rule and the budget
-# (`_cell_options`).  `_fillings` lists the fillings, for `iter_tableaux` and
-# `iter_restricted_p`.  `_tally` counts them by weight without listing any (the
-# transfer-matrix method; every generating function and count reads it): it merges
-# the partial fillings that agree on the largest codes the rest of the walk reads,
-# and drops one once its x-degree passes the cap (a monotone bound, Stanley EC1
-# 4.7), so its cost grows with a row's states, not the fillings.
+# Every family is listed under the tableau rule (a shared row value is unprimed, a shared
+# column value primed; a cell holds a set of codes, one code at budget 0) or the reverse
+# plane partition rule, cells in reading order (rows from the bottom, then columns); a
+# cell's options depend only on the largest codes of its left and below neighbours, its
+# diagonal rule and the budget (`_cell_options`).  Counting goes value by value: the cells
+# holding a value (for set-valued tableaux, an element) <= v form a strict shape mu_v, so a
+# tableau is a chain inner = mu_0 <= ... <= mu_n = outer, and the fillings of a layer by v'
+# and v have closed forms row by row (`_into`).  With M_d the layer matrix at degree d,
+# M_0 = I, the count at x^e is (M_{e_1} ... M_{e_n})[inner, outer], so it depends on e with
+# its zeros removed: the tallies are quasisymmetric (Gessel 1984; Stanley EC2 7.19, and EC1
+# 4.7 for transfer matrices).  `_count` takes the product once per composition,
+# `content_count` at one.
 
 FREE, P_DIAG, MARKED = 0, 1, 2  # diagonal rules: Q, no primed element, only the largest primed
-_OPTIONS: dict[tuple, dict[tuple, dict]] = {}  # `_walk`'s folded cell options, kept per process
 
 
 def _layout(shape: SkewShape, p_flavor: bool, marked: frozenset[int]):
@@ -176,85 +177,115 @@ def _fillings(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, deg_c
 
 def _tally(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, cap: int | None,
            bar: bool = False, marked: frozenset[int] = frozenset()) -> dict[tuple[int, ...], int]:
-    """`_walk`, memoised on all seven arguments normalised (the cap among them), however a
-    caller passes them.  Callers share the tally: none may mutate it.  The repeats come
-    from neighbouring cases, such as one mu's count-beta1 and expansion cases, so only the
-    last 8 tallies are kept: an unbounded memo held every tally of a sweep, never read again."""
-    return _walk(shape, max_value, bool(p_flavor), bool(rpp), cap, bool(bar), frozenset(marked))
+    """`_count`, memoised on all seven arguments normalised (the cap among them), however a caller
+    passes them; callers share the tally and none may mutate it.  The repeats come from neighbouring
+    cases, such as one mu's count-beta1 and expansion cases, so only the last 8 tallies are kept."""
+    return _count(shape, max_value, bool(p_flavor), bool(rpp), cap, bool(bar), frozenset(marked))
 
 
 @functools.lru_cache(maxsize=8)
-def _walk(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, cap: int | None,
-          bar: bool, marked: frozenset[int]) -> dict[tuple[int, ...], int]:
+def _count(shape: SkewShape, max_value: int, p_flavor: bool, rpp: bool, cap: int | None,
+           bar: bool, marked: frozenset[int]) -> dict[tuple[int, ...], int]:
     """{exponent vector x^T padded to max_value: how many tableaux T have it}, for the
-    fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.
-
-    A tableau cell adds its elements to the x-degree |T|.  A cell of a reverse plane
-    partition or a bar tableau adds one unless it continues a line: holds the code of
-    the neighbour the line runs through, the left one for a primed rpp or an unprimed
-    bar entry, else the one below.  A bar tableau may cut a line there too, starting a
-    bar that adds one.  The cap (None: none) bounds |T| - |shape| for tableaux, as
-    deg_cap does in `_fillings`, and |T| itself for rpp and bar tableaux.  A state is
-    (0 for a missing neighbour, the largest codes of the filled cells an unfilled one
-    reads); it holds {weight packed into one integer, |T| in the bits above the values:
-    count}, so a cell adds its integer to each key, and a weight past the cap drops out.
-    Only one layer of states is held.  The cells' options, capped or not, are kept
-    folded in `_OPTIONS`: {largest code, or 0 if no later cell reads it: {integer: how
-    many options give both}}.
+    fillings `_fillings` lists (with `bar`, the bar tableaux on them), none listed.  |T|
+    counts T's elements if a tableau, its lines (a row of v' or a column of v) if a reverse
+    plane partition, its blocks if a bar tableau; the cap (None: none) bounds |T| - |shape|
+    for tableaux, as deg_cap does in `_fillings`, and |T| for the others.  The compositions
+    are walked depth first, last value first, with a vector {state: fillings of
+    outer/state} a node; each count goes to every exponent vector it is with zeros put in.
     """
-    cells, left, below, diag = _layout(shape, p_flavor, marked)
-    n = len(cells)
-    last_read = [-1] * (n + 1)  # the last cell reading each one; slot -1 takes a missing neighbour
-    for k in range(n):
-        last_read[left[k]] = last_read[below[k]] = k
-    w = (2 * n).bit_length()  # bits per value: a weight entry is at most 2n
-    one = 1 << max_value * w  # each element, line or block adds one to |T| here, above the values
-    unit = [0] + [one + (1 << ((code - 1) >> 1) * w) for code in range(1, 2 * max_value + 1)]
+    kind, inner, end = "bar" if bar else "rpp" if rpp else "set", shape.inner, (shape.inner.parts, 0)
+    found: dict[tuple[int, ...], int] = {}
 
-    def deltas(codes: tuple[int, ...], top: int, lv: int, bv: int) -> tuple[int, ...]:
-        if not (rpp or bar):
-            return (sum(unit[c] for c in codes),)
-        if top != (lv if (top & 1) != bar else bv):
-            return (unit[top],)
-        return (0, unit[top]) if bar else (0,)
+    def grow(col: dict, suffix: tuple[int, ...], room: int) -> None:
+        if end in col:
+            found[suffix] = col[end]
+        if len(suffix) == max_value:
+            return
+        to = (end,) if len(suffix) + 1 == max_value else None  # the first value's layer must reach inner
+        after: dict[int, dict] = {}
+        for state2, n in col.items():
+            layers = _into(kind, p_flavor, state2, inner, marked)
+            for state in layers if to is None else [s for s in to if s in layers]:
+                top = room - (sum(state[0]) - inner.size if kind == "set" else 0)  # each cell of state/inner holds one
+                for d, m in layers[state].items():
+                    if d > top:
+                        break
+                    at = after.setdefault(d, {})
+                    at[state] = at.get(state, 0) + n * m
+        for d, nxt in after.items():
+            grow(nxt, (d,) + suffix, room - d)
 
-    budget = 0 if rpp or bar else cap  # the extra elements a cell may hold
-    most = 2 * max_value * n if cap is None else cap  # no filling passes 2 max_value n
-    table = _OPTIONS.setdefault((max_value, w, rpp, bar, budget), {})
-    layer: dict[tuple, dict[int, int]] = {(0,): {0: 1}}
-    live: tuple[int, ...] = ()  # the cells whose codes a state holds, in order
-    for k in range(n):
-        pos = {m: p for p, m in enumerate(live, 1)}
-        lp, bp = pos.get(left[k], 0), pos.get(below[k], 0)
-        read_later = last_read[k] > k
-        live = tuple(m for m in live if last_read[m] > k) + ((k,) if read_later else ())
-        keep = [pos[m] for m in live if m != k]
-        limit = (most + 1 + (0 if rpp or bar else k + 1)) * one  # a weight past the cap is dropped
-        nxt: dict[tuple, dict[int, int]] = {}
-        for state, partial in layer.items():
-            lv, bv = state[lp], state[bp]
-            opts = table.get((lv, bv, diag[k], read_later))
-            if opts is None:
-                opts = table[lv, bv, diag[k], read_later] = {}
-                for codes, top, _ in _cell_options(2 * max_value, rpp, lv, bv, diag[k], budget):
-                    folded = opts.setdefault(top if read_later else 0, {})
-                    for delta in deltas(codes, top, lv, bv):
-                        folded[delta] = folded.get(delta, 0) + 1
-            carried = (0, *map(state.__getitem__, keep))
-            for top, folded in opts.items():
-                target = nxt.setdefault((*carried, top) if read_later else carried, {})
-                for delta, times in folded.items():
-                    for packed, count in partial.items():
-                        packed += delta
-                        if packed < limit:
-                            target[packed] = target.get(packed, 0) + count * times
-        layer = {state: partial for state, partial in nxt.items() if partial}
-    mask, out = (1 << w) - 1, {}
-    for partial in layer.values():
-        for packed, count in partial.items():
-            exps = tuple(packed >> v * w & mask for v in range(max_value))
-            out[exps] = out.get(exps, 0) + count
+    lone = len(shape.outer) in marked and shape.outer.parts[-1] == 1
+    grow({(shape.outer.parts, bit): 1 for bit in range(1 + lone)}, (), 2 * max_value * shape.size if cap is None else cap + (0 if rpp or bar else shape.size))
+    out = {}
+    for alpha, n in found.items():
+        for places in itertools.combinations(range(max_value), len(alpha)):
+            exps = [0] * max_value
+            for v, a in zip(places, alpha):
+                exps[v] = a
+            out[tuple(exps)] = n
     return out
+
+
+@functools.cache
+def _into(kind: str, p_flavor: bool, state2: tuple[tuple[int, ...], int], inner: StrictPartition,
+          marked: frozenset[int]) -> dict[tuple[tuple[int, ...], int], dict[int, int]]:
+    """The layers of one value ending at state2: {state they start from, containing inner:
+    {d >= 1: how many fillings of degree d}}, d increasing.
+
+    Set-valued: mu -> mu2 fills mu2/kappa in `_one_value_count` ways, kappa in
+    doubleslash_inners(mu) containing inner, so the cells of mu/kappa hold smaller values
+    too.  Each marked diagonal cell of mu2/kappa may hold v' instead of v, its largest
+    element; while it is the last row's one cell (`lone`), bit 1 records that choice, so
+    that no later value joins it.  Reverse plane partitions and bar tableaux: mu <= nu <=
+    mu2, v' filling nu/mu and v filling mu2/nu (`_half`)."""
+    mu2, bit2 = StrictPartition(state2[0]), state2[1]
+    out: dict[tuple, dict[int, int]] = {}
+
+    def add(state, poly, shift=0):
+        at = out.setdefault(state, {})
+        for d, n in poly.items():
+            if d:  # the empty layer, M_0 = I, is no layer
+                at[d] = at.get(d, 0) + (n << shift)
+
+    if kind == "set":
+        rows2 = len(mu2.parts)
+        lone = {mu: len(mu.parts) in marked and mu.parts[-1] == 1 for mu in subshapes(mu2)}
+        up_to = [sum(i <= r for i in marked) for r in range(rows2 + 1)]  # marked rows up to each row
+        ways = {kappa.parts: w for kappa in subshapes(mu2) if contains(inner, kappa) and (w := _one_value_count(p_flavor, mu2.parts, kappa.parts))}
+        for mu in subshapes(mu2):
+            for kappa in (kappa.parts for kappa in doubleslash_inners(mu) if kappa.parts in ways):
+                rows = len(kappa)
+                fills_last = lone[mu2] and rows < rows2
+                for bit in range(1 + (rows == len(mu.parts) and lone[mu])):
+                    if fills_last or not lone[mu2] or bit == bit2:
+                        add((mu.parts, bit), ways[kappa], up_to[rows2] - up_to[rows] - fills_last)
+    else:
+        for nu in subshapes(mu2):
+            last = contains(inner, nu) and _half(kind == "bar", p_flavor, False, nu.parts, mu2.parts)
+            for mu in subshapes(nu) if last else ():
+                first = contains(inner, mu) and _half(kind == "bar", p_flavor, True, mu.parts, nu.parts)
+                for a, m in (first or {}).items():
+                    add((mu.parts, 0), {a + b: m * n for b, n in last.items()})
+    return {state: dict(sorted(poly.items())) for state, poly in out.items() if poly}
+
+
+def _half(bar: bool, p_flavor: bool, primed: bool, low: tuple[int, ...], high: tuple[int, ...]) -> dict[int, int] | None:
+    """The fillings of high/low by v' (primed) or v alone by degree, None if none: a reverse
+    plane partition counts its lines, rows of v' and columns of v; a bar tableau has no two
+    cells in such a line and cuts each run across them into blocks, t (1 + t)^(L - 1) for L
+    cells.  Under P the diagonal is primed in a reverse plane partition, else unprimed."""
+    if p_flavor and primed == bar and len(high) > len(low):
+        return None
+    low += (0,) * (len(high) - len(low))
+    cells = sum(high) - sum(low)
+    across = cells - sum(map(gt, high, low))  # pairs of cells side by side
+    up = sum(max(0, high[r] - max(low[r], low[r - 1] - 1)) for r in range(1, len(high)))  # one above the other
+    line, run = (across, up) if primed else (up, across)
+    if not bar:
+        return {cells - line: 1}
+    return None if line else {cells - run + j: comb(run, j) for j in range(run + 1)}
 
 
 def _cell_options(top: int, rpp: bool, lv: int, bv: int, diag: int, budget: int | None):
@@ -352,9 +383,9 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
     """The weighted sum over the family as a truncated polynomial: each tableau T
     weighs beta^(|T| - |shape|) x^T if set-valued or single-valued, and
     (-beta)^(|shape| - |T|) x^T if a reverse plane partition or a bar tableau, x^T
-    and |T| counting T's elements, lines or blocks by value as `_walk` does.  No
-    tableau is listed: `_tally` counts them by x^T, one term per exponent vector, and
-    for every family it drops a partial filling once its x-degree passes max_deg.
+    and |T| counting T's elements, lines or blocks by value as `_count` does.  No
+    tableau is listed: `_tally` counts them by x^T, one layer product per composition
+    of x-degree at most max_deg, placed at each exponent vector it stands for.
     """
     fam = _check_family(family)
     shape.require_valid()
@@ -372,32 +403,17 @@ def genfun_from_tableaux(family: str, shape: SkewShape, nvars: int, max_deg: int
 
 @functools.cache
 def content_count(p_flavor: bool, outer: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """How many set-valued shifted tableaux of shape outer (a strict partition's
-    parts) hold value v content[v-1] times.
-
-    Times beta^(|content| - |outer|), it is [x^content] GP_outer (p_flavor) or GQ_outer.
-    By the coproduct GQ_outer(x, y) = sum_mu GQ_mu(x) GQ_{outer//mu}(y) (GP alike) the c =
-    content[-1] elements of the last value fill outer/mu (`_last_value`), the others mu.
-    """
+    """How many set-valued shifted tableaux of shape outer (a strict partition's parts) hold
+    value v content[v-1] times: times beta^(|content| - |outer|), [x^content] GP_outer
+    (p_flavor) or GQ_outer.  It is `_count`'s layer product at the one composition content,
+    memoised per shape as the last value's layer mu -> outer is peeled off."""
     if not content:
         return int(not outer)
     hi, c = sum(content) - content[-1], content[-1]
-    return sum(content_count(p_flavor, mu, content[:-1]) * n for mu, size, n in _last_value(p_flavor, outer).get(c, ()) if size <= hi)
-
-
-@functools.cache
-def _last_value(p_flavor: bool, outer: tuple[int, ...]) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
-    """{c: (mu, |mu|, n) for each mu inside outer that c elements of one value, the largest,
-    complete in n > 0 ways}: they fill outer/kappa, kappa in doubleslash_inners(mu)."""
-    shapes, out = subshapes(StrictPartition(outer)), {}
-    ways = {kappa.parts: w for kappa in shapes if (w := _one_value_count(p_flavor, outer, kappa.parts))}
-    for mu in shapes:
-        at: dict[int, int] = {}
-        for c, n in (cn for kappa in doubleslash_inners(mu) for cn in ways.get(kappa.parts, {}).items()):
-            at[c] = at.get(c, 0) + n
-        for c, n in at.items():
-            out.setdefault(c, []).append((mu.parts, mu.size, n))
-    return out
+    if not c:
+        return content_count(p_flavor, outer, content[:-1])
+    layers = _into("set", p_flavor, (outer, 0), EMPTY, frozenset())
+    return sum(content_count(p_flavor, mu, content[:-1]) * n for (mu, _), poly in layers.items() if (n := poly.get(c)) and sum(mu) <= hi)
 
 
 def _one_value_count(p_flavor: bool, outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[int, int]:

@@ -319,7 +319,7 @@ def test_two_alphabet_checks_name_nx_and_ny(capsys, check_id, flag):
     assert code == 2 and f"{flag} must be at least 1, got 0" in err
 
 
-MAX_SIZE_CHECKS = ["gq-to-gp", "skew-expansions", "flip", "coproducts", "cauchy", "dual-expansions", "conjectures"]
+MAX_SIZE_CHECKS = ["gq-to-gp", "skew-expansions", "flip", "coproducts", "cauchy", "dual-expansions", "symmetrization", "conjectures"]
 
 
 def test_max_size_checks_are_listed():
@@ -413,3 +413,46 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
         config.write_text(text)
     code = main(["--config", str(config), "compute", "--func", "GP", "--outer", "1", "--vars", "1"])
     assert code == 2 and "config" in capsys.readouterr().err
+
+
+HELP_AND_USAGE = [
+    # argv, exit code, sha256 of stdout, sha256 of stderr: the bytes at 80 columns
+    (("--help",), 0, "19d6b032f0595c8478bea43a19b94bfab2fb6443122b552c731f7415c2d5b3d6", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("compute", "--help"), 0, "c7cf48faea880b25251f058a1910204fd4f30ccc59f56a6e15dbf89b22cf7177", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("expand", "--help"), 0, "e185eb34aa52b08baacfe71495af40c7063b7e0917b02527c846652cd0afe0a8", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "--help"), 0, "27e9bb26de54cfa0e7f4eb578fb4ee1710b1c64de74660bcb95d159f56bd4f99", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("enumerate", "--help"), 0, "6b00430d1ca5b009fa3e67d365d58c7d746d45253dcb8521db8c2bdd8d37bfa2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "10d1553dab6aedf7b6a1c850286d06e19a0d5bde348ed06925ba7d204e3a8c6b"),
+    (("compute", "--outer", "1"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "9dd0af14e65ba9e015d163eed9599dc83e9b3e2dc0c7bca3ef6e29233e600661"),
+    (("compute", "--func", "GQ", "--outer", "1", "--vars", "two"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fd2b3ac066233318e210d9b8688ac7f7576015c2573c855c6f0130a8dc36470"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the bytes are argparse's on Python 3.11; its layout differs between versions")
+@pytest.mark.parametrize("argv, code, out, err", HELP_AND_USAGE)
+def test_help_and_usage_errors_print_pinned_bytes(capsys, monkeypatch, argv, code, out, err):
+    # `kshift --help`, each `kshift <cmd> --help` and three usage errors, byte for byte:
+    # building the parser another way must print the same
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    printed = capsys.readouterr()
+    assert exit_info.value.code == code
+    assert hashlib.sha256(printed.out.encode()).hexdigest() == out, printed.out
+    assert hashlib.sha256(printed.err.encode()).hexdigest() == err, printed.err
+
+
+def test_a_request_past_the_work_bound_exits_3_at_once():
+    # GQ_{3,1} in 40 variables to degree 30 has C(70, 40) - C(43, 40) possible exponent vectors:
+    # refused before any work, with the estimate, not left to run until it is killed (the
+    # child gets 1 GiB of address space and 20 s, so a request that does run stays small)
+    import resource
+
+    def small():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cmd = [sys.executable, "-m", "kshift.cli", "compute", "--func", "GQ", "--outer", "3,1", "--vars", "40", "--max-deg", "30"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=20, preexec_fn=small)
+    assert done.returncode == 3
+    assert done.stderr == "resource error: GQ of 3,1/ in 40 variables to degree 30: 55347740058143494787 possible terms, above 10000000\n"

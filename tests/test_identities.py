@@ -58,18 +58,18 @@ def test_the_tableau_checks_count_without_listing(monkeypatch, check):
     assert check().ok
 
 
-def test_the_gq_to_gp_check_walks_each_tally_once(monkeypatch):
+def test_the_gq_to_gp_check_counts_each_tally_once(monkeypatch):
     # the expansion cases and the count-beta1 case ask for the same GP/GQ tallies,
     # passing the flags positionally or by keyword: 28 of the 90 requests repeat a key;
     # the GP/GQ views are read off the tallies and kept per process, so they start cold
     from kshift import tableaux
 
-    tableaux._walk.cache_clear()
+    tableaux._count.cache_clear()
     genfun._shape_view.cache_clear()
     monkeypatch.setattr(cache.CACHE, "_mem", {})
     assert check_gq_to_gp().ok
-    walks = tableaux._walk.cache_info()
-    assert (walks.misses, walks.hits) == (62, 28)
+    counts = tableaux._count.cache_info()
+    assert (counts.misses, counts.hits) == (62, 28)
 
 
 def test_gq_to_gp_parameter_errors():
@@ -121,6 +121,12 @@ def test_symmetrization():
     report = check_symmetrization(trials=3, seed=1)
     assert report.status == "PASS"
     assert report.cases > 0
+
+
+def test_symmetrization_over_every_small_strict_shape():
+    # every strict lam with 0 < |lam| <= 5 in 2, 3 and 4 variables, GP and GQ, plus the staircases
+    report = check_symmetrization(max_size=5)
+    assert (report.status, report.cases, report.params) == ("PASS", 1260, {"trials": 20, "seed": 0, "max_size": 5})
 
 
 def test_onerow_series_check():
@@ -761,6 +767,10 @@ PINNED_REPORTS = [
     (check_skew_expansions, {"max_size": 6}, "4e35c0d517d29818579524fad739007b1be0f298a890395ab6a84368fe3c4180"),
     (check_flip, {"max_size": 7}, "4cdf9977043c98a7fda1dfaa747e7440a9c6e3dbfa0de5255035d5842ba62149"),
     (check_coproducts, {"max_size": 5}, "d1610425abfbfeed853c6b96d249ac7dc7cd7ce370ed41e6b3aa4e17892b2a96"),
+    # the rpp and bar tallies in 6 variables, straight and skew, and the marked family past the defaults
+    (check_conjectures, {"max_size": 8, "length_cap_size": 4}, "7bccc89e58f577ce71f3f0658cfe8b058b7a9ed215854bc8c9b3225b9fe527c6"),
+    (check_conjectures, {"max_size": 10, "skew_max_size": 6, "length_cap_size": 4}, "66e8fb129161ec98e8ae70e1978da014c3c26a14281d3b7f727ad81fcbabfd05"),
+    (check_gq_to_gp, {"max_size": 7, "max_deg": 10}, "eb468b53f352e6824aac4e084996d2ba0bd19c46965afd4ff3b2f807458076fd"),
 ]
 
 

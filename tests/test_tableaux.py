@@ -18,7 +18,9 @@ from kshift.tableaux import (
     FAMILIES,
     BarTableau,
     Tableau,
+    _cell_options,
     _check_family,
+    _layout,
     _one_value_count,
     _tally,
     code_value,
@@ -385,6 +387,99 @@ def test_restricted_family_matches_its_definition():
                     assert list(iter_restricted_p(lam, mu, max_value, deg_cap)) == want, (lam, mu, max_value, deg_cap)
 
 
+# -- the cell-by-cell walk: the oracle of the layer product ------------------
+
+REFERENCE_OPTIONS: dict[tuple, dict[tuple, dict]] = {}  # `reference_walk`'s folded cell options
+
+
+def reference_walk(shape, max_value, p_flavor, rpp, cap, bar=False, marked=frozenset()):
+    """{exponent vector x^T padded to max_value: how many tableaux T have it}, as `_tally`,
+    counted cell by cell in reading order instead of value by value.
+
+    A tableau cell adds its elements to the x-degree |T|.  A cell of a reverse plane
+    partition or a bar tableau adds one unless it continues a line: holds the code of
+    the neighbour the line runs through, the left one for a primed rpp or an unprimed
+    bar entry, else the one below.  A bar tableau may cut a line there too, starting a
+    bar that adds one.  The cap (None: none) bounds |T| - |shape| for tableaux and |T|
+    itself for rpp and bar tableaux.  A state is (0 for a missing neighbour, the largest
+    codes of the filled cells an unfilled one reads); it holds {weight packed into one
+    integer, |T| in the bits above the values: count}, so a cell adds its integer to each
+    key, and a weight past the cap drops out.  The cells' options are kept folded in
+    REFERENCE_OPTIONS: {largest code, or 0 if no later cell reads it: {integer: how many
+    options give both}}.
+    """
+    cells, left, below, diag = _layout(shape, p_flavor, marked)
+    n = len(cells)
+    last_read = [-1] * (n + 1)  # the last cell reading each one; slot -1 takes a missing neighbour
+    for k in range(n):
+        last_read[left[k]] = last_read[below[k]] = k
+    w = (2 * n).bit_length()  # bits per value: a weight entry is at most 2n
+    one = 1 << max_value * w  # each element, line or block adds one to |T| here, above the values
+    unit = [0] + [one + (1 << ((code - 1) >> 1) * w) for code in range(1, 2 * max_value + 1)]
+
+    def deltas(codes, top, lv, bv):
+        if not (rpp or bar):
+            return (sum(unit[c] for c in codes),)
+        if top != (lv if (top & 1) != bar else bv):
+            return (unit[top],)
+        return (0, unit[top]) if bar else (0,)
+
+    budget = 0 if rpp or bar else cap  # the extra elements a cell may hold
+    most = 2 * max_value * n if cap is None else cap  # no filling passes 2 max_value n
+    table = REFERENCE_OPTIONS.setdefault((max_value, w, rpp, bar, budget), {})
+    layer = {(0,): {0: 1}}
+    live = ()  # the cells whose codes a state holds, in order
+    for k in range(n):
+        pos = {m: p for p, m in enumerate(live, 1)}
+        lp, bp = pos.get(left[k], 0), pos.get(below[k], 0)
+        read_later = last_read[k] > k
+        live = tuple(m for m in live if last_read[m] > k) + ((k,) if read_later else ())
+        keep = [pos[m] for m in live if m != k]
+        limit = (most + 1 + (0 if rpp or bar else k + 1)) * one  # a weight past the cap is dropped
+        nxt = {}
+        for state, partial in layer.items():
+            lv, bv = state[lp], state[bp]
+            opts = table.get((lv, bv, diag[k], read_later))
+            if opts is None:
+                opts = table[lv, bv, diag[k], read_later] = {}
+                for codes, top, _ in _cell_options(2 * max_value, rpp, lv, bv, diag[k], budget):
+                    folded = opts.setdefault(top if read_later else 0, {})
+                    for delta in deltas(codes, top, lv, bv):
+                        folded[delta] = folded.get(delta, 0) + 1
+            carried = (0, *map(state.__getitem__, keep))
+            for top, folded in opts.items():
+                target = nxt.setdefault((*carried, top) if read_later else carried, {})
+                for delta, times in folded.items():
+                    for packed, count in partial.items():
+                        packed += delta
+                        if packed < limit:
+                            target[packed] = target.get(packed, 0) + count * times
+        layer = {state: partial for state, partial in nxt.items() if partial}
+    mask, out = (1 << w) - 1, {}
+    for partial in layer.values():
+        for packed, count in partial.items():
+            exps = tuple(packed >> v * w & mask for v in range(max_value))
+            out[exps] = out.get(exps, 0) + count
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("marked_p",))
+def test_the_layer_product_is_the_cell_walk(family):
+    # every skew shape with |outer| <= 7 (for the marked family every straight one, under
+    # every set of marked rows), nvars 1-4, caps None and 0-6 (single-valued: cap 0)
+    p_flavor, rpp, bar = family.endswith("_p"), family.startswith("shrpp"), family.startswith("shbt")
+    caps = (0,) if family.startswith("shyt") else (None, *range(7))
+    for lam in enumerate_strict_partitions(7):
+        if family == "marked_p":
+            rows = range(1, len(lam) + 1)
+            cases = [(straight(lam), frozenset(m)) for k in range(len(lam) + 1) for m in itertools.combinations(rows, k)]
+        else:
+            cases = [(SkewShape(lam, mu), frozenset()) for mu in subshapes(lam)]
+        for (shape, marked), nvars, cap in itertools.product(cases, range(1, 5), caps):
+            want = reference_walk(shape, nvars, p_flavor, rpp, cap, bar, marked)
+            assert _tally(shape, nvars, p_flavor, rpp, cap, bar, marked) == want, (shape, marked, nvars, cap)
+
+
 @pytest.mark.parametrize("p_flavor", [True, False])
 def test_one_value_count_is_the_one_variable_coefficient(p_flavor):
     family = "setshyt_p" if p_flavor else "setshyt_q"
@@ -399,8 +494,9 @@ def test_one_value_count_is_the_one_variable_coefficient(p_flavor):
 
 def reference_one_value_count(p_flavor, outer, inner):
     """The one-value fillings of outer/inner by their number of elements, counted by one
-    uncapped `_tally` walk: a cell holds at most 1' and 1, so the count is finite."""
-    tally = _tally(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
+    uncapped `reference_walk` (the layer product is built on the closed form): a cell
+    holds at most 1' and 1, so the count is finite."""
+    tally = reference_walk(SkewShape(StrictPartition(outer), StrictPartition(inner)), 1, p_flavor, False, None)
     return {c: n for (c,), n in tally.items()}
 
 
@@ -516,7 +612,7 @@ def weight_tally(family, tableaux, nvars):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_weight_tally_counts_the_padded_weights(family):
-    # the reference against `weight`, then the counting walk against the reference
+    # the reference against `weight`, then the layer product and the cell walk against the reference
     deg_cap = 1 if family.startswith("setshyt") else None
     for shape in _small_shapes():
         for nvars in (1, 3):
@@ -527,16 +623,18 @@ def test_weight_tally_counts_the_padded_weights(family):
                 want[key] = want.get(key, 0) + 1
             assert weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars) == want, (shape, nvars)
             rpp, bar = family.startswith("shrpp"), family.startswith("shbt")
-            got = _tally(shape, nvars, family.endswith("_p"), rpp, 0 if family.startswith("shyt") else deg_cap, bar)
-            assert got == want, (shape, nvars)
+            args = (shape, nvars, family.endswith("_p"), rpp, 0 if family.startswith("shyt") else deg_cap, bar)
+            assert _tally(*args) == want, (shape, nvars)
+            assert reference_walk(*args) == want, (shape, nvars)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_capped_tally_is_its_reference(family):
-    # the cap drops a partial filling inside the walk once its x-degree passes it: a
-    # tableau tally at cap c counts the listed set-valued tableaux with at most c extra
-    # elements (a single-valued family is walked at cap 0 only), and a reverse plane
-    # partition or bar tableau tally the uncapped tally's terms of x-degree <= c
+    # a tableau tally at cap c counts the listed set-valued tableaux with at most c extra
+    # elements (a single-valued family is counted at cap 0 only), and a reverse plane
+    # partition or bar tableau tally is the uncapped tally's terms of x-degree <= c: both
+    # for the layer product, which drops a state once the cap leaves no room, and the cell
+    # walk, which drops a partial filling once its x-degree passes the cap
     p_flavor, rpp, bar = family.endswith("_p"), family.startswith("shrpp"), family.startswith("shbt")
     for lam in enumerate_strict_partitions(5):
         for shape in (SkewShape(lam, kappa) for kappa in subshapes(lam)):
@@ -549,18 +647,20 @@ def test_the_capped_tally_is_its_reference(family):
                         deg_cap = None if family.startswith("shyt") else cap
                         want = weight_tally(family, iter_tableaux(family, shape, nvars, deg_cap), nvars)
                     assert _tally(shape, nvars, p_flavor, rpp, cap, bar) == want, (shape, nvars, cap)
+                    assert reference_walk(shape, nvars, p_flavor, rpp, cap, bar) == want, (shape, nvars, cap)
 
 
 def test_tally_counts_the_prime_restricted_family():
-    # SetShYT_P(lam : mu) for every vertical strip lam/mu, counted against its listing walk
+    # SetShYT_P(lam : mu) for every vertical strip lam/mu: the layer product and the cell
+    # walk, each against the listing walk
     for mu in enumerate_strict_partitions(5):
         for lam in vertical_strip_extensions(mu):
             marked = marked_rows(lam, mu)
             for nvars in (2, 3):
                 for deg_cap in (0, 2, 4):
                     want = weight_tally("setshyt_q", iter_restricted_p(lam, mu, nvars, deg_cap), nvars)
-                    got = _tally(straight(lam), nvars, True, False, deg_cap, marked=marked)
-                    assert got == want, (lam, mu, nvars, deg_cap)
+                    assert _tally(straight(lam), nvars, True, False, deg_cap, marked=marked) == want, (lam, mu, nvars, deg_cap)
+                    assert reference_walk(straight(lam), nvars, True, False, deg_cap, False, marked) == want, (lam, mu, nvars, deg_cap)
 
 
 @pytest.mark.parametrize("p_flavor", [True, False])
